@@ -110,6 +110,17 @@ def parse_fraction(text):
         raise RejectedInputError("bad rational %r: %s" % (text, exc))
 
 
+def default_bgg_weights(s):
+    """The default BGG window: the integers -(r-1)..2r-2 plus two typical
+    weights, without repeats (at odd ell the typical 4 can lie in the
+    integer range)."""
+    r = s.r
+    weights = [Fraction(w) for w in range(-(r - 1), 2 * r - 1)]
+    typical = ([Fraction(1, 2), Fraction(5, 2)] if s.ell % 2 == 0
+               else [Fraction(3, 2), Fraction(4)])
+    return weights + [w for w in typical if w not in weights]
+
+
 def make_session(args):
     if args.ell is None:
         raise RejectedInputError("--ell is required for this verb")
@@ -224,10 +235,7 @@ def cmd_bgg(args, rep):
     if args.weights:
         weights = [parse_fraction(w) for w in args.weights.split(",")]
     else:
-        r = s.r
-        weights = [Fraction(w) for w in range(-(r - 1), 2 * r - 1)]
-        weights += ([Fraction(1, 2), Fraction(5, 2)] if s.ell % 2 == 0
-                    else [Fraction(3, 2), Fraction(4)])
+        weights = default_bgg_weights(s)
     cells = bgg_table(s, args.m, weights, seed=args.seed)
     for (lam, mu), a, b, ok in cells:
         rep.add("cell (%s, %s): filtration %d, composition %d"
@@ -391,9 +399,7 @@ def cmd_suite(args, rep):
                 False, str(exc))
 
     # BGG sweep
-    weights = [Fraction(w) for w in range(-(r - 1), 2 * r - 1)]
-    weights += ([Fraction(1, 2), Fraction(5, 2)] if s.ell % 2 == 0
-                else [Fraction(3, 2), Fraction(4)])
+    weights = default_bgg_weights(s)
     for m in range(0, max_m + 1):
         cells = bgg_table(s, m, weights, seed=args.seed)
         bad = [c for c in cells if not c[3]]
@@ -523,10 +529,32 @@ def build_parser():
     return ap
 
 
+# options whose value may be a negative fraction such as -3/2
+FRACTION_OPTIONS = ("--weight", "--weights")
+
+
+def _attach_fraction_values(argv):
+    """Join "--weight -3/2" into "--weight=-3/2".
+
+    argparse reads a separate token that starts with "-" as a flag unless
+    it is a plain negative number, so "-3/2" would be taken for one.
+    """
+    out = []
+    for a in argv:
+        if (out and out[-1] in FRACTION_OPTIONS and a.startswith("-")
+                and a[1:2].isdigit()):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None):
     ap = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_attach_fraction_values(argv))
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     rep = Reporter()

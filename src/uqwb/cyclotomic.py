@@ -1,96 +1,60 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_M).
 
-Elements are polynomials in zeta_M with rational coefficients, reduced
-modulo the M-th cyclotomic polynomial.  The reduction data (degree and
-rewrite rows for zeta^k, k >= phi(M)) lives on the owning session object,
-so all arithmetic stays in pure Fraction operations with no floats.
+An element is n/d: a tuple n of phi(M) integers, the coefficients of a
+polynomial in zeta_M reduced modulo the M-th cyclotomic polynomial, over
+one positive integer denominator d.  The canonical form has
+gcd(d, *n) == 1, so zero is (0, ..., 0)/1 and equality is a plain tuple
+comparison.  The cyclotomic polynomial is monic with integer
+coefficients, so products convolve and reduce on integers and divide by
+one gcd at the end; inverses come from a fraction-free (Bareiss) solve.
+The reduction rows, and a bounded table of solved inverses, live on the
+owning session object.  Fractions appear only at the boundary
+(from_rational, scale, as_rational, coefficients); there are no
+floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
-def poly_trim(c):
-    """Drop trailing zeros of a Fraction coefficient list (in place copy)."""
-    n = len(c)
-    while n > 0 and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
+# bound on the inverses of non-monomial elements kept per session
+INV_CACHE_SIZE = 4096
 
 
-def poly_divmod(a, b):
-    """Quotient and remainder of Fraction polynomials, b nonzero."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [_F0] * max(len(a) - db, 0)
-    for i in range(len(a) - db - 1, -1, -1):
-        f = a[i + db] / lb
-        if f:
-            q[i] = f
-            for j, bj in enumerate(b):
-                a[i + j] -= f * bj
-    return q, poly_trim(a)
-
-
-def poly_xgcd(a, b):
-    """Extended gcd over Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = poly_trim(list(a)), poly_trim(list(b))
-    s0, s1 = [_F1], []
-    t0, t1 = [], [_F1]
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1))
-    return r0, s0, t0
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return poly_trim(out)
-
-
-def poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [_F0] * n
-    for i, ai in enumerate(a):
-        out[i] = ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return poly_trim(out)
+def _reduced(session, n, d):
+    """The canonical Cyc n/d, for a list or tuple n of ints and d > 0."""
+    if d != 1:
+        g = gcd(d, *n)
+        if g != 1:
+            return Cyc(session, tuple(x // g for x in n), d // g)
+    return Cyc(session, tuple(n), d)
 
 
 class Cyc:
     """An element of Q(zeta_M), in canonical reduced form.
 
-    ``c`` is a tuple of Fractions of length phi(M); ``s`` is the owning
-    session, which carries the reduction rows.
+    ``n`` is a tuple of phi(M) ints and ``d`` a positive int with
+    gcd(d, *n) == 1; the value is sum(n[k] * zeta_M^k) / d.  ``s`` is the
+    owning session, which carries the reduction rows.  The constructor
+    trusts its arguments to be canonical; other values are built with
+    from_rational, zeta_power, scale and the field operations.
     """
 
-    __slots__ = ("s", "c")
+    __slots__ = ("s", "n", "d")
 
-    def __init__(self, session, coeffs):
+    def __init__(self, session, n, d=1):
         self.s = session
-        self.c = coeffs  # tuple[Fraction], len == session.phi
+        self.n = n  # tuple[int], len == session.phi
+        self.d = d  # int > 0, coprime to the entries of n
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rational(session, r):
-        v = [_F0] * session.phi
-        v[0] = Fraction(r)
-        return Cyc(session, tuple(v))
+        r = Fraction(r)
+        return Cyc(session, (r.numerator,) + (0,) * (session.phi - 1),
+                   r.denominator)
 
     @staticmethod
     def zeta_power(session, e):
@@ -100,89 +64,174 @@ class Cyc:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self):
-        return not any(self.c)
+        return not any(self.n)
+
+    def is_one(self):
+        n = self.n
+        return n[0] == 1 and self.d == 1 and not any(n[1:])
 
     def is_rational(self):
-        return not any(self.c[1:])
+        return not any(self.n[1:])
 
     def as_rational(self):
         """The element as a Fraction, or None if it is not rational."""
-        return self.c[0] if self.is_rational() else None
+        return Fraction(self.n[0], self.d) if self.is_rational() else None
+
+    def coefficients(self):
+        """The power-basis coefficients as a tuple of Fractions."""
+        d = self.d
+        return tuple(Fraction(x, d) for x in self.n)
 
     def __bool__(self):
-        return any(self.c)
+        return any(self.n)
 
     def __eq__(self, other):
-        return isinstance(other, Cyc) and self.c == other.c
+        return (isinstance(other, Cyc) and self.d == other.d
+                and self.n == other.n)
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.n, self.d))
 
     # -- field operations ---------------------------------------------
 
     def __add__(self, other):
-        return Cyc(self.s, tuple(a + b for a, b in zip(self.c, other.c)))
+        da, db = self.d, other.d
+        if da == db:
+            return _reduced(self.s, [a + b for a, b in
+                                     zip(self.n, other.n)], da)
+        return _reduced(self.s, [a * db + b * da for a, b in
+                                 zip(self.n, other.n)], da * db)
 
     def __sub__(self, other):
-        return Cyc(self.s, tuple(a - b for a, b in zip(self.c, other.c)))
+        da, db = self.d, other.d
+        if da == db:
+            return _reduced(self.s, [a - b for a, b in
+                                     zip(self.n, other.n)], da)
+        return _reduced(self.s, [a * db - b * da for a, b in
+                                 zip(self.n, other.n)], da * db)
 
     def __neg__(self):
-        return Cyc(self.s, tuple(-a for a in self.c))
+        return Cyc(self.s, tuple(-a for a in self.n), self.d)
 
     def __mul__(self, other):
-        a, b = self.c, other.c
-        ra = not any(a[1:])
-        if ra:
+        a, b = self.n, other.n
+        d = self.d * other.d
+        if not any(a[1:]):
             f = a[0]
             if not f:
                 return self.s.cyc_zero
-            return Cyc(self.s, tuple(f * x for x in b))
+            return _reduced(self.s, [f * x for x in b], d)
         if not any(b[1:]):
             f = b[0]
             if not f:
                 return self.s.cyc_zero
-            return Cyc(self.s, tuple(f * x for x in a))
+            return _reduced(self.s, [f * x for x in a], d)
         phi = self.s.phi
-        conv = [_F0] * (2 * phi - 1)
+        conv = [0] * (2 * phi - 1)
+        bnz = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
+                for j, bj in bnz:
+                    conv[i + j] += ai * bj
         out = conv[:phi]
-        red = self.s._red_rows  # rows for zeta^k, k = phi .. 2*phi-2
+        red = self.s._red_rows  # sparse rows for zeta^k, k >= phi
         for k in range(phi, 2 * phi - 1):
             ck = conv[k]
             if ck:
-                row = red[k - phi]
-                for j, rj in enumerate(row):
-                    if rj:
-                        out[j] += ck * rj
-        return Cyc(self.s, tuple(out))
+                for j, rj in red[k - phi]:
+                    out[j] += ck * rj
+        return _reduced(self.s, out, d)
 
     def scale(self, f):
-        """Multiply by a Fraction."""
+        """Multiply by a rational."""
+        f = Fraction(f)
         if not f:
             return self.s.cyc_zero
-        return Cyc(self.s, tuple(f * x for x in self.c))
+        p = f.numerator
+        return _reduced(self.s, [p * x for x in self.n],
+                        self.d * f.denominator)
 
     def inv(self):
-        if self.is_zero():
+        n, s = self.n, self.s
+        nz = [k for k, x in enumerate(n) if x]
+        if not nz:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        r = self.as_rational()
-        if r is not None:
-            return Cyc.from_rational(self.s, 1 / r)
-        g, sp, _ = poly_xgcd(poly_trim(list(self.c)), self.s._cyclo_poly)
-        # g is a nonzero constant since the cyclotomic polynomial is
-        # irreducible over Q
-        assert len(g) == 1
-        inv_g = 1 / g[0]
-        v = [x * inv_g for x in sp]
-        v += [_F0] * (self.s.phi - len(v))
-        return Cyc(self.s, tuple(v[: self.s.phi]))
+        if len(nz) == 1:
+            # (c zeta^k / d)^-1 = (d / c) zeta^-k, and zeta^-k has
+            # integer coefficients
+            k = nz[0]
+            c = n[k]
+            z = Cyc.zeta_power(s, -k).n
+            if c < 0:
+                return _reduced(s, [-self.d * x for x in z], -c)
+            return _reduced(s, [self.d * x for x in z], c)
+        # the same few units are inverted over and over (pivots, leading
+        # coefficients), so solved inverses are kept on the session
+        cache = s._inv_cache
+        key = (n, self.d)
+        out = cache.get(key)
+        if out is None:
+            x, det = _solve_unit(s, n)
+            # n * x = det, so (n/d)^-1 = d * x / det
+            if det < 0:
+                det, x = -det, [-v for v in x]
+            out = _reduced(s, [self.d * v for v in x], det)
+            if len(cache) >= INV_CACHE_SIZE:
+                cache.clear()
+            cache[key] = out
+        return out
 
     def __truediv__(self, other):
         return self * other.inv()
 
     def __repr__(self):
         return "Cyc(%s)" % (self.s.format_cyc(self),)
+
+
+def _solve_unit(session, n):
+    """Integers x and det != 0 with n * x == det in Z[zeta_M].
+
+    Bareiss fraction-free elimination on the multiplication-by-n matrix,
+    augmented with the coordinates of 1; every division is exact, and
+    det is the last pivot (the matrix determinant up to sign).  n must
+    be nonzero.
+    """
+    phi = session.phi
+    base = session._red_rows[0]  # zeta^phi
+    # row i of the augmented matrix: coefficient i of n * zeta^j, then 1
+    cols = []
+    v = list(n)
+    for _ in range(phi):
+        cols.append(v)
+        top = v[-1]
+        v = [0] + v[:-1]
+        for j, rj in base:
+            v[j] += top * rj
+    m = [[col[i] for col in cols] + [1 if i == 0 else 0]
+         for i in range(phi)]
+    prev = 1
+    for k in range(phi):
+        if not m[k][k]:
+            # the matrix is invertible, so some row below has a pivot
+            r = next(r for r in range(k + 1, phi) if m[r][k])
+            m[k], m[r] = m[r], m[k]
+        pk = m[k][k]
+        tail = m[k][k + 1:]
+        for i in range(k + 1, phi):
+            ri = m[i]
+            f = ri[k]
+            if f:
+                ri[k + 1:] = [(pk * a - f * b) // prev
+                              for a, b in zip(ri[k + 1:], tail)]
+            else:
+                ri[k + 1:] = [pk * a // prev for a in ri[k + 1:]]
+            ri[k] = 0
+        prev = pk
+    det = prev
+    x = [0] * phi
+    for i in range(phi - 1, -1, -1):
+        ri = m[i]
+        acc = det * ri[phi] - sum(a * b for a, b in zip(ri[i + 1:phi],
+                                                        x[i + 1:]))
+        x[i] = acc // ri[i]
+    return x, det

@@ -237,10 +237,6 @@ def reduce_row(v, basis, pivots):
     return v
 
 
-def in_span(v, basis, pivots):
-    return all(x.is_zero() for x in reduce_row(v, basis, pivots))
-
-
 def coords_in_basis(v, basis, pivots, zero):
     """Coordinates of v in an rref basis, or None if v is outside it."""
     v = list(v)

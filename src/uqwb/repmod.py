@@ -427,28 +427,61 @@ def dump_module(mod):
     }
 
 
+def _dump_int(value, what):
+    if type(value) is not int:
+        raise RejectedInputError("%s must be an integer, got %r"
+                                 % (what, value))
+    return value
+
+
 def load_module(data, session=None):
+    """The module of a dump_module dict; RejectedInputError if malformed."""
+    if not isinstance(data, dict):
+        raise RejectedInputError("a module dump must be a JSON object")
     if session is None:
         cfg = data["session"]
-        session = Session(cfg["ell"], cfg.get("N", 2),
-                          cfg.get("mode", "exponential"))
-    labels = [
-        WeightLabel(Fraction(lab["weight"]), lab["degree"], lab.get("tag", ""))
-        for lab in data["labels"]
-    ]
-    dim = data["dim"]
-    if len(labels) != dim:
+        if not isinstance(cfg, dict):
+            raise RejectedInputError("dump session must be a JSON object")
+        mode = cfg.get("mode", "exponential")
+        if not isinstance(mode, str):
+            raise RejectedInputError("session mode must be a string, got %r"
+                                     % (mode,))
+        session = Session(_dump_int(cfg["ell"], "session ell"),
+                          _dump_int(cfg.get("N", 2), "session N"), mode)
+    dim = _dump_int(data["dim"], "dim")
+    if not isinstance(data["labels"], list) or len(data["labels"]) != dim:
         raise RejectedInputError("label count does not match dim")
+    labels = []
+    for lab in data["labels"]:
+        if not isinstance(lab, dict):
+            raise RejectedInputError("a label must be a JSON object")
+        try:
+            w = Fraction(lab["weight"])
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise RejectedInputError("bad label weight %r" % (lab["weight"],))
+        labels.append(WeightLabel(session.check_weight(w),
+                                  _dump_int(lab["degree"], "label degree"),
+                                  lab.get("tag", "")))
 
-    def matrix(rows):
+    def matrix(name):
+        rows = data[name]
+        if (not isinstance(rows, list) or len(rows) != dim
+                or any(not isinstance(row, list) or len(row) != dim
+                       for row in rows)):
+            raise RejectedInputError("%s must be a %d x %d matrix"
+                                     % (name, dim, dim))
         out = SMat(session, dim, dim)
         for i, row in enumerate(rows):
             for j, text in enumerate(row):
+                if not isinstance(text, str):
+                    raise RejectedInputError("%s[%d][%d] is not a scalar "
+                                             "string" % (name, i, j))
                 out.set(i, j, session.parse_scalar(text))
         return out
 
-    return ModuleRep(session, labels, matrix(data["E"]), matrix(data["F"]),
-                     matrix(data["H"]), data["max_degree"], name="loaded")
+    return ModuleRep(session, labels, matrix("E"), matrix("F"), matrix("H"),
+                     _dump_int(data["max_degree"], "max_degree"),
+                     name="loaded")
 
 
 def dump_module_json(mod, path):

@@ -35,9 +35,6 @@ def _padd(a, b):
 def _pneg(a):
     return tuple(-x for x in a)
 
-def _psub(a, b):
-    return _padd(a, _pneg(b))
-
 
 def _pmul(a, b):
     if (len(a) == 1 and a[0].is_zero()) or (len(b) == 1 and b[0].is_zero()):
@@ -107,7 +104,7 @@ class Scalar:
                 num, _ = _pdivmod(num, g)
                 den, _ = _pdivmod(den, g)
         lead = den[-1]
-        if not (lead.is_rational() and lead.c[0] == 1):
+        if not lead.is_one():
             li = lead.inv()
             num = tuple(x * li for x in num)
             den = tuple(x * li for x in den)
@@ -127,12 +124,6 @@ class Scalar:
 
     def is_constant(self):
         return len(self.num) == 1 and len(self.den) == 1
-
-    def as_cyc(self):
-        """The value as a Cyc if tau-free, else None."""
-        if self.is_constant():
-            return self.num[0]  # den is monic constant == 1
-        return None
 
     def __eq__(self, other):
         return (
@@ -182,12 +173,6 @@ class Scalar:
 
     def __truediv__(self, other):
         return self * other.inv()
-
-    def subst_neg_tau(self):
-        """The scalar with tau replaced by -tau."""
-        num = tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.num))
-        den = tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.den))
-        return Scalar._make(num, den)
 
     def specialize(self, t0):
         """Exact evaluation at tau = t0 (a Fraction); PoleError on poles."""

@@ -50,10 +50,9 @@ class Session:
 
         x = symbols("x")
         cp = Poly(cyclotomic_poly(self.M, x), x)
-        coeffs = [Fraction(int(c)) for c in reversed(cp.all_coeffs())]
+        coeffs = [int(c) for c in reversed(cp.all_coeffs())]
         self.phi = len(coeffs) - 1
-        self._cyclo_poly = coeffs  # ascending, monic, length phi+1
-        self._red_rows = self._build_reduction_rows()
+        self._red_rows = self._build_reduction_rows(coeffs)
         self._zeta_table = self._build_zeta_table()
 
         self.cyc_zero = Cyc.from_rational(self, 0)
@@ -62,34 +61,36 @@ class Session:
         self.one = Scalar((self.cyc_one,), (self.cyc_one,))
         self.tau = Scalar((self.cyc_zero, self.cyc_one), (self.cyc_one,))
         self._qint_cache = {}
+        self._inv_cache = {}
 
-    def _build_reduction_rows(self):
-        """Rows expressing zeta^k, k = phi .. 2*phi-2, in the power basis."""
+    def _build_reduction_rows(self, cyclo):
+        """Integer rows expressing zeta^k, k = phi .. 2*phi-2, in the power
+        basis, each kept sparse as (index, coefficient) pairs.  cyclo is
+        the monic cyclotomic polynomial, ascending."""
         phi = self.phi
-        base = [-c for c in self._cyclo_poly[:phi]]  # zeta^phi
-        rows = [base]
+        base = [-c for c in cyclo[:phi]]  # zeta^phi
+        dense = [base]
         for _ in range(phi - 2):
-            prev = rows[-1]
-            nxt = [Fraction(0)] + prev[: phi - 1]
+            prev = dense[-1]
+            nxt = [0] + prev[: phi - 1]
             top = prev[phi - 1]
             if top:
                 nxt = [a + top * b for a, b in zip(nxt, base)]
-            rows.append(nxt)
-        return rows
+            dense.append(nxt)
+        return [tuple((j, c) for j, c in enumerate(row) if c)
+                for row in dense]
 
     def _build_zeta_table(self):
         phi = self.phi
+        base = self._red_rows[0]
         table = []
-        cur = [Fraction(0)] * phi
-        cur[0] = Fraction(1)
-        for e in range(self.M):
+        cur = [1] + [0] * (phi - 1)
+        for _ in range(self.M):
             table.append(Cyc(self, tuple(cur)))
-            nxt = [Fraction(0)] + cur[: phi - 1]
             top = cur[phi - 1]
-            if top:
-                base = self._red_rows[0]
-                nxt = [a + top * b for a, b in zip(nxt, base)]
-            cur = nxt
+            cur = [0] + cur[: phi - 1]
+            for j, c in base:
+                cur[j] += top * c
         return table
 
     # -- scalar constructors ------------------------------------------
@@ -153,9 +154,11 @@ class Session:
 
     def format_cyc(self, c: Cyc) -> str:
         terms = []
-        for k, f in enumerate(c.c):
-            if f == 0:
+        d = c.d
+        for k, n in enumerate(c.n):
+            if not n:
                 continue
+            f = Fraction(n, d)
             if k == 0:
                 terms.append(str(f))
             elif k == 1:
@@ -205,7 +208,7 @@ class Session:
         if not (inner.startswith("(") and inner.endswith(")")):
             raise RejectedInputError("cyclotomic coefficient must be "
                                      "parenthesized: %r" % text)
-        v = [Fraction(0)] * self.phi
+        acc = self.cyc_zero
         for term in inner[1:-1].split("+"):
             term = term.strip().replace("−", "-")
             if not term:
@@ -215,17 +218,17 @@ class Session:
             )
             if not m or (m.group(1) is None and m.group(2) is None):
                 raise RejectedInputError("bad cyclotomic term %r" % term)
-            f = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+            try:
+                f = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+            except ZeroDivisionError:
+                raise RejectedInputError(
+                    "zero denominator in cyclotomic term %r" % term)
             if m.group(2) is None:
                 k = 0
             else:
                 k = int(m.group(3)) if m.group(3) else 1
-            if k >= self.phi:
-                c = Cyc.zeta_power(self, k).scale(f)
-                v = [a + b for a, b in zip(v, c.c)]
-            else:
-                v[k] += f
-        return Cyc(self, tuple(v))
+            acc = acc + Cyc.zeta_power(self, k).scale(f)
+        return acc
 
     def describe(self):
         return {

@@ -19,7 +19,7 @@ def cyc_value(session, c):
     """Numerical value of a Cyc via zeta_M = exp(2*pi*i/M)."""
     z = mp.e ** (2j * mp.pi / session.M)
     acc = mp.mpc(0)
-    for k, f in enumerate(c.c):
+    for k, f in enumerate(c.coefficients()):
         if f:
             acc += mp.mpf(f.numerator) / mp.mpf(f.denominator) * z ** k
     return acc

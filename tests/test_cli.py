@@ -1,9 +1,13 @@
 """The command-line front end: verbs, exit codes, artifacts,
 round-trips, and determinism."""
 
+import copy
 import json
 
-from uqwb.cli import main
+import pytest
+
+from uqwb import Session
+from uqwb.cli import default_bgg_weights, main
 
 
 def run(capsys, *argv):
@@ -154,3 +158,82 @@ def test_suite_small(capsys):
                      "--max-m", "0")
     assert code == 0
     assert "status: pass" in text
+
+
+# L_1 at ell 5 as `build simple --i 1 --out` writes it
+SIMPLE_L1 = {
+    "E": [["(0)*t^0", "(1)*t^0"], ["(0)*t^0", "(0)*t^0"]],
+    "F": [["(0)*t^0", "(0)*t^0"], ["(1)*t^0", "(0)*t^0"]],
+    "H": [["(1)*t^0", "(0)*t^0"], ["(0)*t^0", "(-1)*t^0"]],
+    "dim": 2,
+    "labels": [{"degree": 0, "tag": "s0", "weight": "1"},
+               {"degree": 0, "tag": "s1", "weight": "-1"}],
+    "max_degree": 0,
+    "session": {"M": 20, "N": 2, "ell": 5, "mode": "exponential", "r": 5},
+}
+
+
+def _bad_ell(d):
+    d["session"]["ell"] = "x"
+
+
+def _extra_row(d):
+    d["E"].append(["(0)*t^0", "(0)*t^0"])
+
+
+def _zero_denominator(d):
+    d["E"][0][1] = "(1/0)*t^0"
+
+
+def _extra_column(d):
+    for row in d["E"]:
+        row.append("(0)*t^0")
+    d["E"][0][2] = "(1)*t^0"
+
+
+def _extra_zero_column(d):
+    for row in d["E"]:
+        row.append("(0)*t^0")
+
+
+def _off_lattice_weight(d):
+    d["labels"][0]["weight"] = "1/3"
+
+
+@pytest.mark.parametrize("edit", [_bad_ell, _extra_row, _zero_denominator,
+                                  _extra_column, _extra_zero_column,
+                                  _off_lattice_weight],
+                         ids=lambda f: f.__name__[1:])
+def test_malformed_dump_rejected(tmp_path, capsys, edit):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(SIMPLE_L1))
+    assert run(capsys, "verify", str(good))[0] == 0
+    data = copy.deepcopy(SIMPLE_L1)
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _ = run(capsys, "verify", str(bad))
+    assert code == 2
+
+
+def test_default_bgg_window_has_no_repeats():
+    for ell in (5, 8):
+        weights = default_bgg_weights(Session(ell))
+        assert len(weights) == len(set(weights))
+    assert len(default_bgg_weights(Session(5))) ** 2 == 196
+
+
+def test_negative_fraction_weight_as_separate_token(tmp_path, capsys):
+    outs = []
+    for argv in (["--weight", "-3/2"], ["--weight=-3/2"]):
+        out = tmp_path / "v.json"
+        code, _ = run(capsys, "--ell", "5", "build", "verma", *argv,
+                      "--out", str(out))
+        assert code == 0
+        outs.append(json.loads(out.read_text()))
+    assert outs[0] == outs[1]
+    assert outs[0]["labels"][0]["weight"] == "-3/2"
+    code, text = run(capsys, "--ell", "5", "bgg", "--weights",
+                     "-3/2,1/2")
+    assert code == 0
+    assert "cell (-3/2, 1/2)" in text

@@ -1,5 +1,6 @@
 """Exact arithmetic in Q(zeta_M)(tau) against the 50-digit oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,15 +8,18 @@ import mpmath as mp
 import pytest
 
 from uqwb import RejectedInputError, Session
+from uqwb import cyclotomic
 from uqwb.cyclotomic import Cyc
 
 from conftest import close, cyc_value, scalar_value
 
 
 def random_cyc(session, rng):
-    return Cyc(session, tuple(
-        Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        for _ in range(session.phi)))
+    acc = session.cyc_zero
+    for k in range(session.phi):
+        f = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        acc = acc + Cyc.zeta_power(session, k).scale(f)
+    return acc
 
 
 def random_scalar(session, rng):
@@ -83,6 +87,102 @@ def test_scalar_numeric_oracle(session):
         assert close(scalar_value(session, a * b, t),
                      scalar_value(session, a, t)
                      * scalar_value(session, b, t))
+
+
+def _assert_canonical(c):
+    assert isinstance(c.d, int) and c.d > 0
+    assert all(isinstance(x, int) for x in c.n)
+    assert len(c.n) == c.s.phi
+    assert math.gcd(c.d, *c.n) == 1
+    if not any(c.n):
+        assert c.d == 1
+
+
+def _cyc_samples(session, rng):
+    """Random elements plus sparse ones: zeta powers, rationals, zero."""
+    xs = [random_cyc(session, rng) for _ in range(6)]
+    xs += [Cyc.zeta_power(session, rng.randrange(session.M)).scale(
+        Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for _ in range(3)]
+    xs += [Cyc.from_rational(session, Fraction(rng.randint(-6, 6), 4)),
+           session.cyc_zero, session.cyc_one]
+    xs.append(xs[0] + Cyc.zeta_power(session, 3).scale(Fraction(1, 6)))
+    # no constant term: the inverse's elimination must swap rows
+    xs.append(Cyc.zeta_power(session, 1) + Cyc.zeta_power(session, 3).scale(2))
+    return xs
+
+
+def test_cyclotomic_results_canonical(session):
+    rng = random.Random(17)
+    xs = _cyc_samples(session, rng)
+    for a in xs:
+        _assert_canonical(a)
+        _assert_canonical(-a)
+        _assert_canonical(a.scale(Fraction(-6, 4)))
+        if not a.is_zero():
+            _assert_canonical(a.inv())
+        for b in xs:
+            for c in (a + b, a - b, a * b):
+                _assert_canonical(c)
+    # equal values cancel to the canonical zero
+    for a in xs:
+        assert (a - a).n == (0,) * session.phi and (a - a).d == 1
+
+
+def test_cyclotomic_equality_matches_oracle(session):
+    rng = random.Random(19)
+    xs = _cyc_samples(session, rng)
+    # the same values reached along other routes
+    xs += [xs[0] * xs[1] - xs[1] * xs[0], (xs[2] + xs[3]) - xs[3],
+           xs[4].scale(Fraction(2, 3)).scale(Fraction(3, 2))]
+    for a in xs:
+        for b in xs:
+            same = close(cyc_value(session, a), cyc_value(session, b))
+            assert (a == b) == same
+            if same:
+                assert hash(a) == hash(b)
+
+
+def test_cyclotomic_inverse_oracle(session):
+    rng = random.Random(23)
+    for a in _cyc_samples(session, rng):
+        if a.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.inv()
+            continue
+        assert close(cyc_value(session, a.inv()),
+                     1 / cyc_value(session, a))
+        assert a * a.inv() == session.cyc_one
+        assert (a * a.inv()).is_one()
+    assert not Cyc.zeta_power(session, 1).is_one()
+    assert not Cyc.from_rational(session, Fraction(1, 2)).is_one()
+
+
+def test_inverse_table_stays_bounded(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "INV_CACHE_SIZE", 2)
+    s = Session(5)
+    rng = random.Random(31)
+    for a in _cyc_samples(s, rng):
+        if not a.is_zero():
+            assert a * a.inv() == s.cyc_one
+            assert a.inv() * a == s.cyc_one
+            assert len(s._inv_cache) <= 2
+
+
+def test_cyclotomic_format_parse_round_trip(session):
+    rng = random.Random(29)
+    for a in _cyc_samples(session, rng):
+        text = session.format_cyc(a)
+        b = session._parse_cyc(text)
+        assert b == a
+        assert session.format_cyc(b) == text
+
+
+def test_parse_reduces_high_zeta_powers(session):
+    phi = session.phi
+    text = "(1/2*z^%d + -3*z^%d)" % (phi, session.M + 1)
+    expect = (Cyc.zeta_power(session, phi).scale(Fraction(1, 2))
+              - Cyc.zeta_power(session, 1).scale(3))
+    assert session._parse_cyc(text) == expect
 
 
 # ---------------------------------------------------------------------

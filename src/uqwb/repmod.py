@@ -9,7 +9,6 @@ matrices (weight blocks, nilpotency) before K is built.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from fractions import Fraction
 
@@ -434,6 +433,17 @@ def _dump_int(value, what):
     return value
 
 
+def _dump_weight(session, value, what):
+    # dumps write weights as strings; a JSON bool or float is not a weight
+    if type(value) not in (str, int):
+        raise RejectedInputError("bad %s %r" % (what, value))
+    try:
+        w = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise RejectedInputError("bad %s %r" % (what, value))
+    return session.check_weight(w)
+
+
 def load_module(data, session=None):
     """The module of a dump_module dict; RejectedInputError if malformed."""
     if not isinstance(data, dict):
@@ -455,11 +465,8 @@ def load_module(data, session=None):
     for lab in data["labels"]:
         if not isinstance(lab, dict):
             raise RejectedInputError("a label must be a JSON object")
-        try:
-            w = Fraction(lab["weight"])
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise RejectedInputError("bad label weight %r" % (lab["weight"],))
-        labels.append(WeightLabel(session.check_weight(w),
+        labels.append(WeightLabel(_dump_weight(session, lab["weight"],
+                                               "label weight"),
                                   _dump_int(lab["degree"], "label degree"),
                                   lab.get("tag", "")))
 
@@ -482,13 +489,3 @@ def load_module(data, session=None):
     return ModuleRep(session, labels, matrix("E"), matrix("F"), matrix("H"),
                      _dump_int(data["max_degree"], "max_degree"),
                      name="loaded")
-
-
-def dump_module_json(mod, path):
-    with open(path, "w") as fh:
-        json.dump(dump_module(mod), fh, indent=1)
-
-
-def load_module_json(path, session=None):
-    with open(path) as fh:
-        return load_module(json.load(fh), session)

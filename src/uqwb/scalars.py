@@ -4,6 +4,15 @@ A Scalar is num/den with num, den polynomials in tau whose coefficients
 are cyclotomic numbers.  tau stands for log q and carries no algebraic
 relation to zeta_M, so identities proved here hold for the complex values.
 Canonical form: den is monic, gcd(num, den) = 1, zero is (0)/(1).
+
+Most scalars are constants (num and den of length 1, so den is (1)), and
+the field operations take them first, straight on the tuples: a sum,
+difference or product of two constants is (a op b)/(1), which is already
+canonical, zero included.  _make runs the polynomial gcd only when both
+num and den have positive degree.  A nonzero constant is a unit of the
+polynomial ring, so its gcd with any polynomial is 1; when either side
+is a constant the pair is already coprime and the monic normalisation
+alone makes it canonical.
 """
 
 from __future__ import annotations
@@ -14,21 +23,21 @@ from .errors import PoleError
 
 def _ptrim(c):
     n = len(c)
-    while n > 1 and c[n - 1].is_zero():
+    while n > 1 and not any(c[n - 1].n):
         n -= 1
     return tuple(c[:n])
 
 
 def _padd(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        if i < len(a) and i < len(b):
-            out.append(a[i] + b[i])
-        elif i < len(a):
-            out.append(a[i])
-        else:
-            out.append(b[i])
+    if len(a) < len(b):
+        a, b = b, a
+    return _ptrim([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+
+def _psub(a, b):
+    n = len(b)
+    out = [x - y for x, y in zip(a, b)]
+    out += a[n:] if len(a) > n else [-y for y in b[len(a):]]
     return _ptrim(out)
 
 
@@ -37,7 +46,7 @@ def _pneg(a):
 
 
 def _pmul(a, b):
-    if (len(a) == 1 and a[0].is_zero()) or (len(b) == 1 and b[0].is_zero()):
+    if _pis_zero(a) or _pis_zero(b):
         return (a[0].s.cyc_zero,)
     if len(a) == 1:
         return _ptrim([a[0] * x for x in b])
@@ -45,16 +54,16 @@ def _pmul(a, b):
         return _ptrim([x * b[0] for x in a])
     z = a[0].s.cyc_zero
     out = [z] * (len(a) + len(b) - 1)
+    bnz = [(j, bj) for j, bj in enumerate(b) if any(bj.n)]
     for i, ai in enumerate(a):
-        if not ai.is_zero():
-            for j, bj in enumerate(b):
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
+        if any(ai.n):
+            for j, bj in bnz:
+                out[i + j] = out[i + j] + ai * bj
     return _ptrim(out)
 
 
 def _pis_zero(a):
-    return len(a) == 1 and a[0].is_zero()
+    return len(a) == 1 and not any(a[0].n)
 
 
 def _pdivmod(a, b):
@@ -66,7 +75,7 @@ def _pdivmod(a, b):
     q = [z] * max(len(a) - db, 1)
     for i in range(len(a) - db - 1, -1, -1):
         f = a[i + db] * lb_inv
-        if not f.is_zero():
+        if any(f.n):
             q[i] = f
             for j, bj in enumerate(b):
                 a[i + j] = a[i + j] - f * bj
@@ -91,14 +100,14 @@ class Scalar:
 
     @staticmethod
     def _make(num, den):
-        num = _ptrim(list(num))
-        den = _ptrim(list(den))
+        num = _ptrim(num)
+        den = _ptrim(den)
         if _pis_zero(den):
             raise ZeroDivisionError("zero denominator")
         if _pis_zero(num):
-            s = num[0].s
-            return s.zero
-        if len(den) > 1 or len(num) > 1:
+            return num[0].s.zero
+        # a constant on either side is a unit, so the gcd is 1
+        if len(num) > 1 and len(den) > 1:
             g = _pgcd(num, den)
             if len(g) > 1:
                 num, _ = _pdivmod(num, g)
@@ -117,7 +126,8 @@ class Scalar:
     # -- predicates ---------------------------------------------------
 
     def is_zero(self):
-        return _pis_zero(self.num)
+        num = self.num
+        return len(num) == 1 and not any(num[0].n)
 
     def __bool__(self):
         return not self.is_zero()
@@ -136,40 +146,62 @@ class Scalar:
         return hash((self.num, self.den))
 
     # -- field operations ---------------------------------------------
+    # A constant's den is (1), so (a op b)/(1) below is canonical.
 
     def __add__(self, other):
+        a, b = self.num, other.num
+        if (len(a) == 1 and len(b) == 1 and len(self.den) == 1
+                and len(other.den) == 1):
+            return Scalar((a[0] + b[0],), self.den)
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        if self.is_constant() and other.is_constant():
-            return self.session.from_cyc(self.num[0] + other.num[0])
         if self.den == other.den:
-            return Scalar._make(_padd(self.num, other.num), self.den)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
+            return Scalar._make(_padd(a, b), self.den)
+        num = _padd(_pmul(a, other.den), _pmul(b, self.den))
         return Scalar._make(num, _pmul(self.den, other.den))
 
     def __sub__(self, other):
-        return self + (-other)
+        a, b = self.num, other.num
+        if (len(a) == 1 and len(b) == 1 and len(self.den) == 1
+                and len(other.den) == 1):
+            return Scalar((a[0] - b[0],), self.den)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return -other
+        if self.den == other.den:
+            return Scalar._make(_psub(a, b), self.den)
+        num = _psub(_pmul(a, other.den), _pmul(b, self.den))
+        return Scalar._make(num, _pmul(self.den, other.den))
 
     def __neg__(self):
-        if self.is_zero():
-            return self
-        return Scalar(_pneg(self.num), self.den)
+        num = self.num
+        if len(num) == 1:
+            c = num[0]
+            return self if not any(c.n) else Scalar((-c,), self.den)
+        return Scalar(_pneg(num), self.den)
 
     def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return self.session.zero if not self.is_zero() else self
-        if self.is_constant() and other.is_constant():
-            return self.session.from_cyc(self.num[0] * other.num[0])
-        return Scalar._make(
-            _pmul(self.num, other.num), _pmul(self.den, other.den)
-        )
+        a, b = self.num, other.num
+        if (len(a) == 1 and len(b) == 1 and len(self.den) == 1
+                and len(other.den) == 1):
+            return Scalar((a[0] * b[0],), self.den)
+        if self.is_zero():
+            return self
+        if other.is_zero():
+            return other
+        return Scalar._make(_pmul(a, b), _pmul(self.den, other.den))
 
     def inv(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero scalar")
-        return Scalar._make(self.den, self.num)
+        num = self.num
+        if len(num) == 1 and len(self.den) == 1:
+            c = num[0]
+            if not any(c.n):
+                raise ZeroDivisionError("inverse of zero scalar")
+            return self if c.is_one() else Scalar((c.inv(),), self.den)
+        return Scalar._make(self.den, num)
 
     def __truediv__(self, other):
         return self * other.inv()

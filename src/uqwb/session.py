@@ -22,7 +22,13 @@ MODE_PAPER_LITERAL = "paper-literal"
 
 
 class Session:
-    """Arithmetic context: exact model of Q(zeta_M)(tau) for fixed ell, N."""
+    """Arithmetic context: exact model of Q(zeta_M)(tau) for fixed ell, N.
+
+    The session also holds the caches of its arithmetic: q_power results
+    keyed by weight (only weights on the (1/N)Z lattice are stored, so an
+    off-lattice weight raises RejectedInputError on every call), quantum
+    integers, and the table of solved cyclotomic inverses.
+    """
 
     def __init__(self, ell, weight_denominator=2, mode=MODE_EXPONENTIAL):
         if ell < 2:
@@ -62,6 +68,7 @@ class Session:
         self.tau = Scalar((self.cyc_zero, self.cyc_one), (self.cyc_one,))
         self._qint_cache = {}
         self._inv_cache = {}
+        self._q_power_cache = {}  # weight -> q^weight, lattice weights only
 
     def _build_reduction_rows(self, cyclo):
         """Integer rows expressing zeta^k, k = phi .. 2*phi-2, in the power
@@ -111,13 +118,16 @@ class Session:
 
     def q_power(self, w) -> Cyc:
         """q^w for w in (1/N)Z, with q = exp(2*pi*i/ell)."""
-        w = Fraction(w)
-        e = w * self._q_exp_unit
-        if e.denominator != 1:
-            raise RejectedInputError(
-                "weight %s not in (1/%d)Z" % (w, self.N)
-            )
-        return Cyc.zeta_power(self, int(e))
+        c = self._q_power_cache.get(w)
+        if c is None:
+            f = Fraction(w)
+            e = f * self._q_exp_unit
+            if e.denominator != 1:
+                raise RejectedInputError(
+                    "weight %s not in (1/%d)Z" % (f, self.N)
+                )
+            c = self._q_power_cache[w] = Cyc.zeta_power(self, int(e))
+        return c
 
     def quantum_integer(self, n) -> Cyc:
         """[n] = (q^n - q^-n)/(q - q^-1)."""

@@ -30,6 +30,8 @@ from .linalg import (
 from .repmod import (
     ModuleRep,
     WeightLabel,
+    _dump_int,
+    _dump_weight,
     build_dual,
     build_generalized_verma,
     dump_module,
@@ -365,12 +367,6 @@ def highest_weight_vectors(mod):
     return _kernel_vectors(mod, mod.matE)
 
 
-def dominant_vectors(mod):
-    """Basis of ker((FE)^2) as (vector, weight, degree) triples."""
-    fe = mod.matF @ mod.matE
-    return _kernel_vectors(mod, fe @ fe)
-
-
 def leading_dominant_vectors(mod):
     """Weight-w degree-d vectors with (H-w)^d (FE)^2 v = 0, as triples.
 
@@ -649,20 +645,47 @@ class FiltrationCertificate:
 
     @staticmethod
     def from_json(data, session=None):
+        """The certificate of a to_json dict; RejectedInputError if
+        malformed."""
+        if not isinstance(data, dict):
+            raise RejectedInputError("a certificate must be a JSON object")
+        kind = data["kind"]
+        if kind not in ("standard", "costandard"):
+            raise RejectedInputError("certificate kind must be standard or "
+                                     "costandard, got %r" % (kind,))
+        degree = _dump_int(data["degree"], "certificate degree")
         mod = load_module(data["module"], session)
         s = mod.session
+        if not isinstance(data["claims"], list):
+            raise RejectedInputError("certificate claims must be a list")
+        claims = []
+        for c in data["claims"]:
+            if not isinstance(c, dict):
+                raise RejectedInputError("a claim must be a JSON object")
+            if c["kind"] not in ("verma", "dual-verma"):
+                raise RejectedInputError("claim kind must be verma or "
+                                         "dual-verma, got %r" % (c["kind"],))
+            claims.append((c["kind"],
+                           _dump_weight(s, c["weight"], "claim weight"),
+                           _dump_int(c["degree"], "claim degree")))
+        members = data["chain"]
+        if (not isinstance(members, list)
+                or any(not isinstance(rows, list) for rows in members)):
+            raise RejectedInputError("certificate chain must be a list of "
+                                     "lists of rows")
         chain = []
-        for rows in data["chain"]:
+        for rows in members:
             sub = SubmoduleBasis(mod)
             for row in rows:
+                if (not isinstance(row, list) or len(row) != mod.dim
+                        or any(not isinstance(x, str) for x in row)):
+                    raise RejectedInputError("a chain row must be a list of "
+                                             "%d scalar strings" % mod.dim)
                 vec = [s.parse_scalar(x) for x in row]
                 for comp in weight_split(mod, vec).values():
                     sub.insert(comp)
             chain.append(sub)
-        claims = [(c["kind"], Fraction(c["weight"]), c["degree"])
-                  for c in data["claims"]]
-        return FiltrationCertificate(mod, data["kind"], data["degree"],
-                                     chain, claims)
+        return FiltrationCertificate(mod, kind, degree, chain, claims)
 
 
 def verify_filtration_certificate(cert):
@@ -799,7 +822,6 @@ def extract_costandard_filtration(mod, deg):
             sub = annihilator_basis(mod, dcert.chain[n - 2 - j].rows)
         else:
             full = SubmoduleBasis(mod)
-            ident = SMat.identity(mod.session, mod.dim)
             for i in range(mod.dim):
                 z = mod.session.zero
                 e = [z] * mod.dim

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from uqwb import Session
+from uqwb import Session, build_generalized_verma, extract_standard_filtration
 from uqwb.cli import default_bgg_weights, main
 
 
@@ -237,3 +237,75 @@ def test_negative_fraction_weight_as_separate_token(tmp_path, capsys):
                      "-3/2,1/2")
     assert code == 0
     assert "cell (-3/2, 1/2)" in text
+
+
+def _cert_kind_x(d):
+    d["kind"] = "x"
+
+
+def _cert_kind_null(d):
+    d["kind"] = None
+
+
+def _cert_chain_int(d):
+    d["chain"] = 3
+
+
+def _cert_claims_int(d):
+    d["claims"] = 3
+
+
+def _cert_degree_str(d):
+    d["degree"] = "a"
+
+
+def _cert_degree_bool(d):
+    d["degree"] = True
+
+
+def _cert_chain_row_not_string(d):
+    d["chain"][0][0][0] = 5
+
+
+def _cert_claim_kind_x(d):
+    d["claims"][0]["kind"] = "x"
+
+
+def _cert_claim_weight_str(d):
+    d["claims"][0]["weight"] = "x"
+
+
+def _cert_claim_weight_bool(d):
+    d["claims"][0]["weight"] = True
+
+
+def _cert_claim_degree_str(d):
+    d["claims"][0]["degree"] = "a"
+
+
+@pytest.fixture(scope="module")
+def verma_certificate():
+    """The standard filtration certificate of V(1, 0) at ell 5."""
+    mod = build_generalized_verma(Session(5), 1, 0)
+    return extract_standard_filtration(mod, 0).to_json()
+
+
+@pytest.mark.parametrize("edit", [_cert_kind_x, _cert_kind_null,
+                                  _cert_chain_int, _cert_claims_int,
+                                  _cert_degree_str, _cert_degree_bool,
+                                  _cert_chain_row_not_string,
+                                  _cert_claim_kind_x, _cert_claim_weight_str,
+                                  _cert_claim_weight_bool,
+                                  _cert_claim_degree_str],
+                         ids=lambda f: f.__name__[6:])
+def test_malformed_certificate_rejected(tmp_path, capsys, verma_certificate,
+                                        edit):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(verma_certificate))
+    assert run(capsys, "verify-cert", str(good))[0] == 0
+    data = copy.deepcopy(verma_certificate)
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _ = run(capsys, "verify-cert", str(bad))
+    assert code == 2

@@ -10,6 +10,16 @@ import pytest
 from uqwb import RejectedInputError, Session
 from uqwb import cyclotomic
 from uqwb.cyclotomic import Cyc
+from uqwb.scalars import (
+    Scalar,
+    _padd,
+    _pdivmod,
+    _pgcd,
+    _pis_zero,
+    _pmul,
+    _pneg,
+    _ptrim,
+)
 
 from conftest import close, cyc_value, scalar_value
 
@@ -25,7 +35,6 @@ def random_cyc(session, rng):
 def random_scalar(session, rng):
     num = tuple(random_cyc(session, rng) for _ in range(rng.randint(1, 3)))
     den = tuple(random_cyc(session, rng) for _ in range(rng.randint(1, 2)))
-    from uqwb.scalars import Scalar
     if all(c.is_zero() for c in den):
         den = (session.cyc_one,)
     return Scalar._make(num, den)
@@ -186,6 +195,113 @@ def test_parse_reduces_high_zeta_powers(session):
 
 
 # ---------------------------------------------------------------------
+# the constant fast paths against the general canonical form
+# ---------------------------------------------------------------------
+
+def _nonzero_cyc(session, rng):
+    c = random_cyc(session, rng)
+    while c.is_zero():
+        c = random_cyc(session, rng)
+    return c
+
+
+def _tau_poly(session, rng):
+    """A tau-polynomial of degree 1 or 2 with nonzero leading term."""
+    low = tuple(random_cyc(session, rng) for _ in range(rng.randint(1, 2)))
+    return low + (_nonzero_cyc(session, rng),)
+
+
+def _operand_shapes(session, rng):
+    """(name, num, den) of each operand shape, as raw polynomials."""
+    one = (session.cyc_one,)
+    unit = _nonzero_cyc(session, rng)
+    while unit.is_one():
+        unit = _nonzero_cyc(session, rng)
+    return [
+        ("constant", (_nonzero_cyc(session, rng),), one),
+        ("poly over 1", _tau_poly(session, rng), one),
+        ("poly over a constant", _tau_poly(session, rng), (unit,)),
+        ("constant over poly", (_nonzero_cyc(session, rng),),
+         _tau_poly(session, rng)),
+    ]
+
+
+def _reference_form(session, num, den):
+    """The canonical form of num/den with the gcd always taken."""
+    num, den = _ptrim(num), _ptrim(den)
+    if _pis_zero(num):
+        return session.zero
+    g = _pgcd(num, den)
+    num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+    li = den[-1].inv()
+    return Scalar(tuple(x * li for x in num), tuple(x * li for x in den))
+
+
+def _assert_scalar_canonical(session, x):
+    assert x.num == _ptrim(x.num) and x.den == _ptrim(x.den)
+    assert x.den[-1].is_one()
+    if x.is_zero():
+        assert x.den == (session.cyc_one,)
+    assert len(_pgcd(x.num, x.den)) == 1
+    for c in x.num + x.den:
+        _assert_canonical(c)
+
+
+def _raw(op, x, y):
+    """num, den of op(x, y) by the textbook formulas, unreduced."""
+    if op == "+":
+        return (_padd(_pmul(x.num, y.den), _pmul(y.num, x.den)),
+                _pmul(x.den, y.den))
+    if op == "-":
+        return (_padd(_pmul(x.num, y.den), _pneg(_pmul(y.num, x.den))),
+                _pmul(x.den, y.den))
+    if op == "*":
+        return _pmul(x.num, y.num), _pmul(x.den, y.den)
+    return _pmul(x.num, y.den), _pmul(x.den, y.num)
+
+
+BINOPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+          "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def test_fast_paths_match_general_form_and_oracle(session):
+    rng = random.Random(41)
+    t = mp.mpf(3) / 7
+    for _ in range(2):
+        shapes = _operand_shapes(session, rng)
+        xs = []
+        for name, num, den in shapes:
+            x = Scalar._make(num, den)
+            _assert_scalar_canonical(session, x)
+            assert x == _reference_form(session, num, den), name
+            assert close(scalar_value(session, x, t),
+                         scalar_value(session, Scalar(num, den), t))
+            xs.append(x)
+        xs.append(session.zero)
+        for x in xs:
+            vx = scalar_value(session, x, t)
+            results = [(-x, -vx, (_pneg(x.num), x.den))]
+            if not x.is_zero():
+                results.append((x.inv(), 1 / vx, (x.den, x.num)))
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x.inv()
+            for y in xs:
+                vy = scalar_value(session, y, t)
+                for op, f in BINOPS.items():
+                    if op == "/" and y.is_zero():
+                        with pytest.raises(ZeroDivisionError):
+                            x / y
+                        continue
+                    results.append((f(x, y), f(vx, vy), _raw(op, x, y)))
+            for got, value, (num, den) in results:
+                _assert_scalar_canonical(session, got)
+                assert close(scalar_value(session, got, t), value)
+                assert got == Scalar._make(num, den)
+                assert got == _reference_form(session, num, den)
+
+
+# ---------------------------------------------------------------------
 # q-arithmetic
 # ---------------------------------------------------------------------
 
@@ -227,6 +343,28 @@ def test_quantum_integer_numeric_oracle(session):
 def test_quantum_integer_symmetry(session):
     for n in range(0, 2 * session.r):
         assert session.quantum_integer(-n) == -session.quantum_integer(n)
+
+
+def test_q_power_cache_agrees_across_weight_types():
+    for first, second in ((2, Fraction(2)), (Fraction(2), 2)):
+        s = Session(5)
+        a = s.q_power(first)
+        b = s.q_power(second)
+        assert a == b == s.q_power(first) == s.q_power(Fraction(4, 2))
+        assert a == Cyc.zeta_power(s, 2 * 2 * s.N)
+    s = Session(8)
+    for w in (Fraction(1, 2), Fraction(-3, 2), 5):
+        assert s.q_power(w) == s.q_power(w) == s.q_power(Fraction(w))
+
+
+def test_off_lattice_weight_rejected_on_every_call():
+    s = Session(5)
+    for _ in range(3):
+        with pytest.raises(RejectedInputError):
+            s.q_power(Fraction(1, 3))
+    assert s.q_power(Fraction(1, 2)) == s.q_power(Fraction(1, 2))
+    with pytest.raises(RejectedInputError):
+        s.q_power(Fraction(1, 3))
 
 
 def test_weight_denominator_enforced(s5):

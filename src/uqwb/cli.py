@@ -42,7 +42,6 @@ from .structure import (
     format_simple_label,
     iso_test,
     jordan_holder,
-    simple_label,
     socle_counts,
     standard_top_surjection,
     typicality,
@@ -271,9 +270,6 @@ def cmd_pcover_certify(args, rep):
         return
     lo = next(iter(tops))
     i, twist = atypical_decompose(s, lo)
-    if i is None:
-        rep.add("top weight %s is linked to a cover index" % lo, False)
-        return
     m = mod.max_degree
     rep.add("identified as cover (i=%d, m=%d, twist=%d)" % (i, m, twist),
             True)

@@ -50,6 +50,15 @@ class SMat:
         return SMat(self.session, self.nrows, self.ncols,
                     [dict(r) for r in self.rows])
 
+    def block(self, rows, cols):
+        """The submatrix on the given row and column indices."""
+        pos = {j: c for c, j in enumerate(cols)}
+        out = SMat(self.session, len(rows), len(cols))
+        for r, i in enumerate(rows):
+            out.rows[r] = {pos[j]: v for j, v in self.rows[i].items()
+                           if j in pos}
+        return out
+
     def is_zero(self):
         return all(not r for r in self.rows)
 
@@ -235,22 +244,6 @@ def reduce_row(v, basis, pivots):
                 if not b[j].is_zero():
                     v[j] = v[j] - c * b[j]
     return v
-
-
-def coords_in_basis(v, basis, pivots, zero):
-    """Coordinates of v in an rref basis, or None if v is outside it."""
-    v = list(v)
-    coords = [zero] * len(basis)
-    for idx, (b, p) in enumerate(zip(basis, pivots)):
-        c = v[p]
-        if not c.is_zero():
-            coords[idx] = c
-            for j in range(p, len(v)):
-                if not b[j].is_zero():
-                    v[j] = v[j] - c * b[j]
-    if any(not x.is_zero() for x in v):
-        return None
-    return coords
 
 
 def nullspace(rows, ncols, zero, one):

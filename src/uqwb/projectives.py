@@ -37,6 +37,7 @@ from .repmod import (
     verify_relations,
 )
 from .structure import (
+    _shifted_block,
     extract_costandard_filtration,
     extract_standard_filtration,
     SubmoduleBasis,
@@ -47,7 +48,6 @@ from .structure import (
     submodule_to_module,
     typicality,
     vec_degree,
-    weight_split,
 )
 
 
@@ -258,24 +258,29 @@ def casimir_eigenvalue(session, lam):
 
 
 def _generalized_eigenspace(mod, mat, chi):
-    """Stabilized kernel of (mat - chi)^k as a SubmoduleBasis."""
+    """Stabilized kernel of (mat - chi)^k as a SubmoduleBasis.
+
+    mat commutes with H (casimir_matrix checks it), so it preserves every
+    weight block, and the kernel is stabilized one block at a time.
+    """
     s = mod.session
     shift = s.from_cyc(chi)
-    a = mat.copy()
-    for t in range(mod.dim):
-        a.set(t, t, a.get(t, t) - shift)
-    power = SMat.identity(s, mod.dim)
-    prev = -1
     sub = SubmoduleBasis(mod)
-    while sub.dim != prev:
-        prev = sub.dim
-        power = a @ power
-        rows = [[power.rows[x].get(y, s.zero) for y in range(mod.dim)]
-                for x in range(mod.dim)]
-        sub = SubmoduleBasis(mod)
-        for v in nullspace(rows, mod.dim, s.zero, s.one):
-            for comp in weight_split(mod, v).values():
-                sub.insert(comp)
+    for idx in mod.graded_blocks().values():
+        n = len(idx)
+        a = _shifted_block(mat, idx, shift)
+        power = a
+        prev = -1
+        ker = []
+        while len(ker) != prev:
+            prev = len(ker)
+            ker = nullspace(power.to_dense(), n, s.zero, s.one)
+            power = a @ power
+        for v in ker:
+            vec = [s.zero] * mod.dim
+            for i, x in zip(idx, v):
+                vec[i] = x
+            sub.insert(vec)
     return sub
 
 

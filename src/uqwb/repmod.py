@@ -28,7 +28,7 @@ class ModuleRep:
     """Finite-dimensional module given by exact generator matrices."""
 
     __slots__ = ("session", "dim", "labels", "matE", "matF", "matH",
-                 "max_degree", "name", "_K", "_Kinv")
+                 "max_degree", "name", "_K", "_Kinv", "_cols", "_graded")
 
     def __init__(self, session, labels, matE, matF, matH, max_degree,
                  name=""):
@@ -42,6 +42,8 @@ class ModuleRep:
         self.name = name
         self._K = None
         self._Kinv = None
+        self._cols = {}
+        self._graded = None
 
     @property
     def K(self):
@@ -68,12 +70,49 @@ class ModuleRep:
             return self.Kinv
         raise RejectedInputError("unknown generator %r" % (g,))
 
+    def columns(self, g):
+        """Columns of the E, F or H matrix as {row: entry} dicts, cached.
+
+        A sparse vector is applied by walking only the columns in its
+        support.
+        """
+        cols = self._cols.get(g)
+        if cols is None:
+            cols = [{} for _ in range(self.dim)]
+            for i, row in enumerate(self.generator_matrix(g).rows):
+                for j, v in row.items():
+                    cols[j][i] = v
+            self._cols[g] = cols
+        return cols
+
     def weight_blocks(self):
         """Map weight -> sorted list of basis indices with that weight."""
         blocks = {}
         for i, lab in enumerate(self.labels):
             blocks.setdefault(lab.weight, []).append(i)
         return blocks
+
+    def graded_blocks(self):
+        """weight_blocks(), once E, F and H are checked to respect them.
+
+        E must map weight w to w+2, F map w to w-2 and H preserve w; the
+        blockwise routines of `structure` rely on this.  The check is one
+        pass over the nonzero entries and its result is cached; an
+        offending entry raises ModuleInvalidError naming it.
+        """
+        if self._graded is None:
+            weights = [lab.weight for lab in self.labels]
+            for g, shift in (("E", 2), ("F", -2), ("H", 0)):
+                for i, row in enumerate(self.generator_matrix(g).rows):
+                    for j in row:
+                        if weights[i] != weights[j] + shift:
+                            raise ModuleInvalidError(
+                                "%s entry (%d,%d) of %s maps weight %s to "
+                                "weight %s, not %s"
+                                % (g, i, j, self.name or "?", weights[j],
+                                   weights[i], weights[j] + shift))
+            self._graded = self.weight_blocks()
+        return self._graded
 
     def __repr__(self):
         return "ModuleRep(%s, dim=%d)" % (self.name or "?", self.dim)
@@ -426,6 +465,13 @@ def dump_module(mod):
     }
 
 
+def _dump_key(data, key, what):
+    """data[key]; a missing key is a malformed input, not a lookup bug."""
+    if key not in data:
+        raise RejectedInputError("%s has no %r" % (what, key))
+    return data[key]
+
+
 def _dump_int(value, what):
     if type(value) is not int:
         raise RejectedInputError("%s must be an integer, got %r"
@@ -449,29 +495,34 @@ def load_module(data, session=None):
     if not isinstance(data, dict):
         raise RejectedInputError("a module dump must be a JSON object")
     if session is None:
-        cfg = data["session"]
+        cfg = _dump_key(data, "session", "a module dump")
         if not isinstance(cfg, dict):
             raise RejectedInputError("dump session must be a JSON object")
         mode = cfg.get("mode", "exponential")
         if not isinstance(mode, str):
             raise RejectedInputError("session mode must be a string, got %r"
                                      % (mode,))
-        session = Session(_dump_int(cfg["ell"], "session ell"),
+        session = Session(_dump_int(_dump_key(cfg, "ell", "a dump session"),
+                                    "session ell"),
                           _dump_int(cfg.get("N", 2), "session N"), mode)
-    dim = _dump_int(data["dim"], "dim")
-    if not isinstance(data["labels"], list) or len(data["labels"]) != dim:
+    dim = _dump_int(_dump_key(data, "dim", "a module dump"), "dim")
+    max_degree = _dump_int(_dump_key(data, "max_degree", "a module dump"),
+                           "max_degree")
+    raw_labels = _dump_key(data, "labels", "a module dump")
+    if not isinstance(raw_labels, list) or len(raw_labels) != dim:
         raise RejectedInputError("label count does not match dim")
     labels = []
-    for lab in data["labels"]:
+    for lab in raw_labels:
         if not isinstance(lab, dict):
             raise RejectedInputError("a label must be a JSON object")
-        labels.append(WeightLabel(_dump_weight(session, lab["weight"],
-                                               "label weight"),
-                                  _dump_int(lab["degree"], "label degree"),
-                                  lab.get("tag", "")))
+        labels.append(WeightLabel(
+            _dump_weight(session, _dump_key(lab, "weight", "a label"),
+                         "label weight"),
+            _dump_int(_dump_key(lab, "degree", "a label"), "label degree"),
+            lab.get("tag", "")))
 
     def matrix(name):
-        rows = data[name]
+        rows = _dump_key(data, name, "a module dump")
         if (not isinstance(rows, list) or len(rows) != dim
                 or any(not isinstance(row, list) or len(row) != dim
                        for row in rows)):
@@ -487,5 +538,4 @@ def load_module(data, session=None):
         return out
 
     return ModuleRep(session, labels, matrix("E"), matrix("F"), matrix("H"),
-                     _dump_int(data["max_degree"], "max_degree"),
-                     name="loaded")
+                     max_degree, name="loaded")

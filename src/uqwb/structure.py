@@ -1,37 +1,39 @@
 """Structural analysis of modules: submodules, quotients, filtrations.
 
-All computations are exact.  Vectors are dense lists of Scalar in the
-coordinates of their parent module; every basis vector of every module
-built here carries a single weight, so weight components of any vector
-are obtained by coordinate masking, and submodules are stored as
-weight-homogeneous echelon bases.
+All computations are exact.  Every basis vector of every module carries
+a single weight, and a module is the direct sum of its weight blocks: H
+preserves each block, E maps block w to block w+2 and F to w-2.  The
+routines here rely on that grading, so they first check it, once per
+module (`ModuleRep.graded_blocks`, which raises ModuleInvalidError on an
+entry that breaks it), and then work one weight block at a time: kernels,
+inverses and ranks are those of the blocks, each at most a weight space
+wide, instead of full-dimension ones.
+
+Vectors are sparse {index: Scalar} dicts without zeros, applied through
+the cached columns of E, F and H (`ModuleRep.columns`).  Submodules are
+SubmoduleBasis objects: sparse reduced echelon bases of homogeneous
+vectors, so reducing a vector touches only the rows of its own weight.
+The public functions take and return dense lists, as before, and since
+a reduced echelon basis is unique their answers are exactly those of a
+dense computation.
 """
 
 from __future__ import annotations
 
-import json
+import bisect
 import random
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import (
-    ConstructionError,
-    DiagnosticError,
-    RejectedInputError,
-)
-from .linalg import (
-    SMat,
-    coords_in_basis,
-    invert_dense,
-    nullspace,
-    reduce_row,
-    solve,
-)
+from .errors import DiagnosticError, RejectedInputError
+from .linalg import SMat, invert_dense, nullspace, rank, solve
 from .repmod import (
     ModuleRep,
     WeightLabel,
     _dump_int,
+    _dump_key,
     _dump_weight,
+    _h_nilpotent_blocks,
     build_dual,
     build_generalized_verma,
     dump_module,
@@ -108,90 +110,202 @@ def format_simple_label(lab):
 
 
 # ---------------------------------------------------------------------
-# vectors and submodule bases
+# sparse vectors
 # ---------------------------------------------------------------------
+
+def _sparse(vec):
+    """The {index: Scalar} form of a dense vector, without zeros."""
+    return {i: x for i, x in enumerate(vec) if not x.is_zero()}
+
+
+def _dense(mod, vec):
+    """The dense list form of a sparse vector of mod."""
+    out = [mod.session.zero] * mod.dim
+    for i, x in vec.items():
+        out[i] = x
+    return out
+
+
+def _embed(idx, vals):
+    """A sparse vector from its dense values on the coordinates idx."""
+    return {i: x for i, x in zip(idx, vals) if not x.is_zero()}
+
+
+def _apply(cols, vec):
+    """A matrix, given by its columns, applied to a sparse vector."""
+    acc = {}
+    for j, x in vec.items():
+        for i, a in cols[j].items():
+            t = a * x
+            cur = acc.get(i)
+            acc[i] = t if cur is None else cur + t
+    return {i: y for i, y in acc.items() if not y.is_zero()}
+
+
+def _axpy(vec, c, other):
+    """vec + c * other for sparse vectors, as a new dict."""
+    out = dict(vec)
+    if c.is_zero():
+        return out
+    for i, y in other.items():
+        t = c * y
+        cur = out.get(i)
+        if cur is None:
+            out[i] = t
+            continue
+        t = cur + t
+        if t.is_zero():
+            del out[i]
+        else:
+            out[i] = t
+    return out
+
+
+def _shifted(mod, vec, shift):
+    """(H - shift) vec for a sparse vec and a Scalar shift."""
+    return _axpy(_apply(mod.columns("H"), vec), -shift, vec)
+
+
+def _split(mod, vec):
+    """Weight components of a sparse vector, via the weight labels."""
+    comps = {}
+    labels = mod.labels
+    for i, x in vec.items():
+        comps.setdefault(labels[i].weight, {})[i] = x
+    return comps
+
 
 def weight_split(mod, vec):
     """Weight components of vec, via the coordinate weight labels."""
-    comps = {}
-    z = mod.session.zero
-    for i, x in enumerate(vec):
-        if not x.is_zero():
-            w = mod.labels[i].weight
-            if w not in comps:
-                comps[w] = [z] * mod.dim
-            comps[w][i] = x
-    return comps
+    return {w: _dense(mod, comp)
+            for w, comp in _split(mod, _sparse(vec)).items()}
+
+
+def _degree(mod, vec, w):
+    """vec_degree of a sparse vector."""
+    shift = mod.session.from_rational(w)
+    deg = -1
+    while vec:
+        deg += 1
+        if deg > mod.dim:
+            raise DiagnosticError("H - %s not nilpotent on vector" % (w,))
+        vec = _shifted(mod, vec, shift)
+    return deg
 
 
 def vec_degree(mod, vec, w):
     """Minimal s with (H - w)^{s+1} v = 0 for a weight-w vector."""
-    s = mod.session
-    shift = s.from_rational(w)
-    cur = vec
-    deg = -1
-    while any(not x.is_zero() for x in cur):
-        deg += 1
-        if deg > mod.dim:
-            raise DiagnosticError("H - %s not nilpotent on vector" % (w,))
-        nxt = mod.matH.apply(cur)
-        cur = [a - shift * b for a, b in zip(nxt, cur)]
-    return deg
+    return _degree(mod, _sparse(vec), w)
+
+
+# ---------------------------------------------------------------------
+# submodule bases
+# ---------------------------------------------------------------------
+
+def _eliminate(v, p, row):
+    """v -= v[p] * row in place, for a row with a unit pivot at p.
+
+    Returns the coefficient v[p]; column p of v is cleared.
+    """
+    c = v.pop(p)
+    for j, y in row.items():
+        if j != p:
+            t = c * y
+            cur = v.get(j)
+            if cur is None:
+                v[j] = -t
+                continue
+            t = cur - t
+            if t.is_zero():
+                del v[j]
+            else:
+                v[j] = t
+    return c
 
 
 class SubmoduleBasis:
-    """Echelonized weight-homogeneous basis of a subspace of a module."""
+    """Reduced row echelon basis of a subspace of a module.
+
+    Rows are sparse {index: Scalar} dicts with unit pivots, held by
+    pivot; `rows` gives them as dense lists in pivot order.  Reducing a
+    vector touches only the rows whose pivots lie in its support, so a
+    weight-homogeneous vector meets only the rows of its own weight
+    block.
+    """
 
     def __init__(self, parent):
         self.parent = parent
-        self.rows = []
         self.pivots = []
+        self._rows = {}
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.pivots)
+
+    @property
+    def rows(self):
+        return [_dense(self.parent, self._rows[p]) for p in self.pivots]
+
+    def sparse_rows(self):
+        return [self._rows[p] for p in self.pivots]
+
+    def _reduce(self, vec, coeffs=None):
+        """Remainder of a sparse vector modulo the span, as a new dict.
+
+        Pivot columns are cleared in any order: every row is zero on the
+        other rows' pivots.  coeffs, if given, receives {pivot: coeff}.
+        """
+        rows = self._rows
+        v = dict(vec)
+        for p in [p for p in v if p in rows]:
+            c = _eliminate(v, p, rows[p])
+            if coeffs is not None:
+                coeffs[p] = c
+        return v
+
+    def _coords(self, vec):
+        """{row position: coefficient} of a sparse vector, or None if it
+        lies outside the span."""
+        coeffs = {}
+        if self._reduce(vec, coeffs):
+            return None
+        pos = {p: k for k, p in enumerate(self.pivots)}
+        return {pos[p]: c for p, c in coeffs.items()}
+
+    def _insert(self, vec):
+        """Add a sparse vector to the span; the new sparse row or None."""
+        v = self._reduce(vec)
+        if not v:
+            return None
+        p = min(v)
+        inv = v[p].inv()
+        v = {j: inv * x for j, x in v.items()}
+        for b in self._rows.values():
+            if p in b:
+                _eliminate(b, p, v)
+        self._rows[p] = v
+        bisect.insort(self.pivots, p)
+        return v
 
     def contains(self, vec):
-        return all(x.is_zero()
-                   for x in reduce_row(vec, self.rows, self.pivots))
+        return not self._reduce(_sparse(vec))
 
     def insert(self, vec):
         """Add vec to the span; returns the reduced new row or None."""
-        v = reduce_row(vec, self.rows, self.pivots)
-        p = None
-        for j, x in enumerate(v):
-            if not x.is_zero():
-                p = j
-                break
-        if p is None:
-            return None
-        inv = v[p].inv()
-        zero = self.parent.session.zero
-        v = [zero if x.is_zero() else inv * x for x in v]
-        for b in self.rows:
-            c = b[p]
-            if not c.is_zero():
-                for j in range(p, len(v)):
-                    if not v[j].is_zero():
-                        b[j] = b[j] - c * v[j]
-        idx = 0
-        while idx < len(self.pivots) and self.pivots[idx] < p:
-            idx += 1
-        self.rows.insert(idx, v)
-        self.pivots.insert(idx, p)
-        return v
+        v = self._insert(_sparse(vec))
+        return None if v is None else _dense(self.parent, v)
 
     def copy(self):
         out = SubmoduleBasis(self.parent)
-        out.rows = [list(r) for r in self.rows]
+        out._rows = {p: dict(r) for p, r in self._rows.items()}
         out.pivots = list(self.pivots)
         return out
 
     def is_closed(self):
         for g in ("E", "F", "H"):
-            mat = self.parent.generator_matrix(g)
-            for row in self.rows:
-                if not self.contains(mat.apply(row)):
+            cols = self.parent.columns(g)
+            for row in self._rows.values():
+                if self._reduce(_apply(cols, row)):
                     return False
         return True
 
@@ -201,17 +315,16 @@ def submodule_generated(mod, seeds):
     sub = SubmoduleBasis(mod)
     work = []
     for v in seeds:
-        for comp in weight_split(mod, v).values():
-            nv = sub.insert(comp)
+        for comp in _split(mod, _sparse(v)).values():
+            nv = sub._insert(comp)
             if nv is not None:
                 work.append(nv)
-    gens = [mod.matE, mod.matF, mod.matH]
+    gens = [mod.columns(g) for g in ("E", "F", "H")]
     while work:
         v = work.pop()
-        for mat in gens:
-            img = mat.apply(v)
-            for comp in weight_split(mod, img).values():
-                nv = sub.insert(comp)
+        for cols in gens:
+            for comp in _split(mod, _apply(cols, v)).values():
+                nv = sub._insert(comp)
                 if nv is not None:
                     work.append(nv)
     return sub
@@ -221,62 +334,44 @@ def submodule_generated(mod, seeds):
 # sub- and quotient modules as ModuleReps
 # ---------------------------------------------------------------------
 
-def _degrees_from_labels(session, weights, matH):
-    """Nilpotency degree of each coordinate, computed per weight block."""
-    blocks = {}
-    for i, w in enumerate(weights):
-        blocks.setdefault(w, []).append(i)
-    degs = [0] * len(weights)
-    for w, idx in blocks.items():
-        pos = {g: p for p, g in enumerate(idx)}
-        n = len(idx)
-        nil = SMat(session, n, n)
-        for j in idx:
-            for i, v in matH.rows[j].items():
-                if i in pos:
-                    nil.rows[pos[j]][pos[i]] = v
-            nil.add_to(pos[j], pos[j], -session.from_rational(w))
-        cur = nil
-        p = 1
-        while not cur.is_zero():
-            if p > n:
-                raise DiagnosticError(
-                    "H - %s*I not nilpotent on weight block" % (w,))
-            cols = set()
-            for row in cur.rows:
-                cols.update(row)
-            for c in cols:
-                degs[idx[c]] = max(degs[idx[c]], p)
-            cur = cur @ nil
-            p += 1
-    return degs
-
-
 def _make_module(session, weights, tags, matE, matF, matH, name):
-    degs = _degrees_from_labels(session, weights, matH)
-    labels = [WeightLabel(w, d, t) for w, d, t in zip(weights, degs, tags)]
-    return ModuleRep(session, labels, matE, matF, matH,
-                     max(degs) if degs else 0, name=name)
+    """A ModuleRep whose label degrees are read off the nilpotent part
+    of H: the degree of a basis vector is the largest p with
+    (H - w)^p nonzero on it."""
+    degs = [0] * len(weights)
+    mod = ModuleRep(session, [WeightLabel(w, 0, t)
+                              for w, t in zip(weights, tags)],
+                    matE, matF, matH, 0, name=name)
+    for _, idx, powers in _h_nilpotent_blocks(mod):
+        for p in range(1, len(powers)):
+            for row in powers[p].rows:
+                for c in row:
+                    degs[idx[c]] = p
+    mod.labels = [WeightLabel(w, d, t)
+                  for w, d, t in zip(weights, degs, tags)]
+    mod.max_degree = max(degs, default=0)
+    return mod
 
 
 class QuotientMap:
-    """Projection of a module onto a quotient by a submodule basis."""
+    """Projection of a module onto a quotient by a submodule basis.
+
+    push and lift act on sparse vectors.
+    """
 
     def __init__(self, parent, sub, coords):
         self.parent = parent
         self.sub = sub
         self.coords = coords
+        self._pos = {j: k for k, j in enumerate(coords)}
 
     def push(self, vec):
-        v = reduce_row(vec, self.sub.rows, self.sub.pivots)
-        return [v[j] for j in self.coords]
+        pos = self._pos
+        return {pos[j]: x for j, x in self.sub._reduce(vec).items()}
 
     def lift(self, qvec):
-        z = self.parent.session.zero
-        out = [z] * self.parent.dim
-        for x, j in zip(qvec, self.coords):
-            out[j] = x
-        return out
+        coords = self.coords
+        return {coords[k]: x for k, x in qvec.items()}
 
 
 def quotient_with_map(mod, sub):
@@ -288,25 +383,18 @@ def quotient_with_map(mod, sub):
     qmap = QuotientMap(mod, sub, coords)
     n = len(coords)
 
-    def induced(mat):
+    def induced(g):
+        cols = mod.columns(g)
         out = SMat(s, n, n)
         for col, j in enumerate(coords):
-            z = s.zero
-            colvec = [z] * mod.dim
-            for i in range(mod.dim):
-                v = mat.rows[i].get(j)
-                if v is not None:
-                    colvec[i] = v
-            for row, x in enumerate(qmap.push(colvec)):
-                if not x.is_zero():
-                    out.rows[row][col] = x
+            for row, x in qmap.push(cols[j]).items():
+                out.rows[row][col] = x
         return out
 
     weights = [mod.labels[j].weight for j in coords]
     tags = [mod.labels[j].tag for j in coords]
-    q = _make_module(s, weights, tags, induced(mod.matE),
-                     induced(mod.matF), induced(mod.matH),
-                     "%s/sub" % (mod.name or "?"))
+    q = _make_module(s, weights, tags, induced("E"), induced("F"),
+                     induced("H"), "%s/sub" % (mod.name or "?"))
     return q, qmap
 
 
@@ -319,52 +407,62 @@ def submodule_to_module(sub):
     mod = sub.parent
     s = mod.session
     n = sub.dim
+    rows = sub.sparse_rows()
 
-    def induced(mat):
+    def induced(g):
+        cols = mod.columns(g)
         out = SMat(s, n, n)
-        for col, row in enumerate(sub.rows):
-            img = mat.apply(row)
-            coords = coords_in_basis(img, sub.rows, sub.pivots, s.zero)
+        for col, row in enumerate(rows):
+            coords = sub._coords(_apply(cols, row))
             if coords is None:
                 raise RejectedInputError(
                     "basis is not closed under the module action")
-            for i, x in enumerate(coords):
-                if not x.is_zero():
-                    out.rows[i][col] = x
+            for i, x in coords.items():
+                out.rows[i][col] = x
         return out
 
     weights = [mod.labels[p].weight for p in sub.pivots]
     tags = [mod.labels[p].tag for p in sub.pivots]
-    return _make_module(s, weights, tags, induced(mod.matE),
-                        induced(mod.matF), induced(mod.matH),
-                        "sub(%s)" % (mod.name or "?"))
+    return _make_module(s, weights, tags, induced("E"), induced("F"),
+                        induced("H"), "sub(%s)" % (mod.name or "?"))
 
 
 # ---------------------------------------------------------------------
 # highest-weight and dominant vectors
 # ---------------------------------------------------------------------
 
-def _kernel_vectors(mod, op):
-    """Kernel of an operator, split by weight and echelonized per weight.
+def _kernel_vectors(mod, mat, shift):
+    """Kernel of an operator mapping weight w to w + shift, as triples.
 
-    Returns a list of (vector, weight, degree).
+    The kernel on block w is that of the block of mat from w to
+    w + shift.  Returns (vector, weight, degree) triples: per weight,
+    descending, the echelon rows of the kernel on that block.
     """
     s = mod.session
-    ker = nullspace(op.to_dense(), mod.dim, s.zero, s.one)
-    perw = {}
-    for v in ker:
-        for w, comp in weight_split(mod, v).items():
-            perw.setdefault(w, SubmoduleBasis(mod)).insert(comp)
+    blocks = mod.graded_blocks()
     out = []
-    for w in sorted(perw, reverse=True):
-        for row in perw[w].rows:
-            out.append((row, w, vec_degree(mod, row, w)))
+    for w in sorted(blocks, reverse=True):
+        idx = blocks[w]
+        rows = mat.block(blocks.get(w + shift, []), idx).to_dense()
+        ker = SubmoduleBasis(mod)
+        for v in nullspace(rows, len(idx), s.zero, s.one):
+            ker._insert(_embed(idx, v))
+        for row in ker.sparse_rows():
+            out.append((_dense(mod, row), w, _degree(mod, row, w)))
     return out
 
 
 def highest_weight_vectors(mod):
     """Basis of ker(E) as (vector, weight, degree) triples."""
-    return _kernel_vectors(mod, mod.matE)
+    return _kernel_vectors(mod, mod.matE, 2)
+
+
+def _shifted_block(mat, idx, shift):
+    """The block of mat on idx x idx, minus shift times the identity."""
+    out = mat.block(idx, idx)
+    for a in range(len(idx)):
+        out.add_to(a, a, -shift)
+    return out
 
 
 def leading_dominant_vectors(mod):
@@ -374,31 +472,26 @@ def leading_dominant_vectors(mod):
     it asks (FE)^2 v to drop to strictly lower degree, which is the
     most a degree-d generator can satisfy: the commutator of E and F
     against the nilpotent part of K never vanishes on higher degrees.
+    FE and H preserve every weight block, so both conditions are solved
+    on the block alone.
     """
     s = mod.session
-    fe = mod.matF @ mod.matE
-    fe2 = fe @ fe
+    blocks = mod.graded_blocks()
     out = []
-    for w, idx in sorted(mod.weight_blocks().items(), reverse=True):
-        shift = s.from_rational(w)
-        hw = mod.matH.copy()
-        for a in range(mod.dim):
-            hw.set(a, a, hw.get(a, a) - shift)
-        hpow = SMat.identity(s, mod.dim)
+    for w, idx in sorted(blocks.items(), reverse=True):
+        n = len(idx)
+        up = blocks.get(w + 2, [])
+        fe = mod.matF.block(idx, up) @ mod.matE.block(up, idx)
+        fe2 = fe @ fe
+        hw = _shifted_block(mod.matH, idx, s.from_rational(w))
+        hpow = SMat.identity(s, n)
         for d in range(mod.max_degree + 1):
-            cond = hpow @ fe2
-            rows = []
-            for a in range(mod.dim):
-                rows.append([cond.rows[a].get(b, s.zero) for b in idx])
             hnext = hpow @ hw
-            for a in range(mod.dim):
-                rows.append([hnext.rows[a].get(b, s.zero) for b in idx])
-            for v in nullspace(rows, len(idx), s.zero, s.one):
-                vec = [s.zero] * mod.dim
-                for x, b in zip(v, idx):
-                    vec[b] = x
-                if vec_degree(mod, vec, w) == d:
-                    out.append((vec, w, d))
+            rows = (hpow @ fe2).to_dense() + hnext.to_dense()
+            for v in nullspace(rows, n, s.zero, s.one):
+                vec = _embed(idx, v)
+                if _degree(mod, vec, w) == d:
+                    out.append((_dense(mod, vec), w, d))
             hpow = hnext
     return out
 
@@ -417,47 +510,27 @@ def _weight_profile(mod):
 def _generator_tree(mod, v):
     """Spanning set {word(v)} with parent/generator bookkeeping.
 
-    Returns (nodes, steps) where steps[i] = (parent index, generator
-    name) and steps[0] is None; nodes form a basis iff v generates.
+    v is a sparse weight-homogeneous vector.  Returns (nodes, steps)
+    where steps[i] = (parent index, generator name) and steps[0] is
+    None; nodes are sparse and form a basis iff v generates.  In a
+    graded module every node is weight-homogeneous.
     """
+    if len(_split(mod, v)) != 1:
+        raise RejectedInputError("tree seed must be weight-homogeneous")
     nodes = [v]
     steps = [None]
     indep = SubmoduleBasis(mod)
-    for comp in weight_split(mod, v).values():
-        indep.insert(comp)
-    if indep.dim != 1:
-        raise RejectedInputError("tree seed must be weight-homogeneous")
+    indep._insert(v)
+    gens = [(g, mod.columns(g)) for g in ("E", "F", "H")]
     i = 0
     while i < len(nodes):
-        for g in ("E", "F", "H"):
-            img = mod.generator_matrix(g).apply(nodes[i])
-            before = indep.dim
-            for comp in weight_split(mod, img).values():
-                indep.insert(comp)
-            if indep.dim > before:
-                # img itself may be inhomogeneous only through the H
-                # action; all generators here shift weight uniformly, so
-                # img is homogeneous and is kept as a node directly.
+        for g, cols in gens:
+            img = _apply(cols, nodes[i])
+            if indep._insert(img) is not None:
                 nodes.append(img)
                 steps.append((i, g))
-                if indep.dim < before + 1:
-                    raise DiagnosticError("tree bookkeeping out of step")
         i += 1
     return nodes, steps
-
-
-def _dense_inverse_of_columns(session, cols, dim):
-    rows = [[cols[a][i] for a in range(len(cols))] for i in range(dim)]
-    return invert_dense(rows, session.zero, session.one)
-
-
-def _mat_from_dense(session, rows):
-    out = SMat(session, len(rows), len(rows[0]) if rows else 0)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if not v.is_zero():
-                out.rows[i][j] = v
-    return out
 
 
 def _intertwiner_ok(g, a, b):
@@ -466,6 +539,13 @@ def _intertwiner_ok(g, a, b):
                 - b.generator_matrix(name) @ g).is_zero():
             return False
     return True
+
+
+def _blocks_full_rank(g, pairs):
+    """Whether each (rows, cols) block of g has rank len(cols)."""
+    z = g.session.zero
+    return all(rank(g.block(rows, cols).to_dense(), z) == len(cols)
+               for rows, cols in pairs)
 
 
 def _cyclic_generator(mod):
@@ -483,6 +563,9 @@ def iso_test(a, b, seed=0, attempts=3):
     matching dominant vectors of b (basis elements plus a few seeded
     random combinations); every candidate map is certified exactly.
     A None answer is "no isomorphism found", not a proof of absence.
+    Every map here preserves weights, so the basis change T of the
+    generator tree is inverted, and the candidate G = W T^-1 formed and
+    tested for invertibility, one weight block at a time.
     """
     if a.dim != b.dim:
         return None
@@ -491,50 +574,56 @@ def iso_test(a, b, seed=0, attempts=3):
     if a.matE == b.matE and a.matF == b.matF and a.matH == b.matH:
         return SMat.identity(a.session, a.dim)
     s = a.session
+    blocks_a = a.graded_blocks()
+    blocks_b = b.graded_blocks()
     gen = _cyclic_generator(a)
     if gen is None:
         return None
     v, w, d = gen
-    nodes, steps = _generator_tree(a, v)
+    nodes, steps = _generator_tree(a, _sparse(v))
     if len(nodes) != a.dim:
         raise DiagnosticError("generator tree does not span")
-    tinv = _dense_inverse_of_columns(s, nodes, a.dim)
-    if tinv is None:
-        raise DiagnosticError("generator tree is not a basis")
+    by_weight = {}
+    for al, node in enumerate(nodes):
+        by_weight.setdefault(a.labels[min(node)].weight, []).append(al)
+    tinv = []
+    for wt, idx in blocks_a.items():
+        als = by_weight.get(wt, [])
+        inv = None
+        if len(als) == len(idx):
+            inv = invert_dense([[nodes[al].get(i, s.zero) for al in als]
+                                for i in idx], s.zero, s.one)
+        if inv is None:
+            raise DiagnosticError("generator tree is not a basis")
+        tinv.append((idx, als, inv))
     dom_b = leading_dominant_vectors(b)
-    cands = [u for u, wu, du in dom_b if wu == w and du == d]
-    lower = [u for u, wu, du in dom_b if wu == w and du < d]
+    cands = [_sparse(u) for u, wu, du in dom_b if wu == w and du == d]
+    lower = [_sparse(u) for u, wu, du in dom_b if wu == w and du < d]
     rng = random.Random(seed)
     extra = []
     for _ in range(attempts if (len(cands) > 1 or lower) else 0):
-        mix = [s.zero] * b.dim
+        mix = {}
         for u in cands + lower:
-            cs = s.from_rational(rng.randint(0, 7))
-            mix = [x + cs * y for x, y in zip(mix, u)]
+            mix = _axpy(mix, s.from_rational(rng.randint(0, 7)), u)
         extra.append(mix)
+    pairs = [(blocks_b[wt], idx) for wt, idx in blocks_a.items()]
     for u in cands + extra:
         images = [u]
-        ok = True
-        for st in steps[1:]:
-            parent, g = st
-            images.append(b.generator_matrix(g).apply(images[parent]))
+        for parent, g in steps[1:]:
+            images.append(_apply(b.columns(g), images[parent]))
         # G maps node_alpha to images[alpha]; in standard coordinates
-        # G = W * T^{-1} with W the image columns.
-        gmat = [[None] * a.dim for _ in range(b.dim)]
-        for i in range(b.dim):
-            for j in range(a.dim):
-                acc = s.zero
-                for al in range(a.dim):
-                    x = images[al][i]
-                    if not x.is_zero():
-                        y = tinv[al][j]
-                        if not y.is_zero():
-                            acc = acc + x * y
-                gmat[i][j] = acc
-        g = _mat_from_dense(s, gmat)
+        # G = W * T^{-1} with W the image columns
+        g = SMat(s, b.dim, a.dim)
+        for idx, als, inv in tinv:
+            for jj, j in enumerate(idx):
+                col = {}
+                for al, trow in zip(als, inv):
+                    col = _axpy(col, trow[jj], images[al])
+                for i, x in col.items():
+                    g.rows[i][j] = x
         if not _intertwiner_ok(g, a, b):
             continue
-        if invert_dense(gmat, s.zero, s.one) is None:
+        if not _blocks_full_rank(g, pairs):
             continue
         return g
     return None
@@ -545,14 +634,15 @@ def iso_test(a, b, seed=0, attempts=3):
 # ---------------------------------------------------------------------
 
 def _chain_from_hw(mod, u, w, deg):
-    """v^deg .. v^0 with v^{k-1} = (H - w) v^k, as a list indexed by k."""
-    s = mod.session
-    shift = s.from_rational(w)
+    """v^deg .. v^0 with v^{k-1} = (H - w) v^k, as a list indexed by k.
+
+    u and the chain are sparse vectors.
+    """
+    shift = mod.session.from_rational(w)
     chain = [None] * (deg + 1)
     chain[deg] = u
     for k in range(deg, 0, -1):
-        nxt = mod.matH.apply(chain[k])
-        chain[k - 1] = [x - shift * y for x, y in zip(nxt, chain[k])]
+        chain[k - 1] = _shifted(mod, chain[k], shift)
     return chain
 
 
@@ -561,15 +651,16 @@ def _verma_map_from_chain(mod, chain, w, deg):
     s = mod.session
     r = s.r
     n = deg + 1
-    cols = []
-    cur = [list(c) for c in chain]
+    fcols = mod.columns("F")
+    g = SMat(s, mod.dim, r * n)
+    cur = chain
     for t in range(r):
         for k in range(n):
-            cols.append(cur[k])
+            for i, x in cur[k].items():
+                g.rows[i][t * n + k] = x
         if t < r - 1:
-            cur = [mod.matF.apply(c) for c in cur]
-    gmat = [[cols[j][i] for j in range(r * n)] for i in range(mod.dim)]
-    return _mat_from_dense(s, gmat), gmat
+            cur = [_apply(fcols, c) for c in cur]
+    return g
 
 
 def is_generalized_verma(mod, lam, deg):
@@ -577,26 +668,33 @@ def is_generalized_verma(mod, lam, deg):
 
     Certifies by exhibiting the canonical intertwiner from V(lam, deg)
     built on a highest-weight chain; the generation route (saturation
-    from the chain top) is cross-checked against invertibility.
+    from the chain top) is cross-checked against invertibility.  The
+    intertwiner maps the weight lam-2t columns of V into the weight
+    lam-2t block of mod, so it is invertible iff each of those r
+    blocks has full rank.
     """
     s = mod.session
     lam = s.check_weight(lam)
     if mod.dim != (deg + 1) * s.r:
         return False
     verma = build_generalized_verma(s, lam, deg)
+    blocks = mod.graded_blocks()
+    n = deg + 1
+    pairs = [(blocks.get(lam - 2 * t, []), range(t * n, (t + 1) * n))
+             for t in range(s.r)]
     cands = [u for u, w, d in highest_weight_vectors(mod)
              if w == lam and d == deg]
     if len(cands) > 1:
         total = [sum(xs, s.zero) for xs in zip(*cands)]
         cands = cands + [total]
     for u in cands:
-        chain = _chain_from_hw(mod, u, lam, deg)
-        g, gmat = _verma_map_from_chain(mod, chain, lam, deg)
+        chain = _chain_from_hw(mod, _sparse(u), lam, deg)
+        g = _verma_map_from_chain(mod, chain, lam, deg)
         if not _intertwiner_ok(g, verma, mod):
             raise DiagnosticError(
                 "canonical chain map failed equivariance at weight %s"
                 % (lam,))
-        invertible = invert_dense(gmat, s.zero, s.one) is not None
+        invertible = _blocks_full_rank(g, pairs)
         generated = submodule_generated(mod, [u]).dim == mod.dim
         if invertible != generated:
             raise DiagnosticError(
@@ -649,26 +747,32 @@ class FiltrationCertificate:
         malformed."""
         if not isinstance(data, dict):
             raise RejectedInputError("a certificate must be a JSON object")
-        kind = data["kind"]
+        what = "a certificate"
+        kind = _dump_key(data, "kind", what)
         if kind not in ("standard", "costandard"):
             raise RejectedInputError("certificate kind must be standard or "
                                      "costandard, got %r" % (kind,))
-        degree = _dump_int(data["degree"], "certificate degree")
-        mod = load_module(data["module"], session)
+        degree = _dump_int(_dump_key(data, "degree", what),
+                           "certificate degree")
+        mod = load_module(_dump_key(data, "module", what), session)
         s = mod.session
-        if not isinstance(data["claims"], list):
+        raw_claims = _dump_key(data, "claims", what)
+        if not isinstance(raw_claims, list):
             raise RejectedInputError("certificate claims must be a list")
         claims = []
-        for c in data["claims"]:
+        for c in raw_claims:
             if not isinstance(c, dict):
                 raise RejectedInputError("a claim must be a JSON object")
-            if c["kind"] not in ("verma", "dual-verma"):
+            ckind = _dump_key(c, "kind", "a claim")
+            if ckind not in ("verma", "dual-verma"):
                 raise RejectedInputError("claim kind must be verma or "
-                                         "dual-verma, got %r" % (c["kind"],))
-            claims.append((c["kind"],
-                           _dump_weight(s, c["weight"], "claim weight"),
-                           _dump_int(c["degree"], "claim degree")))
-        members = data["chain"]
+                                         "dual-verma, got %r" % (ckind,))
+            claims.append((ckind,
+                           _dump_weight(s, _dump_key(c, "weight", "a claim"),
+                                        "claim weight"),
+                           _dump_int(_dump_key(c, "degree", "a claim"),
+                                     "claim degree")))
+        members = _dump_key(data, "chain", what)
         if (not isinstance(members, list)
                 or any(not isinstance(rows, list) for rows in members)):
             raise RejectedInputError("certificate chain must be a list of "
@@ -681,9 +785,9 @@ class FiltrationCertificate:
                         or any(not isinstance(x, str) for x in row)):
                     raise RejectedInputError("a chain row must be a list of "
                                              "%d scalar strings" % mod.dim)
-                vec = [s.parse_scalar(x) for x in row]
-                for comp in weight_split(mod, vec).values():
-                    sub.insert(comp)
+                vec = _sparse([s.parse_scalar(x) for x in row])
+                for comp in _split(mod, vec).values():
+                    sub._insert(comp)
             chain.append(sub)
         return FiltrationCertificate(mod, kind, degree, chain, claims)
 
@@ -711,21 +815,20 @@ def verify_filtration_certificate(cert):
         add("member %d dimension" % j, sub.dim == (j + 1) * block,
             "dim %d" % sub.dim)
         if prev is not None:
-            asc = all(sub.contains(row) for row in prev.rows)
+            asc = all(not sub._reduce(row) for row in prev.sparse_rows())
             add("member %d contains member %d" % (j, j - 1), asc)
         kind, w, deg = cert.claims[j]
         big = submodule_to_module(sub)
         inner = SubmoduleBasis(big)
         if prev is not None:
             ok_inner = True
-            for row in prev.rows:
-                coords = coords_in_basis(row, sub.rows, sub.pivots,
-                                         mod.session.zero)
+            for row in prev.sparse_rows():
+                coords = sub._coords(row)
                 if coords is None:
                     ok_inner = False
                     break
-                for comp in weight_split(big, coords).values():
-                    inner.insert(comp)
+                for comp in _split(big, coords).values():
+                    inner._insert(comp)
             add("member %d / member %d well formed" % (j, j - 1), ok_inner)
             if not ok_inner:
                 prev = sub
@@ -748,8 +851,10 @@ def extract_standard_filtration(mod, deg):
     quotient, take one of maximal weight generating a generalized Verma
     submodule; record it, quotient, repeat.  The returned certificate is
     re-verified from scratch; None means this strategy found nothing.
+    An ungraded module raises ModuleInvalidError instead.
     """
     s = mod.session
+    mod.graded_blocks()
     block = (deg + 1) * s.r
     if mod.dim % block != 0:
         return None
@@ -761,7 +866,7 @@ def extract_standard_filtration(mod, deg):
     def lift_full(vec):
         for qm in reversed(maps):
             vec = qm.lift(vec)
-        return vec
+        return vec  # sparse, in the coordinates of mod
 
     while current.dim > 0:
         found = None
@@ -779,10 +884,9 @@ def extract_standard_filtration(mod, deg):
         w, sub = found
         claims.append(("verma", w, deg))
         member = chain[-1].copy() if chain else SubmoduleBasis(mod)
-        for row in sub.rows:
-            lifted = lift_full(row)
-            for comp in weight_split(mod, lifted).values():
-                member.insert(comp)
+        for row in sub.sparse_rows():
+            for comp in _split(mod, lift_full(row)).values():
+                member._insert(comp)
         chain.append(member)
         current, qm = quotient_with_map(current, sub)
         maps.append(qm)
@@ -803,8 +907,8 @@ def annihilator_basis(mod, dual_rows):
     ker = nullspace(dual_rows, mod.dim, s.zero, s.one)
     sub = SubmoduleBasis(mod)
     for v in ker:
-        for comp in weight_split(mod, v).values():
-            sub.insert(comp)
+        for comp in _split(mod, _sparse(v)).values():
+            sub._insert(comp)
     return sub
 
 
@@ -821,13 +925,9 @@ def extract_costandard_filtration(mod, deg):
         if j < n - 1:
             sub = annihilator_basis(mod, dcert.chain[n - 2 - j].rows)
         else:
-            full = SubmoduleBasis(mod)
+            sub = SubmoduleBasis(mod)
             for i in range(mod.dim):
-                z = mod.session.zero
-                e = [z] * mod.dim
-                e[i] = mod.session.one
-                full.insert(e)
-            sub = full
+                sub._insert({i: mod.session.one})
         chain.append(sub)
         claims.append(("dual-verma", dcert.claims[n - 1 - j][1], deg))
     cert = FiltrationCertificate(mod, "costandard", deg, chain, claims)
@@ -844,55 +944,50 @@ def extract_costandard_filtration(mod, deg):
 # ---------------------------------------------------------------------
 
 def _socle_seeds(mod):
-    """Per weight: degree-0 highest-weight vectors killed by F^{dim L}."""
+    """Per weight: degree-0 highest-weight vectors killed by F^{dim L}.
+
+    Returns (seeds, counts) with dense seeds.  On the weight-w block,
+    E v = 0 and (H - w) v = 0 are the kernels of the blocks w -> w+2 of
+    E and w -> w of H - w, and F^{dim L(w)} maps the block to w - 2 dim L.
+    """
     s = mod.session
+    blocks = mod.graded_blocks()
+    fcols = mod.columns("F")
     seeds = []
     counts = {}
-    for w, idx in sorted(mod.weight_blocks().items(), reverse=True):
-        # vectors supported on the weight-w block with E v = 0 and
-        # (H - w) v = 0
-        rows = []
-        for i in range(mod.dim):
-            rows.append([mod.matE.rows[i].get(j, s.zero) for j in idx])
-        shift = s.from_rational(w)
-        for i in range(mod.dim):
-            row = [mod.matH.rows[i].get(j, s.zero) for j in idx]
-            for p, j in enumerate(idx):
-                if i == j:
-                    row[p] = row[p] - shift
-            rows.append(row)
-        ker = nullspace(rows, len(idx), s.zero, s.one)
+    for w, idx in sorted(blocks.items(), reverse=True):
+        rows = (mod.matE.block(blocks.get(w + 2, []), idx).to_dense()
+                + _shifted_block(mod.matH, idx,
+                                 s.from_rational(w)).to_dense())
+        ker = [_embed(idx, v)
+               for v in nullspace(rows, len(idx), s.zero, s.one)]
         if not ker:
             continue
         cw = simple_dim(s, w)
-        fc = mod.matF.matpow(cw)
         # restrict to the subspace killed by F^{dim L(w)}
-        krows = []
-        full = []
-        for v in ker:
-            z = [s.zero] * mod.dim
-            for x, j in zip(v, idx):
-                z[j] = x
-            full.append(z)
-            krows.append(fc.apply(z))
-        sol = nullspace(
-            [[krows[a][i] for a in range(len(full))]
-             for i in range(mod.dim)],
-            len(full), s.zero, s.one)
+        images = []
+        for z in ker:
+            for _ in range(cw):
+                z = _apply(fcols, z)
+            images.append(z)
+        sol = nullspace([[z.get(i, s.zero) for z in images]
+                         for i in blocks.get(w - 2 * cw, [])],
+                        len(ker), s.zero, s.one)
         got = 0
-        fprev = mod.matF.matpow(cw - 1)
         for coeffs in sol:
-            vec = [s.zero] * mod.dim
-            for c, z in zip(coeffs, full):
-                if not c.is_zero():
-                    vec = [x + c * y for x, y in zip(vec, z)]
-            if all(x.is_zero() for x in vec):
+            vec = {}
+            for c, z in zip(coeffs, ker):
+                vec = _axpy(vec, c, z)
+            if not vec:
                 continue
-            if cw > 0 and all(x.is_zero() for x in fprev.apply(vec)):
+            top = vec
+            for _ in range(cw - 1):
+                top = _apply(fcols, top)
+            if cw > 0 and not top:
                 raise DiagnosticError(
                     "socle vector at weight %s dies before F^%d"
                     % (w, cw - 1))
-            seeds.append(vec)
+            seeds.append(_dense(mod, vec))
             got += 1
         if got:
             counts[w] = got
@@ -983,17 +1078,14 @@ def verma_splitting_section(mod, f, lam, deg):
     sols = solve(f.to_dense(), targets, s.zero, s.one)
     if any(x is None for x in sols):
         raise RejectedInputError("f is not surjective onto the chain")
-    us = []
-    for x in sols:
-        comp = weight_split(mod, x).get(lam, [s.zero] * mod.dim)
-        us.append(comp)
-    diff = list(us[deg])
+    us = [_split(mod, _sparse(x)).get(lam, {}) for x in sols]
+    diff = us[deg]
     for k in range(deg):
-        diff = [a - b for a, b in zip(diff, us[k])]
+        diff = _axpy(diff, -s.one, us[k])
     xpxm_m = mod.matE.matpow(s.r - 1) @ mod.matF.matpow(s.r - 1)
-    w = xpxm_m.apply(diff)
+    w = _sparse(xpxm_m.apply(_dense(mod, diff)))
     chain = _chain_from_hw(mod, w, lam, deg)
-    g, _ = _verma_map_from_chain(mod, chain, lam, deg)
+    g = _verma_map_from_chain(mod, chain, lam, deg)
     if not (f @ g - SMat.identity(s, verma.dim)).is_zero():
         raise DiagnosticError("section fails f*g = id")
     if not _intertwiner_ok(g, verma, mod):
@@ -1013,11 +1105,8 @@ def standard_top_surjection(mod, deg):
         raise DiagnosticError("no standard filtration found")
     lam = cert.claims[-1][1]
     if len(cert.chain) > 1:
-        sub = cert.chain[-2]
-        quot, qmap = quotient_with_map(mod, sub)
-
-        def push(vec):
-            return qmap.push(vec)
+        quot, qmap = quotient_with_map(mod, cert.chain[-2])
+        push = qmap.push
     else:
         quot = mod
 
@@ -1025,23 +1114,20 @@ def standard_top_surjection(mod, deg):
             return vec
     hw = [u for u, w, d in highest_weight_vectors(quot)
           if w == lam and d == deg]
-    chain = _chain_from_hw(quot, hw[0], lam, deg)
-    g, gd = _verma_map_from_chain(quot, chain, lam, deg)
-    ginv = invert_dense(gd, s.zero, s.one)
+    chain = _chain_from_hw(quot, _sparse(hw[0]), lam, deg)
+    g = _verma_map_from_chain(quot, chain, lam, deg)
+    ginv = invert_dense(g.to_dense(), s.zero, s.one)
     if ginv is None:
         raise DiagnosticError("top quotient chain map is singular")
     f = SMat(s, quot.dim, mod.dim)
     for col in range(mod.dim):
-        e = [s.zero] * mod.dim
-        e[col] = s.one
-        pushed = push(e)
+        pushed = push({col: s.one})
         for i in range(quot.dim):
             acc = s.zero
-            for al, x in enumerate(pushed):
-                if not x.is_zero():
-                    y = ginv[i][al]
-                    if not y.is_zero():
-                        acc = acc + y * x
+            for al, x in pushed.items():
+                y = ginv[i][al]
+                if not y.is_zero():
+                    acc = acc + y * x
             if not acc.is_zero():
                 f.rows[i][col] = acc
     return f, lam

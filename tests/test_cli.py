@@ -216,6 +216,49 @@ def test_malformed_dump_rejected(tmp_path, capsys, edit):
     assert code == 2
 
 
+def _dropper(*path):
+    """An edit deleting the key at the end of path (keys and indices)."""
+    def edit(d):
+        for k in path[:-1]:
+            d = d[k]
+        del d[path[-1]]
+    edit.__name__ = "_" + "_".join(str(k) for k in path)
+    return edit
+
+
+@pytest.mark.parametrize("edit", [_dropper(k) for k in
+                                  ("session", "dim", "max_degree", "labels",
+                                   "E", "F", "H")]
+                         + [_dropper("session", "ell"),
+                            _dropper("labels", 0, "weight"),
+                            _dropper("labels", 0, "degree")],
+                         ids=lambda f: f.__name__[1:])
+def test_dump_missing_key_rejected(tmp_path, capsys, edit):
+    data = copy.deepcopy(SIMPLE_L1)
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _ = run(capsys, "verify", str(bad))
+    assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["jh"], ["filtration", "--degree", "0"],
+                                  ["pcover-certify"]],
+                         ids=lambda a: a[0])
+def test_ungraded_module_reported(tmp_path, capsys, argv):
+    """E[0][0] = 1 maps weight 1 to weight 1: every structural verb must
+    say so, not answer."""
+    data = copy.deepcopy(SIMPLE_L1)
+    data["E"][0][0] = "(1)*t^0"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, text = run(capsys, argv[0], str(bad), *argv[1:])
+    assert code == 1
+    assert "ModuleInvalidError" in text
+    assert "entry (0,0)" in text
+    assert "maps weight 1 to weight 1" in text
+
+
 def test_default_bgg_window_has_no_repeats():
     for ell in (5, 8):
         weights = default_bgg_weights(Session(ell))
@@ -303,6 +346,22 @@ def test_malformed_certificate_rejected(tmp_path, capsys, verma_certificate,
     good = tmp_path / "good.json"
     good.write_text(json.dumps(verma_certificate))
     assert run(capsys, "verify-cert", str(good))[0] == 0
+    data = copy.deepcopy(verma_certificate)
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _ = run(capsys, "verify-cert", str(bad))
+    assert code == 2
+
+
+@pytest.mark.parametrize("edit", [_dropper(k) for k in
+                                  ("kind", "degree", "module", "claims",
+                                   "chain")]
+                         + [_dropper("claims", 0, k)
+                            for k in ("kind", "weight", "degree")],
+                         ids=lambda f: f.__name__[1:])
+def test_certificate_missing_key_rejected(tmp_path, capsys,
+                                          verma_certificate, edit):
     data = copy.deepcopy(verma_certificate)
     edit(data)
     bad = tmp_path / "bad.json"

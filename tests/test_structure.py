@@ -1,6 +1,7 @@
 """Typicality, submodules, isomorphism testing, filtrations,
 composition series, splitting sections, and the BGG table."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from uqwb import (
     FiltrationCertificate,
+    ModuleInvalidError,
     RejectedInputError,
     atypical_decompose,
     build_dual,
@@ -15,11 +17,13 @@ from uqwb import (
     build_one_dim,
     build_simple,
     build_tensor,
+    extract_costandard_filtration,
     extract_standard_filtration,
     highest_weight_vectors,
     is_generalized_verma,
     iso_test,
     jordan_holder,
+    leading_dominant_vectors,
     quotient_module,
     simple_label,
     socle_counts,
@@ -30,7 +34,11 @@ from uqwb import (
     verify_filtration_certificate,
     verify_relations,
     verma_splitting_section,
+    weight_split,
 )
+from uqwb.linalg import SMat, nullspace, reduce_row, rref
+from uqwb.projectives import build_projective_cover
+from uqwb.repmod import direct_sum
 from uqwb.structure import simple_dim
 
 
@@ -148,6 +156,15 @@ def test_is_generalized_verma(session):
     assert not is_generalized_verma(mod, Fraction(2), 0)
 
 
+def test_is_generalized_verma_rejects_equivariant_singular_map(session):
+    """L_1 + L_{r-3} has dim r and a weight-1 highest-weight vector, so
+    the canonical map from V(1, 0) is equivariant but not invertible."""
+    r = session.r
+    mod = direct_sum(build_simple(session, 1), build_simple(session, r - 3))
+    assert mod.dim == r
+    assert not is_generalized_verma(mod, Fraction(1), 0)
+
+
 # ---------------------------------------------------------------------
 # filtrations
 # ---------------------------------------------------------------------
@@ -243,3 +260,233 @@ def test_bgg_small_window(session):
     assert len(cells) == 4
     for (_lam, _mu), a, b, ok in cells:
         assert ok, ((_lam, _mu), a, b)
+
+
+# ---------------------------------------------------------------------
+# the weight-graded routines against a dense reference
+# ---------------------------------------------------------------------
+
+def _graded_modules(s):
+    """Tensors V(lam, m) (x) L_i up to dim 45, twisted covers, duals."""
+    v12l2 = build_tensor(build_generalized_verma(s, Fraction(1), 2),
+                         build_simple(s, 2))
+    cover = build_projective_cover(s, 1, 1, twist=1)
+    return {
+        "V(1,2)xL2": v12l2,
+        "V(0,1)xL1": build_tensor(build_generalized_verma(s, Fraction(0), 1),
+                                  build_simple(s, 1)),
+        "P(1,1)xC(1)": cover,
+        "P(0,2)xC(-1)": build_projective_cover(s, 0, 2, twist=-1),
+        "dual V(1,2)xL2": build_dual(v12l2),
+        "dual P(1,1)xC(1)": build_dual(cover),
+    }
+
+
+GRADED = ["V(1,2)xL2", "V(0,1)xL1", "P(1,1)xC(1)", "P(0,2)xC(-1)",
+          "dual V(1,2)xL2", "dual P(1,1)xC(1)"]
+
+@pytest.fixture(scope="module")
+def graded_by_ell(s5, s8):
+    return {5: _graded_modules(s5), 8: _graded_modules(s8)}
+
+
+@pytest.fixture(params=GRADED)
+def graded(request, session, graded_by_ell):
+    return graded_by_ell[session.ell][request.param]
+
+
+def _ref_degree(mod, vec, w):
+    s = mod.session
+    shift = s.from_rational(w)
+    deg = -1
+    while any(not x.is_zero() for x in vec):
+        deg += 1
+        nxt = mod.matH.apply(vec)
+        vec = [a - shift * b for a, b in zip(nxt, vec)]
+    return deg
+
+
+def _ref_highest_weight(mod):
+    """Full-dimension ker E, split by weight, echelonized per weight."""
+    s = mod.session
+    perw = {}
+    for v in nullspace(mod.matE.to_dense(), mod.dim, s.zero, s.one):
+        for w, comp in weight_split(mod, v).items():
+            perw.setdefault(w, []).append(comp)
+    out = []
+    for w in sorted(perw, reverse=True):
+        for row in rref(perw[w], s.zero)[0]:
+            out.append((row, w, _ref_degree(mod, row, w)))
+    return out
+
+
+def _ref_leading_dominant(mod):
+    """Full-dimension (H-w)^d (FE)^2 and (H-w)^{d+1}, restricted to the
+    columns of block w."""
+    s = mod.session
+    fe = mod.matF @ mod.matE
+    fe2 = fe @ fe
+    out = []
+    for w, idx in sorted(mod.weight_blocks().items(), reverse=True):
+        hw = mod.matH.copy()
+        for a in range(mod.dim):
+            hw.add_to(a, a, -s.from_rational(w))
+        hpow = SMat.identity(s, mod.dim)
+        for d in range(mod.max_degree + 1):
+            hnext = hpow @ hw
+            rows = [[m.get(a, b) for b in idx]
+                    for m in (hpow @ fe2, hnext) for a in range(mod.dim)]
+            for v in nullspace(rows, len(idx), s.zero, s.one):
+                vec = [s.zero] * mod.dim
+                for x, b in zip(v, idx):
+                    vec[b] = x
+                if _ref_degree(mod, vec, w) == d:
+                    out.append((vec, w, d))
+            hpow = hnext
+    return out
+
+
+def _ref_generated(mod, seeds):
+    """Dense saturation: echelonize, apply E, F, H, repeat until stable."""
+    z = mod.session.zero
+    basis = rref([c for v in seeds for c in weight_split(mod, v).values()],
+                 z)[0]
+    while True:
+        imgs = [m.apply(b) for b in basis
+                for m in (mod.matE, mod.matF, mod.matH)]
+        new = rref(basis + [c for v in imgs
+                            for c in weight_split(mod, v).values()], z)[0]
+        if len(new) == len(basis):
+            return new
+        basis = new
+
+
+def _ref_socle_counts(mod):
+    """Full-dimension kernels of E and H - w on the columns of block w,
+    then of F^{dim L(w)} with its full matrix power."""
+    s = mod.session
+    counts = {}
+    for w, idx in mod.weight_blocks().items():
+        shift = s.from_rational(w)
+        rows = [[mod.matE.get(i, j) for j in idx] for i in range(mod.dim)]
+        rows += [[mod.matH.get(i, j) - (shift if i == j else s.zero)
+                  for j in idx] for i in range(mod.dim)]
+        ker = nullspace(rows, len(idx), s.zero, s.one)
+        if not ker:
+            continue
+        fc = mod.matF.matpow(simple_dim(s, w))
+        full = []
+        for v in ker:
+            vec = [s.zero] * mod.dim
+            for x, j in zip(v, idx):
+                vec[j] = x
+            full.append(fc.apply(vec))
+        sol = nullspace([[f[i] for f in full] for i in range(mod.dim)],
+                        len(full), s.zero, s.one)
+        if sol:
+            counts[w] = len(sol)
+    return counts
+
+
+def _ref_label_degrees(mod):
+    """Degree of each basis vector, by the dense H walk."""
+    s = mod.session
+    out = []
+    for i, lab in enumerate(mod.labels):
+        e = [s.zero] * mod.dim
+        e[i] = s.one
+        out.append(_ref_degree(mod, e, lab.weight))
+    return out
+
+
+def _seeds(mod):
+    s = mod.session
+    last = [s.zero] * mod.dim
+    last[-1] = s.one
+    mixed = [s.zero] * mod.dim
+    mixed[0] = s.one
+    mixed[mod.dim // 2] = s.from_rational(3)
+    return [[last], [mixed], [u for u, _, _ in _ref_highest_weight(mod)[:2]]]
+
+
+def test_graded_highest_weight_vectors_match_dense(graded):
+    assert highest_weight_vectors(graded) == _ref_highest_weight(graded)
+
+
+def test_graded_leading_dominant_vectors_match_dense(graded):
+    assert leading_dominant_vectors(graded) == _ref_leading_dominant(graded)
+
+
+def test_graded_socle_counts_match_dense(graded):
+    assert socle_counts(graded) == _ref_socle_counts(graded)
+
+
+def test_graded_submodules_and_quotients_match_dense(graded):
+    mod = graded
+    for seeds in _seeds(mod):
+        sub = submodule_generated(mod, seeds)
+        ref = _ref_generated(mod, seeds)
+        assert sub.rows == ref
+        pivots = sub.pivots
+        inner = submodule_to_module(sub)
+        assert [lab.weight for lab in inner.labels] == \
+            [mod.labels[p].weight for p in pivots]
+        assert [lab.degree for lab in inner.labels] == \
+            _ref_label_degrees(inner)
+        for g in ("E", "F", "H"):
+            mat = mod.generator_matrix(g)
+            cols = [mat.apply(row) for row in ref]
+            for img in cols:
+                assert all(x.is_zero() for x in reduce_row(img, ref, pivots))
+            want = [[img[p] for img in cols] for p in pivots]
+            assert inner.generator_matrix(g).to_dense() == want
+        if sub.dim == mod.dim:
+            continue
+        quot = quotient_module(mod, sub)
+        coords = [j for j in range(mod.dim) if j not in set(pivots)]
+        assert [lab.weight for lab in quot.labels] == \
+            [mod.labels[j].weight for j in coords]
+        assert [lab.degree for lab in quot.labels] == \
+            _ref_label_degrees(quot)
+        assert quot.max_degree == max(_ref_label_degrees(quot))
+        for g in ("E", "F", "H"):
+            dense = mod.generator_matrix(g).to_dense()
+            cols = [reduce_row([row[j] for row in dense], ref, pivots)
+                    for j in coords]
+            want = [[c[i] for c in cols] for i in coords]
+            assert quot.generator_matrix(g).to_dense() == want
+        assert verify_relations(quot)["status"] == "pass"
+
+
+def test_ungraded_module_rejected(s5):
+    mod = build_simple(s5, 1)
+    bad = build_tensor(mod, build_one_dim(s5, 0))
+    bad.matE.rows[0][0] = s5.one  # E maps weight 1 to weight 1
+    with pytest.raises(ModuleInvalidError, match=r"E entry \(0,0\)"):
+        highest_weight_vectors(bad)
+    with pytest.raises(ModuleInvalidError):
+        jordan_holder(bad)
+
+
+# SHA-256 of the JSON of the certificates of P(1,1) x C(1), as the dense
+# implementation wrote them
+CERT_SHA256 = {
+    (5, "standard"):
+        "98976ee34ecb4c1fc31c221fd7b1fb7922bd22c830a5f831bf290db6afcedb6f",
+    (5, "costandard"):
+        "6056003228f82bbede8fb12e7e4f6036f5a03863b6959f300f0622e2b310b39a",
+    (8, "standard"):
+        "337994c8ede591c95a05203d8d76368a03d94689ab27a74b1424df494e0f0ebe",
+    (8, "costandard"):
+        "3457ffbc23b88cede6358240826d9fa7628a2a0f9b1bd3292073970e027ae2ff",
+}
+
+
+@pytest.mark.parametrize("kind", ["standard", "costandard"])
+def test_cover_certificate_bytes_unchanged(session, kind):
+    p = build_projective_cover(session, 1, 1, twist=1)
+    extract = (extract_standard_filtration if kind == "standard"
+               else extract_costandard_filtration)
+    data = json.dumps(extract(p, 1).to_json(), sort_keys=True)
+    digest = hashlib.sha256(data.encode()).hexdigest()
+    assert digest == CERT_SHA256[(session.ell, kind)]

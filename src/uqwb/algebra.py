@@ -285,7 +285,7 @@ def act(x: AlgebraElement, module):
 
     s = x.session
     n = module.dim
-    out = SMat.zeros(s, n, n)
+    out = SMat(s, n, n)
     ident = SMat.identity(s, n)
     for w, c in x.terms.items():
         m = ident

@@ -22,6 +22,7 @@ from .projectives import (
     verify_dominant_generation,
 )
 from .repmod import (
+    Report,
     build_dual,
     build_generalized_verma,
     build_one_dim,
@@ -53,34 +54,10 @@ USAGE_EXIT = 2
 FAIL_EXIT = 1
 
 
-class Reporter:
-    """Ordered check collection with pass/fail aggregation."""
-
-    def __init__(self):
-        self.items = []
-        self.start = time.time()
-
-    def add(self, name, ok, witness=None):
-        self.items.append({"check": name, "ok": bool(ok),
-                           "witness": None if ok else witness})
-
-    def extend(self, prefix, report):
-        for it in report["items"]:
-            self.add("%s: %s" % (prefix, it["check"]), it["ok"],
-                     it["witness"])
-
-    @property
-    def status(self):
-        return "pass" if all(it["ok"] for it in self.items) else "fail"
-
-    def as_dict(self):
-        return {"status": self.status, "items": self.items,
-                "seconds": round(time.time() - self.start, 3)}
-
-
-def emit_report(rep, fmt, stream=None):
+def emit_report(rep, fmt, start, stream=None):
+    """Print the report, with the seconds since start; the exit code."""
     stream = stream or sys.stdout
-    data = rep.as_dict()
+    data = dict(rep.as_dict(), seconds=round(time.time() - start, 3))
     if fmt == "json":
         json.dump(data, stream, indent=1)
         stream.write("\n")
@@ -263,6 +240,7 @@ def cmd_pcover(args, rep):
 def cmd_pcover_certify(args, rep):
     mod = load_with_optional_session(args.module, args)
     s = mod.session
+    mod.graded_blocks()  # an ungraded entry is named in mod, not its dual
     tops = socle_counts(build_dual(mod))
     if len(tops) != 1:
         rep.add("module has a unique simple top", False,
@@ -553,7 +531,8 @@ def main(argv=None):
         args = ap.parse_args(_attach_fraction_values(argv))
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
-    rep = Reporter()
+    rep = Report()
+    start = time.time()
     try:
         args.func(args, rep)
     except RejectedInputError as exc:
@@ -561,9 +540,9 @@ def main(argv=None):
         return USAGE_EXIT
     except (UqwbError, OSError, json.JSONDecodeError, KeyError) as exc:
         rep.add("diagnostic: %s" % exc, False, repr(exc))
-        emit_report(rep, args.fmt)
+        emit_report(rep, args.fmt, start)
         return FAIL_EXIT
-    return emit_report(rep, args.fmt)
+    return emit_report(rep, args.fmt, start)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,7 @@ coefficients, so products convolve and reduce on integers and divide by
 one gcd at the end; inverses come from a fraction-free (Bareiss) solve.
 The reduction rows, and a bounded table of solved inverses, live on the
 owning session object.  Fractions appear only at the boundary
-(from_rational, scale, as_rational, coefficients); there are no
-floats.
+(from_rational, scale, coefficients); there are no floats.
 """
 
 from __future__ import annotations
@@ -69,13 +68,6 @@ class Cyc:
     def is_one(self):
         n = self.n
         return n[0] == 1 and self.d == 1 and not any(n[1:])
-
-    def is_rational(self):
-        return not any(self.n[1:])
-
-    def as_rational(self):
-        """The element as a Fraction, or None if it is not rational."""
-        return Fraction(self.n[0], self.d) if self.is_rational() else None
 
     def coefficients(self):
         """The power-basis coefficients as a tuple of Fractions."""

@@ -28,10 +28,6 @@ class SMat:
             m.rows[i][i] = session.one
         return m
 
-    @staticmethod
-    def zeros(session, nrows, ncols):
-        return SMat(session, nrows, ncols)
-
     def set(self, i, j, val):
         if val.is_zero():
             self.rows[i].pop(j, None)
@@ -90,7 +86,7 @@ class SMat:
 
     def scale(self, sc):
         if sc.is_zero():
-            return SMat.zeros(self.session, self.nrows, self.ncols)
+            return SMat(self.session, self.nrows, self.ncols)
         return SMat(self.session, self.nrows, self.ncols,
                     [{j: sc * v for j, v in r.items()} for r in self.rows])
 

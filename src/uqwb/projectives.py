@@ -28,6 +28,7 @@ from .errors import ConstructionError, DiagnosticError, RejectedInputError
 from .linalg import SMat, nullspace
 from .repmod import (
     ModuleRep,
+    Report,
     WeightLabel,
     build_dual,
     build_generalized_verma,
@@ -201,36 +202,30 @@ def verify_dominant_generation(session, p, i, m, twist=0):
     tensor factor does not change basis indices).  Returns a report in
     the verify_relations shape.
     """
-    items = []
-
-    def add(name, ok, witness=None):
-        items.append({"check": name, "ok": ok,
-                      "witness": None if ok else witness})
-
+    rep = Report()
     z = session.zero
     gi = generator_index(session, i, m)
     gen = [z] * p.dim
     gen[gi] = session.one
     w = Fraction(i) + Fraction(twist * session.ell, 2)
     defect = _graded_dominant_defect(p, gen, w, m)
-    add("(FE)^2 kills the generator to leading degree",
-        all(x.is_zero() for x in defect))
-    add("generator weight", p.labels[gi].weight == w,
-        "label weight %s, expected %s" % (p.labels[gi].weight, w))
-    add("generator degree", vec_degree(p, gen, w) == m)
+    rep.add("(FE)^2 kills the generator to leading degree",
+            all(x.is_zero() for x in defect))
+    rep.add("generator weight", p.labels[gi].weight == w,
+            "label weight %s, expected %s" % (p.labels[gi].weight, w))
+    rep.add("generator degree", vec_degree(p, gen, w) == m)
     sub = submodule_generated(p, [gen])
-    add("single-vector generation", sub.dim == p.dim,
-        "generated dimension %d of %d" % (sub.dim, p.dim))
+    rep.add("single-vector generation", sub.dim == p.dim,
+            "generated dimension %d of %d" % (sub.dim, p.dim))
     li = proj_index(session, i, m, "L", 0, m)
     expect = [z] * p.dim
     expect[li] = session.one
     got = p.matF.matpow(i + 1).apply(gen)
-    add("F^{i+1} generator starts the L chain",
-        all((a - b).is_zero() for a, b in zip(got, expect)))
-    add("F^r kills the generator",
-        all(x.is_zero() for x in p.matF.matpow(session.r).apply(gen)))
-    ok = all(it["ok"] for it in items)
-    return {"status": "pass" if ok else "fail", "items": items}
+    rep.add("F^{i+1} generator starts the L chain",
+            all((a - b).is_zero() for a, b in zip(got, expect)))
+    rep.add("F^r kills the generator",
+            all(x.is_zero() for x in p.matF.matpow(session.r).apply(gen)))
+    return rep.as_dict()
 
 
 def casimir_matrix(mod):
@@ -332,12 +327,7 @@ def certify_projcover_structure(session, i, m, twist=0, seed=0,
     realization of the cover (e.g. one reloaded from a serialized dump);
     by default the cover is built in place.
     """
-    items = []
-
-    def add(name, ok, witness=None):
-        items.append({"check": name, "ok": ok,
-                      "witness": None if ok else witness})
-
+    rep = Report()
     p = module
     if p is None:
         p = build_projective_cover(session, i, m, twist)
@@ -346,26 +336,25 @@ def certify_projcover_structure(session, i, m, twist=0, seed=0,
     hi = j + session.r + shift
     lo = i + shift
     cert = extract_standard_filtration(p, m)
-    add("standard filtration length 2",
-        cert is not None and len(cert.claims) == 2,
-        "no standard filtration found")
+    rep.add("standard filtration length 2",
+            cert is not None and len(cert.claims) == 2,
+            "no standard filtration found")
     if cert is not None and len(cert.claims) == 2:
-        add("standard quotient weights",
-            cert.quotient_weights() == [hi, lo],
-            "got %s, expected %s" % (cert.quotient_weights(), [hi, lo]))
+        rep.add("standard quotient weights",
+                cert.quotient_weights() == [hi, lo],
+                "got %s, expected %s" % (cert.quotient_weights(), [hi, lo]))
     ccert = extract_costandard_filtration(p, m)
-    add("costandard filtration length 2",
-        ccert is not None and len(ccert.claims) == 2,
-        "no costandard filtration found")
+    rep.add("costandard filtration length 2",
+            ccert is not None and len(ccert.claims) == 2,
+            "no costandard filtration found")
     if ccert is not None and len(ccert.claims) == 2:
-        add("costandard quotient weights",
-            ccert.quotient_weights() == [lo, hi],
-            "got %s, expected %s" % (ccert.quotient_weights(), [lo, hi]))
-    add("self-duality", iso_test(build_dual(p), p, seed=seed) is not None)
+        rep.add("costandard quotient weights",
+                ccert.quotient_weights() == [lo, hi],
+                "got %s, expected %s" % (ccert.quotient_weights(), [lo, hi]))
+    rep.add("self-duality", iso_test(build_dual(p), p, seed=seed) is not None)
     tops = socle_counts(build_dual(p))
-    add("unique simple top", tops == {lo: 1}, "top data %s" % (tops,))
+    rep.add("unique simple top", tops == {lo: 1}, "top data %s" % (tops,))
     lab = simple_label(session, lo)
-    add("top label matches the twisted simple", lab == ("L", i, twist),
-        "label %s" % (lab,))
-    ok = all(it["ok"] for it in items)
-    return {"status": "pass" if ok else "fail", "items": items}
+    rep.add("top label matches the twisted simple", lab == ("L", i, twist),
+            "label %s" % (lab,))
+    return rep.as_dict()

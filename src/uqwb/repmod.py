@@ -5,6 +5,12 @@ together with one WeightLabel per basis vector.  K and its inverse are
 never stored or serialized; they are derived from H blockwise.  All
 structural claims recorded in the labels are re-checked from the
 matrices (weight blocks, nilpotency) before K is built.
+
+derive_K is the only K = q^H series.  The generalized Verma constructor
+needs K on its highest-weight chain too: it wraps the chain's block of H
+in a ModuleRep and takes K from derive_K, so the coefficient modes, and
+the paper-literal refusal on blocks of nilpotency index above two, live
+in one place.
 """
 
 from __future__ import annotations
@@ -199,6 +205,35 @@ def _witness(diff):
     return None
 
 
+class Report:
+    """An ordered list of named checks with a pass/fail status.
+
+    Each item is {"check": name, "ok": bool, "witness": str or None};
+    the witness of a passing check is dropped.  as_dict() is the plain
+    {"status": "pass"|"fail", "items": [...]} form the library returns.
+    """
+
+    def __init__(self):
+        self.items = []
+
+    def add(self, name, ok, witness=None):
+        self.items.append({"check": name, "ok": bool(ok),
+                           "witness": None if ok else witness})
+
+    def extend(self, prefix, report):
+        """Append the items of a report dict, each name under prefix."""
+        for it in report["items"]:
+            self.add("%s: %s" % (prefix, it["check"]), it["ok"],
+                     it["witness"])
+
+    @property
+    def status(self):
+        return "pass" if all(it["ok"] for it in self.items) else "fail"
+
+    def as_dict(self):
+        return {"status": self.status, "items": self.items}
+
+
 def verify_relations(mod):
     """Check the defining relations as exact matrix identities.
 
@@ -206,20 +241,18 @@ def verify_relations(mod):
     {"check": name, "ok": bool, "witness": str or None}.
     """
     s = mod.session
-    items = []
+    rep = Report()
 
     def check(name, diff):
-        w = None if diff.is_zero() else _witness(diff)
-        items.append({"check": name, "ok": w is None, "witness": w})
+        w = _witness(diff)
+        rep.add(name, w is None, w)
 
     try:
         _h_nilpotent_blocks(mod)
-        items.append({"check": "H weight-block structure", "ok": True,
-                      "witness": None})
+        rep.add("H weight-block structure", True)
     except ModuleInvalidError as e:
-        items.append({"check": "H weight-block structure", "ok": False,
-                      "witness": str(e)})
-        return {"status": "fail", "items": items}
+        rep.add("H weight-block structure", False, str(e))
+        return rep.as_dict()
 
     E, F, H = mod.matE, mod.matF, mod.matH
     K, Kinv = mod.K, mod.Kinv
@@ -238,9 +271,7 @@ def verify_relations(mod):
     check("[H,F] = -2F", H @ F - F @ H + F.scale(s.from_rational(2)))
     check("E^r = 0", E.matpow(s.r))
     check("F^r = 0", F.matpow(s.r))
-
-    ok = all(it["ok"] for it in items)
-    return {"status": "pass" if ok else "fail", "items": items}
+    return rep.as_dict()
 
 
 def weight_decomposition(mod):
@@ -271,7 +302,7 @@ def build_one_dim(session, k):
     """One-dimensional module where H acts by k*ell/2 and E = F = 0."""
     w = session.check_weight(Fraction(k * session.ell, 2))
     lab = WeightLabel(w, 0, "c")
-    z = SMat.zeros(session, 1, 1)
+    z = SMat(session, 1, 1)
     matH = SMat(session, 1, 1)
     matH.rows[0][0] = session.from_rational(w)
     return ModuleRep(session, [lab], z, z.copy(), matH, 0,
@@ -302,34 +333,6 @@ def build_simple(session, i):
                      name="L(%d)" % i)
 
 
-def _chain_ops(session, lam, m):
-    """H, K, Kinv on the highest-weight chain v^0..v^m (shift drops k)."""
-    n = m + 1
-    shift = SMat(session, n, n)
-    for k in range(1, n):
-        shift.rows[k - 1][k] = session.one
-    Hc = shift.copy()
-    for k in range(n):
-        Hc.add_to(k, k, session.from_rational(lam))
-    if session.mode == MODE_PAPER_LITERAL and m >= 2:
-        raise ModeUnsupportedError(
-            "paper-literal coefficients give K*Kinv != I for degree %d >= 2;"
-            " use the exponential mode" % m
-        )
-    qw = session.from_cyc(session.q_power(lam))
-    qwi = session.from_cyc(session.q_power(-lam))
-    Kc = SMat.zeros(session, n, n)
-    Kci = SMat.zeros(session, n, n)
-    power = SMat.identity(session, n)
-    for p in range(n):
-        c = session.degree_drop_coeff(p)
-        cm = c if p % 2 == 0 else -c
-        Kc = Kc + power.scale(qw * c)
-        Kci = Kci + power.scale(qwi * cm)
-        power = power @ shift
-    return Hc, Kc, Kci
-
-
 def build_generalized_verma(session, lam, m):
     """V(lam, m): universal module on a degree-m highest-weight chain.
 
@@ -339,6 +342,8 @@ def build_generalized_verma(session, lam, m):
     row family), so no closed formula is transcribed by hand.
     """
     lam = session.check_weight(lam)
+    if m < 0:
+        raise RejectedInputError("degree must be nonnegative")
     r = session.r
     n = m + 1
     dim = r * n
@@ -355,7 +360,12 @@ def build_generalized_verma(session, lam, m):
                 matH.rows[col - 1][col] = session.one
             if t < r - 1:
                 matF.rows[col + n][col] = session.one
-    Hc, Kc, Kci = _chain_ops(session, lam, m)
+    # the chain v^0..v^m is the weight-lam block, indices 0..m; K on it
+    # comes from derive_K, as for any module
+    chain = range(n)
+    Hc = matH.block(chain, chain)
+    zero = SMat(session, n, n)
+    Kc, Kci = derive_K(ModuleRep(session, labels[:n], zero, zero, Hc, m))
     for t in range(1, r):
         word = ("E",) + ("F",) * t
         nf = pbw_normal_form(AlgebraElement.from_word(session, word))
@@ -473,8 +483,9 @@ def _dump_key(data, key, what):
 
 
 def _dump_int(value, what):
-    if type(value) is not int:
-        raise RejectedInputError("%s must be an integer, got %r"
+    # every integer of a dump or certificate is a count, a degree or ell
+    if type(value) is not int or value < 0:
+        raise RejectedInputError("%s must be a nonnegative integer, got %r"
                                  % (what, value))
     return value
 

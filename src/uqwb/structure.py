@@ -29,6 +29,7 @@ from .errors import DiagnosticError, RejectedInputError
 from .linalg import SMat, invert_dense, nullspace, rank, solve
 from .repmod import (
     ModuleRep,
+    Report,
     WeightLabel,
     _dump_int,
     _dump_key,
@@ -548,14 +549,6 @@ def _blocks_full_rank(g, pairs):
                for rows, cols in pairs)
 
 
-def _cyclic_generator(mod):
-    """A weight-homogeneous single generator of mod, or None."""
-    for v, w, d in leading_dominant_vectors(mod):
-        if submodule_generated(mod, [v]).dim == mod.dim:
-            return v, w, d
-    return None
-
-
 def iso_test(a, b, seed=0, attempts=3):
     """An exact invertible intertwiner a -> b, or None.
 
@@ -576,13 +569,13 @@ def iso_test(a, b, seed=0, attempts=3):
     s = a.session
     blocks_a = a.graded_blocks()
     blocks_b = b.graded_blocks()
-    gen = _cyclic_generator(a)
-    if gen is None:
+    # the span of a generator tree is the submodule its seed generates
+    for v, w, d in leading_dominant_vectors(a):
+        nodes, steps = _generator_tree(a, _sparse(v))
+        if len(nodes) == a.dim:
+            break
+    else:
         return None
-    v, w, d = gen
-    nodes, steps = _generator_tree(a, _sparse(v))
-    if len(nodes) != a.dim:
-        raise DiagnosticError("generator tree does not span")
     by_weight = {}
     for al, node in enumerate(nodes):
         by_weight.setdefault(a.labels[min(node)].weight, []).append(al)
@@ -798,26 +791,22 @@ def verify_filtration_certificate(cert):
     Returns {"status", "items"} in the same shape as verify_relations.
     """
     mod = cert.parent
-    items = []
-
-    def add(name, ok, witness=None):
-        items.append({"check": name, "ok": ok,
-                      "witness": None if ok else witness})
-
+    rep = Report()
     block = (cert.degree + 1) * mod.session.r
-    add("chain length * block dim = dim",
-        len(cert.chain) * block == mod.dim
-        and len(cert.chain) == len(cert.claims),
-        "dims %s vs %d" % ([c.dim for c in cert.chain], mod.dim))
+    rep.add("chain length * block dim = dim",
+            len(cert.chain) * block == mod.dim
+            and len(cert.chain) == len(cert.claims),
+            "dims %s vs %d" % ([c.dim for c in cert.chain], mod.dim))
     prev = None
-    for j, sub in enumerate(cert.chain):
-        add("member %d closed" % j, sub.is_closed())
-        add("member %d dimension" % j, sub.dim == (j + 1) * block,
-            "dim %d" % sub.dim)
+    # a chain longer than its claims fails the first check; zip stops
+    for j, (sub, (kind, w, deg)) in enumerate(zip(cert.chain,
+                                                  cert.claims)):
+        rep.add("member %d closed" % j, sub.is_closed())
+        rep.add("member %d dimension" % j, sub.dim == (j + 1) * block,
+                "dim %d" % sub.dim)
         if prev is not None:
             asc = all(not sub._reduce(row) for row in prev.sparse_rows())
-            add("member %d contains member %d" % (j, j - 1), asc)
-        kind, w, deg = cert.claims[j]
+            rep.add("member %d contains member %d" % (j, j - 1), asc)
         big = submodule_to_module(sub)
         inner = SubmoduleBasis(big)
         if prev is not None:
@@ -829,7 +818,7 @@ def verify_filtration_certificate(cert):
                     break
                 for comp in _split(big, coords).values():
                     inner._insert(comp)
-            add("member %d / member %d well formed" % (j, j - 1), ok_inner)
+            rep.add("member %d / member %d well formed" % (j, j - 1), ok_inner)
             if not ok_inner:
                 prev = sub
                 continue
@@ -838,10 +827,9 @@ def verify_filtration_certificate(cert):
             good = is_generalized_verma(quot, w, deg)
         else:
             good = is_generalized_verma(build_dual(quot), w, deg)
-        add("quotient %d is %s(%s,%d)" % (j, kind, w, deg), good)
+        rep.add("quotient %d is %s(%s,%d)" % (j, kind, w, deg), good)
         prev = sub
-    ok = all(it["ok"] for it in items)
-    return {"status": "pass" if ok else "fail", "items": items}
+    return rep.as_dict()
 
 
 def extract_standard_filtration(mod, deg):
@@ -854,6 +842,8 @@ def extract_standard_filtration(mod, deg):
     An ungraded module raises ModuleInvalidError instead.
     """
     s = mod.session
+    if deg < 0:
+        raise RejectedInputError("degree must be nonnegative")
     mod.graded_blocks()
     block = (deg + 1) * s.r
     if mod.dim % block != 0:
@@ -1045,10 +1035,8 @@ def verma_splitting_section(mod, f, lam, deg):
         raise RejectedInputError(
             "splitting requires a typical weight, got %s" % (lam,))
     verma = build_generalized_verma(s, lam, deg)
-    for g in ("E", "F", "H"):
-        if not (f @ mod.generator_matrix(g)
-                - verma.generator_matrix(g) @ f).is_zero():
-            raise RejectedInputError("f is not equivariant (%s)" % g)
+    if not _intertwiner_ok(f, mod, verma):
+        raise RejectedInputError("f is not equivariant")
     n = deg + 1
     xpxm_v = verma.matE.matpow(s.r - 1) @ verma.matF.matpow(s.r - 1)
     # nu[k2][k] = coefficient of v^{k2} in X+X- v^k (chain indices t=0)

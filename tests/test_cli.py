@@ -1,12 +1,22 @@
 """The command-line front end: verbs, exit codes, artifacts,
 round-trips, and determinism."""
 
+import contextlib
 import copy
+import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from uqwb import Session, build_generalized_verma, extract_standard_filtration
+from uqwb import (
+    Session,
+    build_generalized_verma,
+    dump_module,
+    extract_standard_filtration,
+)
 from uqwb.cli import default_bgg_weights, main
 
 
@@ -200,9 +210,13 @@ def _off_lattice_weight(d):
     d["labels"][0]["weight"] = "1/3"
 
 
+def _negative_max_degree(d):
+    d["max_degree"] = -1
+
+
 @pytest.mark.parametrize("edit", [_bad_ell, _extra_row, _zero_denominator,
                                   _extra_column, _extra_zero_column,
-                                  _off_lattice_weight],
+                                  _off_lattice_weight, _negative_max_degree],
                          ids=lambda f: f.__name__[1:])
 def test_malformed_dump_rejected(tmp_path, capsys, edit):
     good = tmp_path / "good.json"
@@ -256,7 +270,51 @@ def test_ungraded_module_reported(tmp_path, capsys, argv):
     assert code == 1
     assert "ModuleInvalidError" in text
     assert "entry (0,0)" in text
+    assert "of loaded" in text
     assert "maps weight 1 to weight 1" in text
+
+
+# SHA-256 of the --format json report, "seconds" removed, of each verb run
+# at ell 5 in a scratch directory: P(1,1) is built, certified and given a
+# standard filtration certificate, and an L_1 dump with E entry (0,1)
+# doubled fails exactly one relation, with a witness
+CLI_REPORT_SHA256 = {
+    "pcover":
+        "d9911bc2728b91b81c9342adb7fa99d1c39b3a266b68acefdfab45895bfd77bb",
+    "pcover-certify":
+        "6440d56536443261b8ee7a92dd395ca4655e314a9ba90bafc5cc6dfb4596598d",
+    "filtration":
+        "8d8cb536c7099dd94b87e5157b184d3a773db3c11e5799b01a3647362cbdd3cb",
+    "verify-cert":
+        "316b04eb1d2698f9aa9266e012d27ef0258eea06b24c29de7407977bacd1f18b",
+    "verify":
+        "43c50e3e3f72a9b7018aa90e3484bf71850d5b421a182153e44e80f3189bc1ba",
+}
+
+
+def test_json_report_digests(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = copy.deepcopy(SIMPLE_L1)
+    data["E"][0][1] = "(2)*t^0"
+    (tmp_path / "tampered.json").write_text(json.dumps(data))
+    runs = [
+        (0, ["--ell", "5", "pcover", "--i", "1", "--m", "1",
+             "--out", "p.json"]),
+        (0, ["pcover-certify", "p.json"]),
+        (0, ["filtration", "p.json", "--degree", "1", "--out", "c.json"]),
+        (0, ["verify-cert", "c.json"]),
+        (1, ["verify", "tampered.json"]),
+    ]
+    digests = {}
+    for code, argv in runs:
+        got, text = run(capsys, "--format", "json", *argv)
+        assert got == code, text
+        rep = json.loads(text)
+        del rep["seconds"]
+        verb = argv[2] if argv[0] == "--ell" else argv[0]
+        digests[verb] = hashlib.sha256(
+            json.dumps(rep, indent=1).encode()).hexdigest()
+    assert digests == CLI_REPORT_SHA256
 
 
 def test_default_bgg_window_has_no_repeats():
@@ -354,6 +412,28 @@ def test_malformed_certificate_rejected(tmp_path, capsys, verma_certificate,
     assert code == 2
 
 
+def test_certificate_chain_longer_than_claims_fails(tmp_path, capsys,
+                                                     verma_certificate):
+    data = copy.deepcopy(verma_certificate)
+    data["claims"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, text = run(capsys, "verify-cert", str(bad))
+    assert code == 1
+    assert "[FAIL] certificate: chain length * block dim = dim" in text
+
+
+def test_negative_degree_rejected(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(SIMPLE_L1))
+    assert run(capsys, "--ell", "5", "build", "verma", "--degree", "-1")[0] \
+        == 2
+    for kind in ("standard", "costandard"):
+        code, _ = run(capsys, "filtration", str(good), "--degree", "-1",
+                      "--kind", kind)
+        assert code == 2
+
+
 @pytest.mark.parametrize("edit", [_dropper(k) for k in
                                   ("kind", "degree", "module", "claims",
                                    "chain")]
@@ -368,3 +448,75 @@ def test_certificate_missing_key_rejected(tmp_path, capsys,
     bad.write_text(json.dumps(data))
     code, _ = run(capsys, "verify-cert", str(bad))
     assert code == 2
+
+
+# ---------------------------------------------------------------------
+# input-contract fuzzing: a mutated dump or certificate may pass, fail or
+# be rejected, but every verb must end in exit code 0, 1 or 2
+# ---------------------------------------------------------------------
+
+# characters of the scalar grammar, so edits reach the parser's branches
+SCALAR_CHARS = "()*/+-^tz 0123456789"
+# small integers only: a large ell or N makes a legitimately huge session
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 12),
+                   st.floats(-4, 4), st.text(SCALAR_CHARS, max_size=8),
+                   st.just([]), st.just({}))
+
+
+def _dump_verbs(degree):
+    """The verbs that read a module dump, filtration at the given degree."""
+    return [["verify"], ["decomp"], ["jh"], ["dual"],
+            ["filtration", "--degree", str(degree)], ["pcover-certify"],
+            ["act", "--word", "E F K"]]
+
+
+def _mutate(data, doc):
+    """One drawn edit (delete, replace, or a one-character or +-2 change)
+    at a drawn place inside the JSON document doc."""
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(list(keys)))
+        node = parent[key]
+        if data.draw(st.booleans()):
+            break
+    if parent is None:
+        return
+    op = data.draw(st.sampled_from(["delete", "replace", "edit"]))
+    if op == "delete":
+        del parent[key]
+    elif op == "edit" and isinstance(node, str):
+        i = data.draw(st.integers(0, len(node)))
+        cut = data.draw(st.integers(0, 1))
+        c = data.draw(st.sampled_from([""] + list(SCALAR_CHARS)))
+        parent[key] = node[:i] + c + node[i + cut:]
+    elif op == "edit" and type(node) is int:
+        parent[key] = node + data.draw(st.integers(-2, 2))
+    else:
+        parent[key] = data.draw(LEAVES)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(verma_certificate):
+    """(document, verbs) pairs: the L_1 and V(1,1) dumps at ell 5 with
+    the verbs that read a module, and a certificate with verify-cert."""
+    v11 = dump_module(build_generalized_verma(Session(5), 1, 1))
+    return [(SIMPLE_L1, _dump_verbs(0)), (v11, _dump_verbs(1)),
+            (verma_certificate, [["verify-cert"]])]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_inputs_exit_cleanly(tmp_path_factory, fuzz_inputs, data):
+    doc, verbs = data.draw(st.sampled_from(fuzz_inputs))
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, doc)
+    verb = data.draw(st.sampled_from(verbs))
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([verb[0], str(path)] + verb[1:])
+    assert code in (0, 1, 2)

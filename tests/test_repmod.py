@@ -1,6 +1,7 @@
 """Module constructors, relation verification, K-derivation, duals,
 tensors, and serialization round-trips."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -235,3 +236,54 @@ def test_load_rejects_mismatched_labels(session):
     data["labels"] = data["labels"][:-1]
     with pytest.raises(RejectedInputError):
         load_module(data)
+
+
+# SHA-256 of json.dumps(dump_module(V(lam, m)), sort_keys=True); any change
+# to an entry of the generalized Verma, K on its chain included, moves it
+VERMA_DUMP_SHA256 = {
+    (5, "1", 0):
+        "a8458e36b74bdfff4747e497500b1e25f8b84302af6beaf92f9b643bc0e01001",
+    (5, "1", 1):
+        "43380ea9206f00853ed8a24247558f148d0c99e48fb5e78e44e428f05beb33b3",
+    (5, "1", 2):
+        "f1a715891df7c52c1c234201a6035641c5adfb86a1f1aefce4c97000a38415be",
+    (5, "-3/2", 0):
+        "ff09991023e1702b50a4ae63f5c979d135939c4d8607cfae468c9abd3923b422",
+    (5, "-3/2", 1):
+        "90c2e0ad21711cd8922f4bc1156bb6074aac954c238b73831f11f4d7ef8abfec",
+    (5, "-3/2", 2):
+        "ef1692d2b0621b4e8535c02a104852435daaaa3a181c280324ebe53391c5cd4f",
+    (5, "7", 0):
+        "cdbfba007e1045fefb9ecf4359dbe6aecd883ca5f8975f32f7e9acd2a28a6a55",
+    (5, "7", 1):
+        "1c928ba84dd5683d24ef193b11f24fde94f80a80e55ab9657c7d1b3ca075fac8",
+    (5, "7", 2):
+        "84c02c8b86d189fd0fbbca47057fe85f9e6cfa867aae822624fa27b95d27020b",
+    (8, "1", 0):
+        "5a23b3f69956107099e21318b07054a198143d7c162494d049f975bcd9460d50",
+    (8, "1", 1):
+        "9875db070e4c6925ac7ddbcdedc17280241ba0380246172f41a3d5eeadd21aed",
+    (8, "1", 2):
+        "4298eb18af37ff1caa663c4a295a2b369116a4b6be35ce2c7486614b52ca9941",
+    (8, "-3/2", 0):
+        "b39065b2eb6c3fd8d29cadfe4b65c5e22367b505f7adc468dc4fc81a6f581fba",
+    (8, "-3/2", 1):
+        "db979a74409848749c5451bc1151336b3f310b13b027539aca44f8153c74db92",
+    (8, "-3/2", 2):
+        "7fc9560604ec0ddd749030a66278a3db33cb1adefc59ad2406e9c49576933942",
+    (8, "7", 0):
+        "b61515230bfc741a787d15833e5f7b07a9f143fadbdb7d3b91b7b2177565bb77",
+    (8, "7", 1):
+        "d7523036fd0f43df5184b34047bfbf6fdca48571312408b194a7cc39ef28a432",
+    (8, "7", 2):
+        "4ce1a3a85c9b79d10ae7a76753b90dbea2040b009241b55e13b011b5dea39fae",
+}
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("lam", ["1", "-3/2", "7"])
+def test_verma_dump_digest(session, lam, m):
+    mod = build_generalized_verma(session, Fraction(lam), m)
+    text = json.dumps(dump_module(mod), sort_keys=True)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == VERMA_DUMP_SHA256[(session.ell, lam, m)])

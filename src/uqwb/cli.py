@@ -33,7 +33,12 @@ from .repmod import (
     verify_relations,
     weight_decomposition,
 )
-from .session import MODE_EXPONENTIAL, MODE_PAPER_LITERAL, Session
+from .session import (
+    MAX_ORDER,
+    MODE_EXPONENTIAL,
+    MODE_PAPER_LITERAL,
+    Session,
+)
 from .structure import (
     FiltrationCertificate,
     atypical_decompose,
@@ -391,7 +396,8 @@ def _shared_flags(suppress):
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--ell", type=int,
                         default=d,
-                        help="order of q (q = exp(2*pi*i/ell))")
+                        help="order of q (q = exp(2*pi*i/ell)); "
+                             "2*N*ell may not exceed %d" % MAX_ORDER)
     parent.add_argument("--weight-denominator", type=int,
                         default=argparse.SUPPRESS if suppress else 2,
                         help="weights live in (1/N)Z (default 2)")

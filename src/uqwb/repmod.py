@@ -10,7 +10,9 @@ derive_K is the only K = q^H series.  The generalized Verma constructor
 needs K on its highest-weight chain too: it wraps the chain's block of H
 in a ModuleRep and takes K from derive_K, so the coefficient modes, and
 the paper-literal refusal on blocks of nilpotency index above two, live
-in one place.
+in one place.  Built Vermas, and the PBW normal forms of E*F^t they are
+read from, are kept on the session (see `Session`), so a V(lam, m) asked
+for again is not rebuilt.
 """
 
 from __future__ import annotations
@@ -340,10 +342,31 @@ def build_generalized_verma(session, lam, m):
     The E-action is obtained by PBW-rewriting E*F^t and evaluating the
     normal-form words on the chain (E kills the chain, F^a records the
     row family), so no closed formula is transcribed by hand.
+
+    The module is built once per session and (lam, m); later calls
+    return the same object, which callers must not mutate.  The weight
+    and degree are checked on every call.
     """
     lam = session.check_weight(lam)
     if m < 0:
         raise RejectedInputError("degree must be nonnegative")
+    mod = session._verma_cache.get((lam, m))
+    if mod is None:
+        mod = session._verma_cache[lam, m] = _build_verma(session, lam, m)
+    return mod
+
+
+def _ef_normal_form(session, t):
+    """The PBW normal form of E*F^t, once per session."""
+    nf = session._ef_normal_forms.get(t)
+    if nf is None:
+        word = ("E",) + ("F",) * t
+        nf = session._ef_normal_forms[t] = pbw_normal_form(
+            AlgebraElement.from_word(session, word))
+    return nf
+
+
+def _build_verma(session, lam, m):
     r = session.r
     n = m + 1
     dim = r * n
@@ -367,9 +390,7 @@ def build_generalized_verma(session, lam, m):
     zero = SMat(session, n, n)
     Kc, Kci = derive_K(ModuleRep(session, labels[:n], zero, zero, Hc, m))
     for t in range(1, r):
-        word = ("E",) + ("F",) * t
-        nf = pbw_normal_form(AlgebraElement.from_word(session, word))
-        for w, coeff in nf.terms.items():
+        for w, coeff in _ef_normal_form(session, t).terms.items():
             a = 0
             while a < len(w) and w[a] == "F":
                 a += 1

@@ -432,23 +432,31 @@ def submodule_to_module(sub):
 # highest-weight and dominant vectors
 # ---------------------------------------------------------------------
 
-def _kernel_vectors(mod, mat, shift):
-    """Kernel of an operator mapping weight w to w + shift, as triples.
+def _block_kernel(mod, mat, shift, w):
+    """Kernel on block w of an operator mapping weight w to w + shift.
 
-    The kernel on block w is that of the block of mat from w to
-    w + shift.  Returns (vector, weight, degree) triples: per weight,
-    descending, the echelon rows of the kernel on that block.
+    It is the kernel of the block of mat from w to w + shift; returned
+    as the sparse echelon rows of a SubmoduleBasis.
     """
     s = mod.session
     blocks = mod.graded_blocks()
+    idx = blocks.get(w, [])
+    rows = mat.block(blocks.get(w + shift, []), idx).to_dense()
+    ker = SubmoduleBasis(mod)
+    for v in nullspace(rows, len(idx), s.zero, s.one):
+        ker._insert(_embed(idx, v))
+    return ker.sparse_rows()
+
+
+def _kernel_vectors(mod, mat, shift):
+    """Kernel of an operator mapping weight w to w + shift, as triples.
+
+    Returns (vector, weight, degree) triples: per weight, descending,
+    the echelon rows of the kernel on that block.
+    """
     out = []
-    for w in sorted(blocks, reverse=True):
-        idx = blocks[w]
-        rows = mat.block(blocks.get(w + shift, []), idx).to_dense()
-        ker = SubmoduleBasis(mod)
-        for v in nullspace(rows, len(idx), s.zero, s.one):
-            ker._insert(_embed(idx, v))
-        for row in ker.sparse_rows():
+    for w in sorted(mod.graded_blocks(), reverse=True):
+        for row in _block_kernel(mod, mat, shift, w):
             out.append((_dense(mod, row), w, _degree(mod, row, w)))
     return out
 
@@ -456,6 +464,13 @@ def _kernel_vectors(mod, mat, shift):
 def highest_weight_vectors(mod):
     """Basis of ker(E) as (vector, weight, degree) triples."""
     return _kernel_vectors(mod, mod.matE, 2)
+
+
+def _chain_tops(mod, lam, deg):
+    """The sparse highest_weight_vectors of weight lam and degree deg,
+    in the same order, from the weight-lam block alone."""
+    return [u for u in _block_kernel(mod, mod.matE, 2, lam)
+            if _degree(mod, u, lam) == deg]
 
 
 def _shifted_block(mat, idx, shift):
@@ -535,10 +550,25 @@ def _generator_tree(mod, v):
 
 
 def _intertwiner_ok(g, a, b):
+    """Whether g : a -> b commutes with E, F and H.
+
+    Checked one sparse column at a time: column j of g X_a is g applied
+    to column j of X_a, the sum of X_a[k, j] g[:, k], and column j of
+    X_b g is X_b applied to g[:, j].  A g of the wrong shape is not an
+    intertwiner.
+    """
+    if g.nrows != b.dim or g.ncols != a.dim:
+        return False
+    gcols = [{} for _ in range(g.ncols)]
+    for i, row in enumerate(g.rows):
+        for j, x in row.items():
+            gcols[j][i] = x
     for name in ("E", "F", "H"):
-        if not (g @ a.generator_matrix(name)
-                - b.generator_matrix(name) @ g).is_zero():
-            return False
+        acols = a.columns(name)
+        bcols = b.columns(name)
+        for j, gcol in enumerate(gcols):
+            if _apply(gcols, acols[j]) != _apply(bcols, gcol):
+                return False
     return True
 
 
@@ -675,20 +705,22 @@ def is_generalized_verma(mod, lam, deg):
     n = deg + 1
     pairs = [(blocks.get(lam - 2 * t, []), range(t * n, (t + 1) * n))
              for t in range(s.r)]
-    cands = [u for u, w, d in highest_weight_vectors(mod)
-             if w == lam and d == deg]
+    cands = _chain_tops(mod, lam, deg)
     if len(cands) > 1:
-        total = [sum(xs, s.zero) for xs in zip(*cands)]
+        total = {}
+        for u in cands:
+            total = _axpy(total, s.one, u)
         cands = cands + [total]
     for u in cands:
-        chain = _chain_from_hw(mod, _sparse(u), lam, deg)
+        chain = _chain_from_hw(mod, u, lam, deg)
         g = _verma_map_from_chain(mod, chain, lam, deg)
         if not _intertwiner_ok(g, verma, mod):
             raise DiagnosticError(
                 "canonical chain map failed equivariance at weight %s"
                 % (lam,))
         invertible = _blocks_full_rank(g, pairs)
-        generated = submodule_generated(mod, [u]).dim == mod.dim
+        generated = (submodule_generated(mod, [_dense(mod, u)]).dim
+                     == mod.dim)
         if invertible != generated:
             raise DiagnosticError(
                 "generation and intertwiner routes disagree at %s" % (lam,))
@@ -1100,24 +1132,35 @@ def standard_top_surjection(mod, deg):
 
         def push(vec):
             return vec
-    hw = [u for u, w, d in highest_weight_vectors(quot)
-          if w == lam and d == deg]
-    chain = _chain_from_hw(quot, _sparse(hw[0]), lam, deg)
+    hw = _chain_tops(quot, lam, deg)
+    if not hw:
+        raise DiagnosticError("top quotient has no highest-weight chain "
+                              "at %s" % (lam,))
+    chain = _chain_from_hw(quot, hw[0], lam, deg)
     g = _verma_map_from_chain(quot, chain, lam, deg)
-    ginv = invert_dense(g.to_dense(), s.zero, s.one)
-    if ginv is None:
+    # g maps the weight lam-2t columns of V onto the weight lam-2t block
+    # of quot, so g^-1 is the inverse of each of those blocks
+    n = deg + 1
+    blocks = quot.graded_blocks()
+    ginv_cols = {}  # column al of g^-1 as {row: entry}
+    for t in range(s.r):
+        idx = blocks.get(lam - 2 * t, [])
+        binv = None
+        if len(idx) == n:
+            binv = invert_dense(g.block(idx, range(t * n, (t + 1) * n))
+                                .to_dense(), s.zero, s.one)
+        if binv is None:
+            raise DiagnosticError("top quotient chain map is singular")
+        for pos, al in enumerate(idx):
+            ginv_cols[al] = {t * n + k: row[pos]
+                             for k, row in enumerate(binv)
+                             if not row[pos].is_zero()}
+    if len(ginv_cols) != quot.dim:
         raise DiagnosticError("top quotient chain map is singular")
     f = SMat(s, quot.dim, mod.dim)
     for col in range(mod.dim):
-        pushed = push({col: s.one})
-        for i in range(quot.dim):
-            acc = s.zero
-            for al, x in pushed.items():
-                y = ginv[i][al]
-                if not y.is_zero():
-                    acc = acc + y * x
-            if not acc.is_zero():
-                f.rows[i][col] = acc
+        for i, x in _apply(ginv_cols, push({col: s.one})).items():
+            f.rows[i][col] = x
     return f, lam
 
 

@@ -73,6 +73,21 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_session_above_the_ceiling_exits_2(capsys, tmp_path):
+    # M = 2*N*ell: 2*2*1025 and 2*410*5 both exceed 4096
+    code, _ = run(capsys, "--ell", "1025", "typical", "--weight", "1")
+    assert code == 2
+    code, _ = run(capsys, "--ell", "5", "--weight-denominator", "410",
+                  "typical", "--weight", "1")
+    assert code == 2
+    data = copy.deepcopy(SIMPLE_L1)
+    data["session"]["ell"] = 1025
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _ = run(capsys, "verify", str(bad))
+    assert code == 2
+
+
 def test_missing_file_exits_1(capsys):
     code, text = run(capsys, "verify", "no-such-file.json")
     assert code == 1

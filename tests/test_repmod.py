@@ -287,3 +287,78 @@ def test_verma_dump_digest(session, lam, m):
     text = json.dumps(dump_module(mod), sort_keys=True)
     assert (hashlib.sha256(text.encode()).hexdigest()
             == VERMA_DUMP_SHA256[(session.ell, lam, m)])
+
+
+# ---------------------------------------------------------------------
+# the per-session Verma and E*F^t normal-form caches
+# ---------------------------------------------------------------------
+
+def test_verma_cache_returns_the_built_module(session):
+    a = build_generalized_verma(session, Fraction(3, 2), 1)
+    assert build_generalized_verma(session, Fraction(3, 2), 1) is a
+    fresh = build_generalized_verma(Session(session.ell), Fraction(3, 2), 1)
+    assert fresh is not a
+    assert dump_module(fresh) == dump_module(a)
+
+
+def test_verma_cache_key_is_the_checked_weight(session):
+    a = build_generalized_verma(session, 1, 2)
+    assert build_generalized_verma(session, Fraction(1), 2) is a
+    assert build_generalized_verma(session, Fraction(2, 2), 2) is a
+    assert a.labels[0].weight == Fraction(1)
+
+
+def test_verma_cache_still_rejects_bad_inputs(session):
+    build_generalized_verma(session, Fraction(1), 0)
+    build_generalized_verma(session, Fraction(1, 2), 0)
+    for _ in range(2):
+        with pytest.raises(RejectedInputError):
+            build_generalized_verma(session, Fraction(1), -1)
+        with pytest.raises(RejectedInputError):
+            build_generalized_verma(session, Fraction(1, 3), 0)
+    assert (Fraction(1), -1) not in session._verma_cache
+    assert (Fraction(1, 3), 0) not in session._verma_cache
+
+
+def test_ef_normal_forms_rewritten_once_per_session(monkeypatch):
+    import uqwb.repmod as repmod
+
+    calls = []
+    real = repmod.pbw_normal_form
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(repmod, "pbw_normal_form", counting)
+    s = Session(5)
+    build_generalized_verma(s, Fraction(1), 0)
+    assert len(calls) == s.r - 1  # E*F^t for t = 1..r-1
+    build_generalized_verma(s, Fraction(2), 1)
+    build_generalized_verma(s, Fraction(1), 0)
+    assert len(calls) == s.r - 1
+
+
+# ---------------------------------------------------------------------
+# the ceiling on the cyclotomic order
+# ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("cfg", [{"ell": 1025}, {"ell": 5, "N": 410}],
+                         ids=["ell", "N"])
+def test_load_rejects_session_above_the_ceiling(cfg):
+    data = dump_module(build_simple(Session(5), 1))
+    data["session"] = dict(cfg, mode="exponential")
+    with pytest.raises(RejectedInputError, match="ceiling 4096"):
+        load_module(data)
+
+
+def test_session_ceiling_is_inclusive(monkeypatch):
+    import uqwb.session as session_mod
+
+    monkeypatch.setattr(session_mod, "MAX_ORDER", 40)
+    assert Session(10).M == 40
+    assert Session(5, weight_denominator=4).M == 40
+    with pytest.raises(RejectedInputError):
+        Session(11)
+    with pytest.raises(RejectedInputError):
+        Session(5, weight_denominator=5)

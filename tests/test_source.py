@@ -1,6 +1,9 @@
-"""Source-level gates on the library: exact arithmetic only."""
+"""Source-level gates on the library: exact arithmetic only, and every
+name the benchmark traces still in place."""
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "uqwb"
@@ -22,3 +25,54 @@ def test_no_float_in_library():
                 found.append("%s:%d float() call" % (path.name, node.lineno))
     assert list(SRC.rglob("*.py")), "library sources not found"
     assert not found, found
+
+
+LAYERS = SRC.parent.parent / "perfbench" / "layers.py"
+# the module whose functions each name list of layers.py is traced under
+LAYER_LISTS = {"REPMOD_BUILDERS": "repmod", "FILTRATIONS": "structure"}
+
+
+def _traced_names():
+    """(MODULES, span names) read from perfbench/layers.py: METHODS, the
+    name lists, the HOOKS keys and the names metrics() reads through
+    calls(...) and self_s(...)."""
+    tree = ast.parse(LAYERS.read_text(), filename=str(LAYERS))
+    consts = {node.targets[0].id: node.value for node in tree.body
+              if isinstance(node, ast.Assign)
+              and isinstance(node.targets[0], ast.Name)}
+    names = ["%s.%s.%s" % m for m in ast.literal_eval(consts["METHODS"])]
+    for key, module in LAYER_LISTS.items():
+        names += ["%s.%s" % (module, n)
+                  for n in ast.literal_eval(consts[key])]
+    names += [ast.literal_eval(k) for k in consts["HOOKS"].keys]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("calls", "self_s")):
+            names += [a.value for a in node.args
+                      if isinstance(a, ast.Constant)
+                      and isinstance(a.value, str)]
+    return ast.literal_eval(consts["MODULES"]), names
+
+
+def test_traced_names_exist():
+    """Every library name the benchmark's per-layer metrics trace still
+    exists where the tracer looks for it: a public function defined in
+    its module, or a method of a class there.  A rename or a move would
+    otherwise leave its metric silently at zero."""
+    modules, names = _traced_names()
+    assert len(names) > 30, names
+    missing = []
+    for name in names:
+        module, *path = name.split(".")
+        assert module in modules, name
+        obj = importlib.import_module("uqwb." + module)
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if len(path) == 1:
+            ok = (inspect.isfunction(obj)
+                  and obj.__module__ == "uqwb." + module)
+        else:
+            ok = callable(obj)
+        if not ok:
+            missing.append(name)
+    assert not missing, missing

@@ -36,10 +36,17 @@ from uqwb import (
     verma_splitting_section,
     weight_split,
 )
-from uqwb.linalg import SMat, nullspace, reduce_row, rref
+from uqwb.linalg import SMat, invert_dense, nullspace, reduce_row, rref
 from uqwb.projectives import build_projective_cover
 from uqwb.repmod import direct_sum
-from uqwb.structure import simple_dim
+from uqwb.structure import (
+    _chain_from_hw,
+    _intertwiner_ok,
+    _sparse,
+    _verma_map_from_chain,
+    quotient_with_map,
+    simple_dim,
+)
 
 
 # ---------------------------------------------------------------------
@@ -490,3 +497,172 @@ def test_cover_certificate_bytes_unchanged(session, kind):
     data = json.dumps(extract(p, 1).to_json(), sort_keys=True)
     digest = hashlib.sha256(data.encode()).hexdigest()
     assert digest == CERT_SHA256[(session.ell, kind)]
+
+
+# ---------------------------------------------------------------------
+# the sparse equivariance check against dense products
+# ---------------------------------------------------------------------
+
+def _dense_equivariance(g, a, b):
+    """Per generator X, whether g X_a - X_b g vanishes, from full dense
+    products."""
+    return {x: (g @ a.generator_matrix(x)
+                - b.generator_matrix(x) @ g).is_zero()
+            for x in ("E", "F", "H")}
+
+
+def _chain_map(mod, lam, deg):
+    """The canonical map V(lam, deg) -> mod on its first highest-weight
+    vector of weight lam and degree deg."""
+    u = [v for v, w, d in highest_weight_vectors(mod)
+         if w == lam and d == deg][0]
+    return _verma_map_from_chain(mod, _chain_from_hw(mod, _sparse(u), lam,
+                                                     deg), lam, deg)
+
+
+def _keep_columns(s, dim, keep):
+    """The map of a dim-dimensional module to itself that keeps the basis
+    vectors in keep and sends the others to zero."""
+    g = SMat(s, dim, dim)
+    for j in keep:
+        g.rows[j][j] = s.one
+    return g
+
+
+def _one_entry_changed(g):
+    i = min(i for i, row in enumerate(g.rows) if row)
+    j = min(g.rows[i])
+    out = g.copy()
+    out.rows[i][j] = out.rows[i][j] + g.session.one
+    if out.rows[i][j].is_zero():
+        del out.rows[i][j]
+    return out
+
+
+def _one_column_zeroed(g):
+    j = max(j for row in g.rows for j in row)
+    out = g.copy()
+    for row in out.rows:
+        row.pop(j, None)
+    return out
+
+
+def _equivariance_cases(s, graded_mods):
+    """(name, g, a, b) with g : a -> b: intertwiners found by iso_test,
+    canonical Verma chain maps, and copies of them with one entry changed
+    or one column zeroed."""
+    li = build_simple(s, 1)
+    tw = build_tensor(build_tensor(li, build_one_dim(s, 1)),
+                      build_one_dim(s, -1))
+    cover = graded_mods["P(1,1)xC(1)"]
+    dual = build_dual(cover)
+    top = max(cover.weight_blocks())
+    v10 = build_generalized_verma(s, Fraction(1), 0)
+    v01 = build_generalized_verma(s, Fraction(0), 1)
+    maps = [
+        ("iso twist", iso_test(tw, li), tw, li),
+        ("iso self-dual", iso_test(dual, cover), dual, cover),
+        ("chain into cover", _chain_map(cover, top, 1),
+         build_generalized_verma(s, top, 1), cover),
+        ("chain V(1,0)", _chain_map(v10, Fraction(1), 0), v10, v10),
+        ("chain V(0,1)", _chain_map(v01, Fraction(0), 1), v01, v01),
+    ]
+    cases = list(maps)
+    for name, g, a, b in maps:
+        cases.append((name + ", entry changed", _one_entry_changed(g), a, b))
+        cases.append((name + ", column zeroed", _one_column_zeroed(g), a, b))
+    return cases
+
+
+def test_intertwiner_ok_matches_dense_products(session, graded_by_ell):
+    cases = _equivariance_cases(session, graded_by_ell[session.ell])
+    verdicts = {}
+    for name, g, a, b in cases:
+        assert g is not None, name
+        dense = _dense_equivariance(g, a, b)
+        verdicts[name] = _intertwiner_ok(g, a, b)
+        assert verdicts[name] == all(dense.values()), (name, dense)
+    for name in ("iso twist", "iso self-dual", "chain into cover",
+                 "chain V(1,0)", "chain V(0,1)"):
+        assert verdicts[name], name
+    assert not verdicts["iso self-dual, entry changed"]
+    assert not verdicts["chain into cover, column zeroed"]
+
+
+def test_intertwiner_ok_checks_each_generator(session):
+    """V(1, 0) is atypical: F^2 v spans a submodule and E F^2 v = 0.
+    Keeping v and F v and killing the rest commutes with E and H but not
+    with F; on the dual, where v and F v span the submodule, it commutes
+    with F and H but not with E."""
+    v = build_generalized_verma(session, Fraction(1), 0)
+    g = _keep_columns(session, v.dim, [0, 1])
+    assert _dense_equivariance(g, v, v) == {"E": True, "F": False, "H": True}
+    assert not _intertwiner_ok(g, v, v)
+    d = build_dual(v)
+    assert _dense_equivariance(g, d, d) == {"E": False, "F": True, "H": True}
+    assert not _intertwiner_ok(g, d, d)
+
+
+def test_intertwiner_ok_rejects_wrong_shape(session):
+    v = build_generalized_verma(session, Fraction(1), 0)
+    ident = SMat.identity(session, v.dim)
+    assert _intertwiner_ok(ident, v, v)
+    wide = SMat(session, v.dim, v.dim + 1, [dict(r) for r in ident.rows])
+    assert not _intertwiner_ok(wide, v, v)
+    assert not _intertwiner_ok(ident, v, build_simple(session, 1))
+
+
+@pytest.mark.parametrize("shape", ["extra column", "extra row"])
+def test_splitting_section_rejects_misshapen_f(session, shape):
+    lam = Fraction(1, 2) if session.ell % 2 == 0 else Fraction(3, 2)
+    m = 1
+    big = build_tensor(build_generalized_verma(session, lam, m),
+                       build_simple(session, 0))
+    f, top = standard_top_surjection(big, m)
+    rows = [dict(r) for r in f.rows]
+    if shape == "extra column":
+        bad = SMat(session, f.nrows, f.ncols + 1, rows)
+    else:
+        bad = SMat(session, f.nrows + 1, f.ncols, rows + [{}])
+    with pytest.raises(RejectedInputError):
+        verma_splitting_section(big, bad, top, m)
+
+
+# ---------------------------------------------------------------------
+# standard_top_surjection against a full-dimension inverse
+# ---------------------------------------------------------------------
+
+def _ref_top_surjection(mod, deg):
+    """standard_top_surjection with the highest-weight vector taken from
+    every weight and the chain map inverted by one full invert_dense."""
+    s = mod.session
+    cert = extract_standard_filtration(mod, deg)
+    lam = cert.claims[-1][1]
+    quot, push = mod, dict
+    if len(cert.chain) > 1:
+        quot, qmap = quotient_with_map(mod, cert.chain[-2])
+        push = qmap.push
+    g = _chain_map(quot, lam, deg)
+    ginv = invert_dense(g.to_dense(), s.zero, s.one)
+    f = SMat(s, quot.dim, mod.dim)
+    for col in range(mod.dim):
+        pushed = push({col: s.one})
+        for i in range(quot.dim):
+            acc = s.zero
+            for al, x in pushed.items():
+                acc = acc + ginv[i][al] * x
+            if not acc.is_zero():
+                f.rows[i][col] = acc
+    return f, lam
+
+
+@pytest.mark.parametrize("name,deg", [("V(0,1)xL1", 1), ("P(1,1)xC(1)", 1),
+                                      ("P(0,2)xC(-1)", 2)])
+def test_top_surjection_matches_full_inverse(session, graded_by_ell, name,
+                                             deg):
+    mod = graded_by_ell[session.ell][name]
+    f, lam = standard_top_surjection(mod, deg)
+    ref_f, ref_lam = _ref_top_surjection(mod, deg)
+    assert lam == ref_lam
+    assert f == ref_f
+    assert not f.is_zero()

@@ -9,10 +9,6 @@ class RejectedInputError(UqwbError):
     """Input outside the session's declared domain (weights, index ranges)."""
 
 
-class PoleError(UqwbError):
-    """Evaluation of a rational function at a pole of its denominator."""
-
-
 class ModeUnsupportedError(UqwbError):
     """Operation not defined in the current coefficient mode.
 

@@ -4,7 +4,7 @@ The generator matrices of every module here are sparse (a handful of
 entries per row), so matrices are stored as per-row dicts with no zero
 entries.  Row reduction works generically over any field-like element
 type exposing is_zero / inv and the arithmetic operators, which covers
-both Scalar and Cyc (the latter used after tau-specialization).
+both Scalar and Cyc.
 """
 
 from __future__ import annotations
@@ -155,26 +155,11 @@ class SMat:
             for i in range(self.nrows)
         ]
 
-    def specialize(self, t0):
-        """Dense Cyc-valued matrix at tau = t0."""
-        zc = self.session.cyc_zero
-        out = []
-        for r in self.rows:
-            row = [zc] * self.ncols
-            for j, v in r.items():
-                row[j] = v.specialize(t0)
-            out.append(row)
-        return out
-
     def nnz(self):
         return sum(len(r) for r in self.rows)
 
     def __repr__(self):
         return "SMat(%dx%d, nnz=%d)" % (self.nrows, self.ncols, self.nnz())
-
-
-def commutator(a, b):
-    return a @ b - b @ a
 
 
 # ---------------------------------------------------------------------

@@ -1,14 +1,20 @@
 """Projective covers P_i^m: exact extensions of generalized Vermas.
 
 P_i^m is realized on the basis of its defining length-2 standard
-filtration: the submodule is the generalized Verma V(j+r, m) in its
-canonical basis (j = r-2-i), and the quotient V(i, m) is lifted on a
-second chain a_{t,k} = F^t a_{0,k}.  The only datum of the extension is
-E a_{0,k} = F^j u_k (the weight-(i+2) chain of the submodule); every
-other E value on the lifted chain follows from the commutator relation
-E F = F E + (K - K^{-1})/(q - q^{-1}) applied one F step at a time, so
-the construction is exact by design and the full relation check is run
-as a hard gate on every build.
+filtration 0 -> V(j+r, m) -> P_i^m -> V(i, m) -> 0 (j = r-2-i): the
+lifted quotient chain a_{t,k} = F^t a_{0,k} of V(i, m) first, then the
+submodule V(j+r, m) with its highest-weight chain u_k, each in its
+canonical basis.  The only datum of the extension is E a_{0,k} = F^j u_k
+(the weight-(i+2) chain of the submodule).  E F^t = F^t E +
+F^{t-1} p_t(K) for a Laurent polynomial p_t, F and H (so K) act on the
+lifted chain as on V(i, m), E v^k = 0 in V(i, m), and F^r = 0, so
+
+    E a_{t,k} = E^{V(i,m)}(F^t v^k) + F^{t+j} u_k.
+
+The cover is therefore glued from the two session-cached Vermas: their
+direct sum plus (r-j)(m+1) unit entries of E, one for each F^{t+j} u_k
+with t+j <= r-1.  The construction is exact by design, and the full
+relation check is run as a hard gate on every build.
 
 The four basis families T, S, L, R of the classical degree-0 picture
 are recovered as slices of the two chains: T and L are the upper and
@@ -25,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConstructionError, DiagnosticError, RejectedInputError
-from .linalg import SMat, nullspace
+from .linalg import nullspace
 from .repmod import (
     ModuleRep,
     Report,
@@ -35,6 +41,7 @@ from .repmod import (
     build_one_dim,
     build_simple,
     build_tensor,
+    direct_sum,
     verify_relations,
 )
 from .structure import (
@@ -98,8 +105,14 @@ def build_projective_cover(session, i, m, twist=0):
     r = session.r
     n = m + 1
     off = r * n
-    dim = 2 * off
     sub = build_generalized_verma(session, Fraction(j + r), m)
+    quo = build_generalized_verma(session, Fraction(i), m)
+    glued = direct_sum(quo, sub)
+    # E a_{t,k} = E^{V(i,m)} F^t v^k + F^{t+j} u_k, and F^{t+j} u_k = 0
+    # once t+j >= r
+    for t in range(r - j):
+        for k in range(n):
+            glued.matE.set(off + (t + j) * n + k, t * n + k, session.one)
 
     labels = []
     for t in range(r):
@@ -113,59 +126,9 @@ def build_projective_cover(session, i, m, twist=0):
         for s in range(n):
             labels.append(WeightLabel(w, s, "%s[%s,%d]" % (fam, w, s)))
 
-    matE = SMat(session, dim, dim)
-    matF = SMat(session, dim, dim)
-    matH = SMat(session, dim, dim)
-    for mat, smat in ((matE, sub.matE), (matF, sub.matF), (matH, sub.matH)):
-        for a, row in enumerate(smat.rows):
-            for b, v in row.items():
-                mat.set(a + off, b + off, v)
-
-    def aidx(t, s):
-        return t * n + s
-
-    for t in range(r):
-        w = session.from_rational(i - 2 * t)
-        for s in range(n):
-            col = aidx(t, s)
-            matH.set(col, col, w)
-            if s > 0:
-                matH.set(aidx(t, s - 1), col, session.one)
-            if t < r - 1:
-                matF.set(aidx(t + 1, s), col, session.one)
-
-    # E on the lifted chain: seed E a_{0,k} = F^j u_k, then walk down
-    # with E F = F E + (K - K^{-1})/(q - q^{-1})
-    den = session.q_power(1) - session.q_power(-1)
-    cols = []
-    for s in range(n):
-        vec = [session.zero] * dim
-        vec[off + j * n + s] = session.one
-        cols.append(vec)
-    for s in range(n):
-        matE.set(off + j * n + s, aidx(0, s), session.one)
-    for t in range(r - 1):
-        nxt = []
-        for s in range(n):
-            vec = matF.apply(cols[s])
-            for p in range(s + 1):
-                c = session.degree_drop_coeff(p)
-                num = session.q_power(i - 2 * t)
-                if p % 2 == 0:
-                    num = num - session.q_power(2 * t - i)
-                else:
-                    num = num + session.q_power(2 * t - i)
-                coeff = c * session.from_cyc(num / den)
-                vec[aidx(t, s - p)] = vec[aidx(t, s - p)] + coeff
-            nxt.append(vec)
-        for s in range(n):
-            for a, x in enumerate(nxt[s]):
-                if not x.is_zero():
-                    matE.set(a, aidx(t + 1, s), x)
-        cols = nxt
-
     name = "P(%d,%d)" % (i, m)
-    mod = ModuleRep(session, labels, matE, matF, matH, m, name=name)
+    mod = ModuleRep(session, labels, glued.matE, glued.matF, glued.matH, m,
+                    name=name)
     rep = verify_relations(mod)
     if rep["status"] != "pass":
         bad = [it["check"] for it in rep["items"] if not it["ok"]]

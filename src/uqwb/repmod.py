@@ -250,14 +250,14 @@ def verify_relations(mod):
         rep.add(name, w is None, w)
 
     try:
-        _h_nilpotent_blocks(mod)
+        # derive_K validates the H blocks before it builds K
+        K, Kinv = mod.K, mod.Kinv
         rep.add("H weight-block structure", True)
     except ModuleInvalidError as e:
         rep.add("H weight-block structure", False, str(e))
         return rep.as_dict()
 
     E, F, H = mod.matE, mod.matF, mod.matH
-    K, Kinv = mod.K, mod.Kinv
     ident = SMat.identity(s, mod.dim)
     q2 = s.from_cyc(s.q_power(2))
     qm2 = s.from_cyc(s.q_power(-2))
@@ -306,7 +306,7 @@ def build_one_dim(session, k):
     lab = WeightLabel(w, 0, "c")
     z = SMat(session, 1, 1)
     matH = SMat(session, 1, 1)
-    matH.rows[0][0] = session.from_rational(w)
+    matH.set(0, 0, session.from_rational(w))
     return ModuleRep(session, [lab], z, z.copy(), matH, 0,
                      name="C(%s)" % (w,))
 
@@ -324,7 +324,7 @@ def build_simple(session, i):
     matF = SMat(session, n, n)
     matH = SMat(session, n, n)
     for k in range(n):
-        matH.rows[k][k] = session.from_rational(i - 2 * k)
+        matH.set(k, k, session.from_rational(i - 2 * k))
         if k < i:
             matF.rows[k + 1][k] = session.one
         if k > 0:
@@ -378,7 +378,7 @@ def _build_verma(session, lam, m):
     for t in range(r):
         for k in range(n):
             col = t * n + k
-            matH.rows[col][col] = session.from_rational(lam - 2 * t)
+            matH.set(col, col, session.from_rational(lam - 2 * t))
             if k > 0:
                 matH.rows[col - 1][col] = session.one
             if t < r - 1:

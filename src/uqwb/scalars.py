@@ -17,9 +17,6 @@ alone makes it canonical.
 
 from __future__ import annotations
 
-from .cyclotomic import Cyc
-from .errors import PoleError
-
 
 def _ptrim(c):
     n = len(c)
@@ -206,22 +203,5 @@ class Scalar:
     def __truediv__(self, other):
         return self * other.inv()
 
-    def specialize(self, t0):
-        """Exact evaluation at tau = t0 (a Fraction); PoleError on poles."""
-        s = self.session
-        t = Cyc.from_rational(s, t0)
-        num = _horner(self.num, t)
-        den = _horner(self.den, t)
-        if den.is_zero():
-            raise PoleError("denominator vanishes at tau = %s" % (t0,))
-        return num / den
-
     def __repr__(self):
         return "Scalar(%s)" % (self.session.format_scalar(self),)
-
-
-def _horner(poly, t):
-    acc = poly[-1]
-    for c in reversed(poly[:-1]):
-        acc = acc * t + c
-    return acc

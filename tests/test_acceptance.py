@@ -273,6 +273,8 @@ def test_criterion_10_paper_literal_diagnosed():
     s = Session(5, mode="paper-literal")
     with pytest.raises(ModeUnsupportedError):
         build_generalized_verma(s, Fraction(1), 2)
+    with pytest.raises(ModeUnsupportedError):
+        build_projective_cover(Session(5, mode="paper-literal"), 1, 2)
     # the same guard fires on any loaded module with a degree-2 block
     se = Session(5)
     mod = build_generalized_verma(se, Fraction(1), 2)

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 from uqwb.linalg import (
     SMat,
-    commutator,
     invert_dense,
     nullspace,
     rank,
@@ -60,7 +59,6 @@ def test_transpose_antihomomorphism(s5):
     a = rand_mat(s5, rng, 3, 3)
     b = rand_mat(s5, rng, 3, 3)
     assert (a @ b).transpose() == b.transpose() @ a.transpose()
-    assert commutator(a, b) == -(commutator(b, a))
 
 
 def test_rank_nullity(s5):
@@ -113,13 +111,3 @@ def test_singular_matrix_detected(s5):
     a.set(0, 0, s5.one)
     a.set(1, 1, s5.one)  # rank 2
     assert invert_dense(a.to_dense(), s5.zero, s5.one) is None
-
-
-def test_specialize_matches_scalar_specialize(s5):
-    rng = random.Random(9)
-    a = rand_mat(s5, rng, 3, 3)
-    t0 = Fraction(3, 2)
-    sp = a.specialize(t0)
-    for i in range(3):
-        for j in range(3):
-            assert sp[i][j] == a.get(i, j).specialize(t0)

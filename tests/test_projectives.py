@@ -1,13 +1,17 @@
 """Projective covers: construction, generation, Casimir splitting,
 cross-construction, and structural certification."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from uqwb import (
     RejectedInputError,
+    Session,
     build_dual,
+    build_generalized_verma,
     build_one_dim,
     build_projective_cover,
     build_simple,
@@ -16,6 +20,7 @@ from uqwb import (
     casimir_eigenvalue,
     casimir_matrix,
     certify_projcover_structure,
+    dump_module,
     extract_costandard_filtration,
     generator_index,
     iso_test,
@@ -67,6 +72,123 @@ def test_cover_relations_pass(session):
             rep = verify_relations(p)
             assert rep["status"] == "pass", \
                 [x for x in rep["items"] if not x["ok"]]
+
+
+# SHA-256 of json.dumps(dump_module(P_i^m x C(k)), sort_keys=True),
+# keyed (ell, i, m, k); any change to an entry of a cover moves it
+COVER_DUMP_SHA256 = {
+    (5, 0, 0, 0):
+        "60f07f2bd3ff895cbd6e3b928c6b839a68d35b549029a18dfb964191871136de",
+    (5, 0, 0, 1):
+        "0432aae79488c88cb36bfa325c50f825683a01236e456a24e0a503274a6d29c2",
+    (5, 0, 1, 0):
+        "9fb3691418b80999307d52330c6ef5eb0e951c74ae7d6efa40b2bac4ef961ecb",
+    (5, 0, 1, 1):
+        "c0f83ac8dd59a7c3c4b3318cbde2c7d6fec332d91aa3a63df7356c477151db94",
+    (5, 0, 2, 0):
+        "899425232cac589039fa8b83cb2e7e3cd654787d6232ed9d352f1ebf8b5a0103",
+    (5, 0, 2, 1):
+        "1173ae4df536283d5def9f9a9e9782ae0eb5388af1cc7b1207339380d04d66f7",
+    (5, 1, 0, 0):
+        "2b0680c2b8db4bc24438e0ee0ed3eaa9efdb138c56ca7fee9ea256320fce0723",
+    (5, 1, 0, 1):
+        "10688326d42e28ea78fa902608120ccbae0999dd414422548c89e35b63abe18e",
+    (5, 1, 1, 0):
+        "b1b0dab15ca85f3acab592c43bd76a1b5faddb90dfa6173bca75ee47842e0318",
+    (5, 1, 1, 1):
+        "514848e1876090521ffdcc10f8f8eb3a9205df44b85aa1172056bcf8720ad355",
+    (5, 1, 2, 0):
+        "689827d10af24bd40737c42ad2df2e5213bca5615ea8fcdab89866a995fc26be",
+    (5, 1, 2, 1):
+        "4eca9c0846c6e0a299162d208eda4f4e985b822b19775e85cc6380a17a4a73e2",
+    (5, 2, 0, 0):
+        "a9621f02b7d375c9cdd7dfb73d9c1d613304178b8d22424c86050ce0ef02ca07",
+    (5, 2, 0, 1):
+        "08c329a63f8d29c21a03def1ebb22134c9f6f921454a47e4bb3b964313084bd8",
+    (5, 2, 1, 0):
+        "551b1701d1aeafba233db6924b6cf868de7d193e424e37ca1ed542955e554334",
+    (5, 2, 1, 1):
+        "1369a4c330414bcb4b1867f75f072381ef3c5d8ebbfa2422520ab8e5eada2eb7",
+    (5, 2, 2, 0):
+        "e1479b86c91d6ef4730ccc4c76df14f060485a4e6fa642cc5e6d08c9448946b4",
+    (5, 2, 2, 1):
+        "19153d77533a27330e59c2ab678906bb3289d89faa99eb1f74a25b6ebbd97044",
+    (5, 3, 0, 0):
+        "05dcbfe4a434714e9f79b252bfc3335fa3f46c68bfb8aab73696a339d7afd290",
+    (5, 3, 0, 1):
+        "242e49b306aa6bfde105d1301906cc8aa9dbd98fa19720aa67dd58109a5a1a49",
+    (5, 3, 1, 0):
+        "3319a9bf4bc9b8b0aabb4006f0bb2a8c46fa62735d9e0eb152b74f93b95d93e8",
+    (5, 3, 1, 1):
+        "e493a911fa6737758f86f43856f640028f0ad6cb9a7cfa787c2ed42fd94f5972",
+    (5, 3, 2, 0):
+        "e05358108ef459389a8d4211b563d6803ab53552d09234367afb678dc8de48fd",
+    (5, 3, 2, 1):
+        "d8d3ec25d4d3e0f39bc1150ae32f884ef7083e76c72f64598a93e6ccbbdb74e9",
+    (8, 0, 0, 0):
+        "9050b7363445a674ed8d618ad68b35e13eb128264151be2ea57f22be51ad2ef2",
+    (8, 0, 0, 1):
+        "32f5ad9840b2d93545753e8703dcfe56ed1b4e6c12d86c0399cfc9b7ef3bedc7",
+    (8, 0, 1, 0):
+        "9cd6e414a0377a7f6ee39c8b9051d5f5ca4d3bd84c3ed847fe7de1455232fa17",
+    (8, 0, 1, 1):
+        "9d5196433c33fd612ef3019bab8587c58100e9ef088075c89ade4ca1e7e5a6d6",
+    (8, 0, 2, 0):
+        "88d953b462eeaf88066067dbec8e2ac5bae6b534d8319cd69b68ceb904cc5652",
+    (8, 0, 2, 1):
+        "487c56d7a90ac4d5e4610d94dc9aae9c88889f6296198cac83c83a99d445d4e3",
+    (8, 1, 0, 0):
+        "825730d9b889b34b30b1530231ba60e5854b663df51c569a41d7663c9380299a",
+    (8, 1, 0, 1):
+        "ba2089750c849bc22d7affb154e1d856824a0a2e8bf970f3bbddaeecf7bc06ab",
+    (8, 1, 1, 0):
+        "55a7be76ff25171e75186f2168bf1ca244ff595dd89322dac911ab201a2430e1",
+    (8, 1, 1, 1):
+        "0a9a14ef0b50bcc86046e2bd87c69c83505aec67e8791db37b08c28c380d6211",
+    (8, 1, 2, 0):
+        "6cf9a845bcb1186566fa3134044d89a5439223cbd2f3a5b0e0da98093844c6ed",
+    (8, 1, 2, 1):
+        "a22a77a6e9d0d56296fe87072d6618547c018b99f57037b281630942d16ee1bb",
+    (8, 2, 0, 0):
+        "322fff63c7560433466450c710355c4192313587fd49b7848c34c798ff287520",
+    (8, 2, 0, 1):
+        "e14f653fecfaa57af84c3af6786e231262476eea59e74b9e32fb70dcecb845e2",
+    (8, 2, 1, 0):
+        "aa02d72d9093ca781572684da3b74627dbe12fb2726b1fff9f0f204787c86a65",
+    (8, 2, 1, 1):
+        "5b4fb214541368f5b15cffb334e29944408addf9d5a30351ad3186041bfcb46f",
+    (8, 2, 2, 0):
+        "350061983f7438bf356e235d95c00533eef6734d7579dfedfe39da86187b82d3",
+    (8, 2, 2, 1):
+        "1fd09089d58ea269558c68383dd761bcbffd96169cdc5422be090d3c0e363300",
+}
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_cover_dump_digest(session, m, k):
+    for i in range(session.r - 1):
+        p = build_projective_cover(session, i, m, k)
+        text = json.dumps(dump_module(p), sort_keys=True)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == COVER_DUMP_SHA256[(session.ell, i, m, k)]), (i, m, k)
+
+
+def test_cover_leaves_the_cached_vermas_unchanged(session):
+    """The cover is glued from the session's cached V(i, m) and
+    V(j+r, m); building it, twisted or not, must not write into them."""
+    s = Session(session.ell)
+    r = s.r
+    for i in range(r - 1):
+        for m in (0, 1):
+            vermas = [build_generalized_verma(s, Fraction(lam), m)
+                      for lam in (i, 2 * r - 2 - i)]
+            before = [dump_module(v) for v in vermas]
+            for k in (0, 1):
+                build_projective_cover(s, i, m, k)
+            assert [build_generalized_verma(s, Fraction(lam), m)
+                    for lam in (i, 2 * r - 2 - i)] == vermas
+            assert [dump_module(v) for v in vermas] == before
 
 
 def test_cover_index_validation(session):

@@ -14,6 +14,7 @@ from uqwb import (
     build_dual,
     build_generalized_verma,
     build_one_dim,
+    build_projective_cover,
     build_simple,
     build_tensor,
     derive_K,
@@ -236,6 +237,33 @@ def test_load_rejects_mismatched_labels(session):
     data["labels"] = data["labels"][:-1]
     with pytest.raises(RejectedInputError):
         load_module(data)
+
+
+def test_no_stored_zeros_and_exact_round_trip(session):
+    """No constructor stores an explicit zero, so every generator matrix
+    equals the one its dump reloads to.  A stored zero (a weight-0
+    diagonal entry of H) would make the two unequal and defeat the
+    equality shortcut of iso_test."""
+    r = session.r
+    simples = [build_simple(session, i) for i in range(r)]
+    vermas = [build_generalized_verma(session, Fraction(lam), m)
+              for lam in (0, 2, Fraction(1, 2)) for m in (0, 1)]
+    covers = [build_projective_cover(session, i, m, k)
+              for i in range(r - 1) for m in (0, 1) for k in (0, 1)]
+    mods = (simples + vermas + covers
+            + [build_one_dim(session, k) for k in (-2, 0, 1)]
+            + [build_dual(x) for x in (simples[2], vermas[0], covers[0])]
+            + [build_tensor(simples[2], vermas[1]),
+               build_tensor(simples[1], simples[1]),
+               direct_sum(simples[2], vermas[0]),
+               direct_sum(covers[0], simples[0])])
+    for mod in mods:
+        back = load_module(dump_module(mod), session)
+        for g in ("E", "F", "H"):
+            mat = mod.generator_matrix(g)
+            assert all(not v.is_zero() for row in mat.rows
+                       for v in row.values()), (mod.name, g)
+            assert mat == back.generator_matrix(g), (mod.name, g)
 
 
 # SHA-256 of json.dumps(dump_module(V(lam, m)), sort_keys=True); any change

@@ -76,3 +76,30 @@ def test_traced_names_exist():
         if not ok:
             missing.append(name)
     assert not missing, missing
+
+
+def _call_sites(attr):
+    """"module.function" of every call of a method named attr under
+    src/uqwb, naming the innermost enclosing def ("<module>" if none)."""
+    sites = []
+    for path in sorted(SRC.rglob("*.py")):
+        def walk(node, where):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                    walk(child, child.name)
+                    continue
+                if (isinstance(child, ast.Call)
+                        and isinstance(child.func, ast.Attribute)
+                        and child.func.attr == attr):
+                    sites.append("%s.%s" % (path.stem, where))
+                walk(child, where)
+
+        walk(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return sites
+
+
+def test_one_k_series():
+    """The coefficients of K = q^H are read only by repmod.derive_K, so
+    the library has one K series; every other K comes from it."""
+    assert _call_sites("degree_drop_coeff") == ["repmod.derive_K"]

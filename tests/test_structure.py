@@ -38,7 +38,7 @@ from uqwb import (
 )
 from uqwb.linalg import SMat, invert_dense, nullspace, reduce_row, rref
 from uqwb.projectives import build_projective_cover
-from uqwb.repmod import direct_sum
+from uqwb.repmod import ModuleRep, direct_sum
 from uqwb.structure import (
     _chain_from_hw,
     _intertwiner_ok,
@@ -135,9 +135,26 @@ def test_highest_weight_chain_of_verma(session):
 # ---------------------------------------------------------------------
 
 def test_iso_test_positive(session):
+    """V(1,1) against its conjugate by the basis change diag(2, 3, ...):
+    the matrices differ, so iso_test must search for the intertwiner."""
     mod = build_generalized_verma(session, Fraction(1), 1)
-    other = build_generalized_verma(session, Fraction(1), 1)
-    assert iso_test(mod, other) is not None
+
+    def conjugate(mat):
+        out = SMat(session, mat.nrows, mat.ncols)
+        for i, row in enumerate(mat.rows):
+            for j, v in row.items():
+                out.set(i, j, v * session.from_rational(
+                    Fraction(i + 2, j + 2)))
+        return out
+
+    other = ModuleRep(session, mod.labels, conjugate(mod.matE),
+                      conjugate(mod.matF), conjugate(mod.matH),
+                      mod.max_degree, name="conjugated")
+    assert (other.matE, other.matH) != (mod.matE, mod.matH)
+    g = iso_test(mod, other)
+    assert g is not None
+    assert _intertwiner_ok(g, mod, other)
+    assert g != SMat.identity(session, mod.dim)
 
 
 def test_iso_test_through_twist(session):

@@ -436,24 +436,19 @@ def build_parser():
     p.add_argument("--degree", type=int, default=0, help="verma degree m")
     p.add_argument("--i", type=int, default=0, help="simple index")
     p.add_argument("--k", type=int, default=0, help="one-dim twist index")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="re-verify a serialized module")
     p.add_argument("module")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decomp", help="generalized weight decomposition")
     p.add_argument("module")
-    p.set_defaults(func=cmd_decomp)
 
     p = sub.add_parser("dual", help="dual of a serialized module")
     p.add_argument("module")
-    p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("tensor", help="tensor of two serialized modules")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=cmd_tensor)
 
     p = sub.add_parser("filtration",
                        help="extract and certify a filtration")
@@ -461,50 +456,41 @@ def build_parser():
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--kind", default="standard",
                    choices=["standard", "costandard"])
-    p.set_defaults(func=cmd_filtration)
 
     p = sub.add_parser("jh", help="composition factors")
     p.add_argument("module")
-    p.set_defaults(func=cmd_jh)
 
     p = sub.add_parser("typical", help="typicality of a weight")
     p.add_argument("--weight", required=True)
-    p.set_defaults(func=cmd_typical)
 
     p = sub.add_parser("bgg", help="BGG reciprocity table")
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--weights", default=None,
                    help="comma-separated weights (default: the atypical "
                         "integer window plus two typicals)")
-    p.set_defaults(func=cmd_bgg)
 
     p = sub.add_parser("pcover", help="build a projective cover")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--twist", type=int, default=0)
-    p.set_defaults(func=cmd_pcover)
 
     p = sub.add_parser("pcover-certify",
                        help="re-certify a serialized cover")
     p.add_argument("module")
-    p.set_defaults(func=cmd_pcover_certify)
 
     p = sub.add_parser("verify-cert",
                        help="re-check a filtration certificate")
     p.add_argument("certificate")
-    p.set_defaults(func=cmd_verify_cert)
 
     p = sub.add_parser("act", help="evaluate a generator word")
     p.add_argument("module")
     p.add_argument("--word", required=True,
                    help="whitespace-separated generators, leftmost "
                         "acts last")
-    p.set_defaults(func=cmd_act)
 
     p = sub.add_parser("suite", help="the aggregated verification suite")
     p.add_argument("--max-i", type=int, default=None)
     p.add_argument("--max-m", type=int, default=None)
-    p.set_defaults(func=cmd_suite)
 
     return ap
 
@@ -529,18 +515,25 @@ def _attach_fraction_values(argv):
     return out
 
 
+_parser = None  # built by the first main() call, then reused
+
+
 def main(argv=None):
-    ap = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = ap.parse_args(_attach_fraction_values(argv))
+        args = _parser.parse_args(_attach_fraction_values(argv))
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     rep = Report()
     start = time.time()
     try:
-        args.func(args, rep)
+        # looked up by name on each call, so a cmd_ function replaced
+        # after the parser was built is the one that runs
+        globals()["cmd_" + args.verb.replace("-", "_")](args, rep)
     except RejectedInputError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return USAGE_EXIT

@@ -200,13 +200,6 @@ def derive_K(mod):
 # relation verification
 # ---------------------------------------------------------------------
 
-def _witness(diff):
-    for i, row in enumerate(diff.rows):
-        for j, v in sorted(row.items()):
-            return "entry (%d,%d) = %s" % (i, j, diff.session.format_scalar(v))
-    return None
-
-
 class Report:
     """An ordered list of named checks with a pass/fail status.
 
@@ -236,43 +229,110 @@ class Report:
         return {"status": self.status, "items": self.items}
 
 
+def _row(*terms):
+    """A row of a sum of matrix products, as a {column: entry} dict with
+    no zero entries.
+
+    Each term (c, a, B) is the row dict a times the matrix whose row
+    dicts are B (a itself when B is None), scaled by c (None for 1).
+    """
+    acc = {}
+    for c, a, B in terms:
+        for k, x in a.items():
+            if c is not None:
+                x = c * x
+            if B is None:
+                cur = acc.get(k)
+                acc[k] = x if cur is None else cur + x
+                continue
+            for j, y in B[k].items():
+                cur = acc.get(j)
+                acc[j] = x * y if cur is None else cur + x * y
+    return {j: v for j, v in acc.items() if not v.is_zero()}
+
+
+def _row_witness(s, i, lhs, rhs):
+    """None if the rows lhs and rhs are equal, else the first nonzero
+    entry of row i of lhs - rhs, as "entry (i,j) = <scalar>"."""
+    if lhs == rhs:
+        return None
+    z = s.zero
+    for j in sorted(lhs.keys() | rhs.keys()):
+        d = lhs.get(j, z) - rhs.get(j, z)
+        if not d.is_zero():
+            return "entry (%d,%d) = %s" % (i, j, s.format_scalar(d))
+
+
 def verify_relations(mod):
     """Check the defining relations as exact matrix identities.
 
     Returns {"status": "pass"|"fail", "items": [...]} where each item is
-    {"check": name, "ok": bool, "witness": str or None}.
+    {"check": name, "ok": bool, "witness": str or None}.  The H block
+    structure is checked first (through K); then each of the nine
+    relations LHS = RHS is checked one row at a time: row i of each side
+    is built from the sparse rows (row i of K*E is K's row i times the
+    rows of E, row i of E^r is r-1 such steps), and the two rows are
+    compared as dicts.  The witness of a failing relation is the first
+    nonzero entry (i, j) of LHS - RHS in row-major order.
     """
     s = mod.session
     rep = Report()
-
-    def check(name, diff):
-        w = _witness(diff)
-        rep.add(name, w is None, w)
-
     try:
         # derive_K validates the H blocks before it builds K
-        K, Kinv = mod.K, mod.Kinv
+        K, Kinv = mod.K.rows, mod.Kinv.rows
         rep.add("H weight-block structure", True)
     except ModuleInvalidError as e:
         rep.add("H weight-block structure", False, str(e))
         return rep.as_dict()
 
-    E, F, H = mod.matE, mod.matF, mod.matH
-    ident = SMat.identity(s, mod.dim)
+    E, F, H = mod.matE.rows, mod.matF.rows, mod.matH.rows
+    one = s.one
+    two = s.from_rational(2)
     q2 = s.from_cyc(s.q_power(2))
     qm2 = s.from_cyc(s.q_power(-2))
     dqi = s.from_cyc((s.q_power(1) - s.q_power(-1)).inv())
 
-    check("K*Kinv = I", K @ Kinv - ident)
-    check("K*E = q^2 E*K", K @ E - (E @ K).scale(q2))
-    check("K*F = q^-2 F*K", K @ F - (F @ K).scale(qm2))
-    check("[E,F] = (K-Kinv)/(q-q^-1)",
-          E @ F - F @ E - (K - Kinv).scale(dqi))
-    check("H*K = K*H", H @ K - K @ H)
-    check("[H,E] = 2E", H @ E - E @ H - E.scale(s.from_rational(2)))
-    check("[H,F] = -2F", H @ F - F @ H + F.scale(s.from_rational(2)))
-    check("E^r = 0", E.matpow(s.r))
-    check("F^r = 0", F.matpow(s.r))
+    def power(X, i):
+        row = X[i]
+        for _ in range(1, s.r):  # row i of X^r from row i of X
+            if not row:
+                break
+            row = _row((None, row, X))
+        return row
+
+    def ef_rhs(i):
+        # row i of F*E + (K - Kinv)/(q - q^-1), scaling K - Kinv once
+        neg_kinv = {j: -v for j, v in Kinv[i].items()}
+        k_minus_kinv = _row((None, K[i], None), (None, neg_kinv, None))
+        return _row((None, F[i], E), (dqi, k_minus_kinv, None))
+
+    checks = (
+        ("K*Kinv = I",
+         lambda i: _row((None, K[i], Kinv)), lambda i: {i: one}),
+        ("K*E = q^2 E*K",
+         lambda i: _row((None, K[i], E)), lambda i: _row((q2, E[i], K))),
+        ("K*F = q^-2 F*K",
+         lambda i: _row((None, K[i], F)), lambda i: _row((qm2, F[i], K))),
+        ("[E,F] = (K-Kinv)/(q-q^-1)",
+         lambda i: _row((None, E[i], F)), ef_rhs),
+        ("H*K = K*H",
+         lambda i: _row((None, H[i], K)), lambda i: _row((None, K[i], H))),
+        ("[H,E] = 2E",
+         lambda i: _row((None, H[i], E)),
+         lambda i: _row((None, E[i], H), (two, E[i], None))),
+        ("[H,F] = -2F",
+         lambda i: _row((None, H[i], F), (two, F[i], None)),
+         lambda i: _row((None, F[i], H))),
+        ("E^r = 0", lambda i: power(E, i), lambda i: {}),
+        ("F^r = 0", lambda i: power(F, i), lambda i: {}),
+    )
+    for name, lhs, rhs in checks:
+        w = None
+        for i in range(mod.dim):
+            w = _row_witness(s, i, lhs(i), rhs(i))
+            if w is not None:
+                break
+        rep.add(name, w is None, w)
     return rep.as_dict()
 
 
@@ -475,11 +535,30 @@ def direct_sum(a, b):
 # ---------------------------------------------------------------------
 
 def dump_module(mod):
+    """The module as a JSON-ready dict: the session, the labels and the
+    dense E, F and H matrices of scalar texts (K is derived on load).
+
+    Each distinct entry is formatted once per dump.
+    """
     s = mod.session
+    texts = {}  # Scalar -> its text, for this dump only
+
+    def text(v):
+        t = texts.get(v)
+        if t is None:
+            t = texts[v] = s.format_scalar(v)
+        return t
+
+    zero = text(s.zero)
 
     def matrix(mat):
-        dense = mat.to_dense()
-        return [[s.format_scalar(v) for v in row] for row in dense]
+        out = []
+        for row in mat.rows:
+            dense = [zero] * mat.ncols
+            for j, v in row.items():
+                dense[j] = text(v)
+            out.append(dense)
+        return out
 
     return {
         "session": s.describe(),
@@ -523,20 +602,35 @@ def _dump_weight(session, value, what):
 
 
 def load_module(data, session=None):
-    """The module of a dump_module dict; RejectedInputError if malformed."""
+    """The module of a dump_module dict; RejectedInputError if malformed.
+
+    Without a session, one is built from the dump's session block.  With
+    one, the block must still be there and its ell and N must be the
+    session's, since they fix M and so the meaning of z^k in every entry;
+    its mode is not compared, so a dump can be re-checked under the
+    other coefficient mode.
+
+    Every entry must be a string.  Each distinct text is parsed once per
+    call (Scalars are immutable, so equal entries share one); a text that
+    does not parse raises before it is stored.
+    """
     if not isinstance(data, dict):
         raise RejectedInputError("a module dump must be a JSON object")
+    cfg = _dump_key(data, "session", "a module dump")
+    if not isinstance(cfg, dict):
+        raise RejectedInputError("dump session must be a JSON object")
+    ell = _dump_int(_dump_key(cfg, "ell", "a dump session"), "session ell")
+    N = _dump_int(cfg.get("N", 2), "session N")
     if session is None:
-        cfg = _dump_key(data, "session", "a module dump")
-        if not isinstance(cfg, dict):
-            raise RejectedInputError("dump session must be a JSON object")
         mode = cfg.get("mode", "exponential")
         if not isinstance(mode, str):
             raise RejectedInputError("session mode must be a string, got %r"
                                      % (mode,))
-        session = Session(_dump_int(_dump_key(cfg, "ell", "a dump session"),
-                                    "session ell"),
-                          _dump_int(cfg.get("N", 2), "session N"), mode)
+        session = Session(ell, N, mode)
+    elif (ell, N) != (session.ell, session.N):
+        raise RejectedInputError(
+            "the dump is for ell %d, N %d, not the session's ell %d, N %d"
+            % (ell, N, session.ell, session.N))
     dim = _dump_int(_dump_key(data, "dim", "a module dump"), "dim")
     max_degree = _dump_int(_dump_key(data, "max_degree", "a module dump"),
                            "max_degree")
@@ -552,6 +646,7 @@ def load_module(data, session=None):
                          "label weight"),
             _dump_int(_dump_key(lab, "degree", "a label"), "label degree"),
             lab.get("tag", "")))
+    parsed = {}  # entry text -> Scalar, shared by E, F and H of this call
 
     def matrix(name):
         rows = _dump_key(data, name, "a module dump")
@@ -562,11 +657,16 @@ def load_module(data, session=None):
                                      % (name, dim, dim))
         out = SMat(session, dim, dim)
         for i, row in enumerate(rows):
+            out_row = out.rows[i]
             for j, text in enumerate(row):
                 if not isinstance(text, str):
                     raise RejectedInputError("%s[%d][%d] is not a scalar "
                                              "string" % (name, i, j))
-                out.set(i, j, session.parse_scalar(text))
+                v = parsed.get(text)
+                if v is None:
+                    v = parsed[text] = session.parse_scalar(text)
+                if not v.is_zero():
+                    out_row[j] = v
         return out
 
     return ModuleRep(session, labels, matrix("E"), matrix("F"), matrix("H"),

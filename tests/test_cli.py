@@ -6,11 +6,15 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import uqwb
 from uqwb import (
     Session,
     build_generalized_verma,
@@ -245,6 +249,65 @@ def test_malformed_dump_rejected(tmp_path, capsys, edit):
     assert code == 2
 
 
+def test_same_bad_text_in_two_entries_rejected(tmp_path, capsys):
+    data = copy.deepcopy(SIMPLE_L1)
+    data["E"][0][1] = data["F"][1][0] = "(1/0)*t^0"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(capsys, "verify", str(bad))[0] == 2
+    data["E"][0][1] = data["F"][1][0] = "(1)*u^0"
+    bad.write_text(json.dumps(data))
+    assert run(capsys, "verify", str(bad))[0] == 2
+
+
+@pytest.mark.parametrize("value", [1, 1.0, True, None, ["(1)*t^0"]],
+                         ids=["int", "float", "bool", "null", "list"])
+def test_non_string_entry_after_equal_string_rejected(tmp_path, capsys,
+                                                      value):
+    """E[0][1] is the text "(1)*t^0"; a later F entry that looks like it
+    but is not a string is still refused."""
+    data = copy.deepcopy(SIMPLE_L1)
+    data["F"][1][0] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(capsys, "verify", str(bad))[0] == 2
+
+
+@pytest.fixture
+def dumps_5_and_8(tmp_path, capsys):
+    """Paths of L_1 at ell 5 and V(1,1) at ell 8, written by `build`."""
+    s5, v8 = tmp_path / "s5.json", tmp_path / "v8.json"
+    assert run(capsys, "--ell", "5", "build", "simple", "--i", "1",
+               "--out", str(s5))[0] == 0
+    assert run(capsys, "--ell", "8", "build", "verma", "--weight", "1",
+               "--degree", "1", "--out", str(v8))[0] == 0
+    return s5, v8
+
+
+@pytest.mark.parametrize("argv", [
+    ["tensor", "v8", "s5"],
+    ["--ell", "8", "verify", "s5"],
+    ["--ell", "5", "verify", "v8"],
+    ["--ell", "5", "--weight-denominator", "4", "verify", "s5"],
+], ids=["tensor", "ell8_s5", "ell5_v8", "n4_s5"])
+def test_dump_of_another_session_rejected(tmp_path, capsys, dumps_5_and_8,
+                                          argv):
+    paths = dict(zip(("s5", "v8"), map(str, dumps_5_and_8)))
+    out = tmp_path / "out.json"
+    argv = [paths.get(a, a) for a in argv] + ["--out", str(out)]
+    assert run(capsys, *argv)[0] == 2
+    assert not out.exists()
+
+
+def test_dump_of_the_same_session_accepted(capsys, dumps_5_and_8):
+    s5, v8 = map(str, dumps_5_and_8)
+    assert run(capsys, "--ell", "5", "verify", s5)[0] == 0
+    assert run(capsys, "--ell", "8", "verify", v8)[0] == 0
+    # the coefficient mode is not compared
+    assert run(capsys, "--ell", "5", "--mode", "paper-literal",
+               "verify", s5)[0] == 0
+
+
 def _dropper(*path):
     """An edit deleting the key at the end of path (keys and indices)."""
     def edit(d):
@@ -330,6 +393,60 @@ def test_json_report_digests(tmp_path, capsys, monkeypatch):
         digests[verb] = hashlib.sha256(
             json.dumps(rep, indent=1).encode()).hexdigest()
     assert digests == CLI_REPORT_SHA256
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    import uqwb.cli as cli
+
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in (["--ell", "5", "typical", "--weight", "1/2"],
+                 ["--ell", "5", "build", "simple", "--i", "1"],
+                 ["--ell", "8", "typical", "--weight", "1"]):
+        assert run(capsys, *argv)[0] == 0
+    assert built == [1]
+    # verbs are dispatched by name, so a cmd_ function replaced after the
+    # parser was built is the one that runs
+    seen = []
+    monkeypatch.setattr(cli, "cmd_typical",
+                        lambda args, rep: seen.append(args.weight))
+    assert run(capsys, "--ell", "5", "typical", "--weight", "3")[0] == 0
+    assert seen == ["3"] and built == [1]
+
+
+def test_import_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(uqwb.__file__))
+    code = "import uqwb.cli as c\nassert c._parser is None\n"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert run(capsys, "--ell", "5", "build", "nope")[0] == 2
+    assert run(capsys, "--ell", "5", "typical")[0] == 2
+    code, text = run(capsys, "--ell", "8", "typical", "--weight", "1/2")
+    assert code == 0
+    assert "weight 1/2 is typical" in text
+    out = tmp_path / "v.json"
+    code, text = run(capsys, "--ell", "5", "build", "verma", "--weight=3",
+                     "--degree", "1")
+    assert code == 0 and "V(3,1)" in text
+    code, text = run(capsys, "--ell", "8", "build", "verma",
+                     "--out", str(out))
+    assert code == 0 and "V(0,0)" in text
+    data = json.loads(out.read_text())
+    assert data["session"]["ell"] == 8
+    assert data["labels"][0]["weight"] == "0"
+    assert data["max_degree"] == 0
 
 
 def test_default_bgg_window_has_no_repeats():

@@ -9,6 +9,7 @@ import pytest
 
 from uqwb import (
     ModeUnsupportedError,
+    ModuleInvalidError,
     RejectedInputError,
     Session,
     build_dual,
@@ -25,6 +26,7 @@ from uqwb import (
     weight_decomposition,
 )
 from uqwb.linalg import SMat
+from uqwb.repmod import ModuleRep, Report
 
 
 def assert_pass(mod):
@@ -315,6 +317,189 @@ def test_verma_dump_digest(session, lam, m):
     text = json.dumps(dump_module(mod), sort_keys=True)
     assert (hashlib.sha256(text.encode()).hexdigest()
             == VERMA_DUMP_SHA256[(session.ell, lam, m)])
+
+
+def _artifact_modules(session):
+    """Covers (twist 0 and 1), their duals and tensors, as dumps carry
+    them."""
+    covers = [build_projective_cover(session, i, m, k)
+              for i in (0, 1) for m in (0, 1) for k in (0, 1)]
+    return (covers + [build_dual(p) for p in covers[:4]]
+            + [build_tensor(build_generalized_verma(session, Fraction(1), 1),
+                            build_simple(session, 1)),
+               build_tensor(covers[2], build_simple(session, 1))])
+
+
+def test_load_dump_round_trip_of_artifacts(session):
+    for mod in _artifact_modules(session):
+        data = dump_module(mod)
+        for back in (load_module(data), load_module(data, session)):
+            assert dump_module(back) == data, mod.name
+            for g in ("E", "F", "H"):
+                assert back.generator_matrix(g) == mod.generator_matrix(g), \
+                    (mod.name, g)
+
+
+def test_load_parses_and_dump_formats_each_distinct_entry_once(
+        session, monkeypatch):
+    parsed, formatted = [], []
+    real_parse, real_format = Session.parse_scalar, Session.format_scalar
+
+    def parse(self, text):
+        parsed.append(text)
+        return real_parse(self, text)
+
+    def fmt(self, x):
+        formatted.append(x)
+        return real_format(self, x)
+
+    p = build_projective_cover(session, 1, 1, 1)
+    data = dump_module(p)
+    texts = {t for g in "EFH" for row in data[g] for t in row}
+    monkeypatch.setattr(Session, "parse_scalar", parse)
+    monkeypatch.setattr(Session, "format_scalar", fmt)
+    back = load_module(data)
+    assert sorted(parsed) == sorted(texts)
+    assert dump_module(back) == data
+    assert len(formatted) == len(texts)
+
+
+def test_load_module_leaves_the_session_unchanged(session):
+    s = Session(session.ell)
+    before = {k: (type(v), len(v) if isinstance(v, dict) else None)
+              for k, v in vars(s).items()}
+    data = dump_module(build_projective_cover(session, 1, 1, 1))
+    load_module(data, s)
+    assert {k: (type(v), len(v) if isinstance(v, dict) else None)
+            for k, v in vars(s).items()} == before
+
+
+def test_load_rejects_a_dump_of_another_ell_or_n(session):
+    data = dump_module(build_simple(session, 1))
+    other = Session(13 - session.ell)
+    with pytest.raises(RejectedInputError, match="ell"):
+        load_module(data, other)
+    with pytest.raises(RejectedInputError, match="N"):
+        load_module(data, Session(session.ell, weight_denominator=4))
+    missing = {k: v for k, v in data.items() if k != "session"}
+    with pytest.raises(RejectedInputError, match="session"):
+        load_module(missing, session)
+    # the coefficient mode is not compared: re-checking a dump under the
+    # other mode is a diagnostic
+    literal = Session(session.ell, mode="paper-literal")
+    assert load_module(data, literal).session is literal
+
+
+# ---------------------------------------------------------------------
+# verify_relations against whole-matrix differences
+# ---------------------------------------------------------------------
+
+RELATION_NAMES = ["K*Kinv = I", "K*E = q^2 E*K", "K*F = q^-2 F*K",
+                  "[E,F] = (K-Kinv)/(q-q^-1)", "H*K = K*H", "[H,E] = 2E",
+                  "[H,F] = -2F", "E^r = 0", "F^r = 0"]
+
+
+def reference_relations(mod):
+    """verify_relations as whole-matrix identities: each relation's
+    difference LHS - RHS is formed as an SMat, and its witness is the
+    first nonzero entry in row-major order."""
+    s = mod.session
+    rep = Report()
+
+    def check(name, diff):
+        w = None
+        for i, row in enumerate(diff.rows):
+            if row:
+                j = min(row)
+                w = "entry (%d,%d) = %s" % (i, j, s.format_scalar(row[j]))
+                break
+        rep.add(name, w is None, w)
+
+    try:
+        K, Kinv = mod.K, mod.Kinv
+        rep.add("H weight-block structure", True)
+    except ModuleInvalidError as e:
+        rep.add("H weight-block structure", False, str(e))
+        return rep.as_dict()
+    E, F, H = mod.matE, mod.matF, mod.matH
+    ident = SMat.identity(s, mod.dim)
+    q2 = s.from_cyc(s.q_power(2))
+    qm2 = s.from_cyc(s.q_power(-2))
+    dqi = s.from_cyc((s.q_power(1) - s.q_power(-1)).inv())
+    two = s.from_rational(2)
+    check("K*Kinv = I", K @ Kinv - ident)
+    check("K*E = q^2 E*K", K @ E - (E @ K).scale(q2))
+    check("K*F = q^-2 F*K", K @ F - (F @ K).scale(qm2))
+    check("[E,F] = (K-Kinv)/(q-q^-1)",
+          E @ F - F @ E - (K - Kinv).scale(dqi))
+    check("H*K = K*H", H @ K - K @ H)
+    check("[H,E] = 2E", H @ E - E @ H - E.scale(two))
+    check("[H,F] = -2F", H @ F - F @ H + F.scale(two))
+    check("E^r = 0", E.matpow(s.r))
+    check("F^r = 0", F.matpow(s.r))
+    return rep.as_dict()
+
+
+def _passing_modules(session):
+    r = session.r
+    vermas = [build_generalized_verma(session, Fraction(lam), m)
+              for lam in (1, Fraction(-3, 2), 2 * r - 3) for m in (0, 1, 2)]
+    simples = [build_simple(session, i) for i in range(r)]
+    return (simples + vermas + [build_dual(v) for v in vermas[:3]]
+            + _artifact_modules(session))
+
+
+def test_verify_relations_matches_reference_on_passing_modules(session):
+    for mod in _passing_modules(session):
+        rep = verify_relations(mod)
+        assert rep["status"] == "pass", mod.name
+        assert [it["check"] for it in rep["items"]] \
+            == ["H weight-block structure"] + RELATION_NAMES
+        assert rep == reference_relations(mod), mod.name
+
+
+def _with_entry(mod, g, i, j, value):
+    """A copy of mod whose generator g (E, F, H or K) has entry (i, j)
+    set to value; K is set on the copy, which keeps the derived Kinv."""
+    mats = {x: mod.generator_matrix(x).copy() for x in "EFH"}
+    if g == "K":
+        mats["K"], mats["Kinv"] = mod.K.copy(), mod.Kinv
+    mats[g].set(i, j, value)
+    out = ModuleRep(mod.session, mod.labels, mats["E"], mats["F"],
+                    mats["H"], mod.max_degree, name=mod.name)
+    if g == "K":
+        out._K, out._Kinv = mats["K"], mats["Kinv"]
+    return out
+
+
+def test_verify_relations_matches_reference_on_broken_modules(session):
+    """One changed entry of E, F, H (or of the derived K, the only way to
+    break K*Kinv = I or H*K = K*H, which hold for every K derive_K
+    returns) gives the same report, witnesses included, as the
+    whole-matrix reference; together the copies fail all nine
+    relations."""
+    s = session
+    one, two = s.one, s.from_rational(2)
+    bases = [build_simple(s, 2), build_generalized_verma(s, Fraction(1), 1),
+             build_projective_cover(s, 1, 1, 1),
+             build_dual(build_generalized_verma(s, Fraction(1, 2), 1)),
+             build_tensor(build_simple(s, 1), build_simple(s, 1))]
+    failed = set()
+    for mod in bases:
+        last = mod.dim - 1
+        copies = []
+        for g in "EFHK":
+            mat = mod.generator_matrix(g)
+            i, j = next((i, j) for i, row in enumerate(mat.rows)
+                        for j in sorted(row))
+            copies += [_with_entry(mod, g, i, j, mat.get(i, j) + one),
+                       _with_entry(mod, g, last, last, two),
+                       _with_entry(mod, g, 0, last, one)]
+        for bad in copies:
+            rep = verify_relations(bad)
+            assert rep == reference_relations(bad), bad.name
+            failed |= {it["check"] for it in rep["items"] if not it["ok"]}
+    assert set(RELATION_NAMES) <= failed, set(RELATION_NAMES) - failed
 
 
 # ---------------------------------------------------------------------

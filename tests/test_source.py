@@ -103,3 +103,30 @@ def test_one_k_series():
     """The coefficients of K = q^H are read only by repmod.derive_K, so
     the library has one K series; every other K comes from it."""
     assert _call_sites("degree_drop_coeff") == ["repmod.derive_K"]
+
+
+def _function(module, name):
+    path = SRC / (module + ".py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_verify_relations_is_row_wise():
+    """repmod.verify_relations checks each relation one row at a time: it
+    forms no matrix product (@, matpow), no scaled copy and no matrix
+    difference.  The one subtraction it may hold is between two calls
+    (the scalar q - q^-1)."""
+    found = []
+    for node in ast.walk(_function("repmod", "verify_relations")):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            found.append("line %d: @" % node.lineno)
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+              and not (isinstance(node.left, ast.Call)
+                       and isinstance(node.right, ast.Call))):
+            found.append("line %d: subtraction" % node.lineno)
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in ("matpow", "scale", "__sub__",
+                                "__matmul__")):
+            found.append("line %d: .%s" % (node.lineno, node.attr))
+    assert not found, found

@@ -30,6 +30,7 @@ from .repmod import (
     build_tensor,
     dump_module,
     load_module,
+    parse_rational,
     verify_relations,
     weight_decomposition,
 )
@@ -84,22 +85,22 @@ def write_artifact(path, data):
         fh.write("\n")
 
 
-def parse_fraction(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise RejectedInputError("bad rational %r: %s" % (text, exc))
+def typical_weights(s):
+    """Two typical weights: 1/2 and 5/2 at even ell; at odd ell, where
+    lam is typical when 2(lam + 1) is a multiple of r, (r - 2)/2 and
+    r - 1."""
+    if s.ell % 2 == 0:
+        return [Fraction(1, 2), Fraction(5, 2)]
+    return [Fraction(s.r - 2, 2), Fraction(s.r - 1)]
 
 
 def default_bgg_weights(s):
-    """The default BGG window: the integers -(r-1)..2r-2 plus two typical
-    weights, without repeats (at odd ell the typical 4 can lie in the
-    integer range)."""
+    """The default BGG window: the integers -(r-1)..2r-2 plus the two
+    typical weights, without repeats (at odd ell the typical r - 1 lies
+    in the integer range)."""
     r = s.r
     weights = [Fraction(w) for w in range(-(r - 1), 2 * r - 1)]
-    typical = ([Fraction(1, 2), Fraction(5, 2)] if s.ell % 2 == 0
-               else [Fraction(3, 2), Fraction(4)])
-    return weights + [w for w in typical if w not in weights]
+    return weights + [w for w in typical_weights(s) if w not in weights]
 
 
 def make_session(args):
@@ -108,9 +109,22 @@ def make_session(args):
     return Session(args.ell, args.weight_denominator, args.mode)
 
 
-def load_with_optional_session(path, args):
+def read_json(path):
+    """The JSON document at path.  Text that is not JSON raises
+    JSONDecodeError (a failed check); text Python cannot read as a
+    document (not UTF-8, or an integer longer than
+    sys.get_int_max_str_digits()) is a malformed input."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:
+            raise RejectedInputError("cannot read %s: %s" % (path, exc))
+
+
+def load_with_optional_session(path, args):
+    data = read_json(path)
     session = None
     if args.ell is not None:
         session = make_session(args)
@@ -124,8 +138,8 @@ def load_with_optional_session(path, args):
 def cmd_build(args, rep):
     s = make_session(args)
     if args.kind == "verma":
-        mod = build_generalized_verma(s, parse_fraction(args.weight),
-                                      args.degree)
+        lam = parse_rational(args.weight, "weight")
+        mod = build_generalized_verma(s, lam, args.degree)
     elif args.kind == "simple":
         mod = build_simple(s, args.i)
     else:
@@ -164,8 +178,7 @@ def cmd_dual(args, rep):
 
 def cmd_tensor(args, rep):
     a = load_with_optional_session(args.left, args)
-    with open(args.right) as fh:
-        b = load_module(json.load(fh), a.session)
+    b = load_module(read_json(args.right), a.session)
     mod = build_tensor(a, b)
     rep.add("tensor dim %d" % mod.dim, mod.dim == a.dim * b.dim)
     rep.extend("relations", verify_relations(mod))
@@ -204,7 +217,7 @@ def cmd_jh(args, rep):
 
 def cmd_typical(args, rep):
     s = make_session(args)
-    t = typicality(s, parse_fraction(args.weight))
+    t = typicality(s, parse_rational(args.weight, "weight"))
     rep.add("weight %s is %s" % (args.weight,
                                  "typical" if t.typical else "atypical"),
             True)
@@ -214,7 +227,8 @@ def cmd_typical(args, rep):
 def cmd_bgg(args, rep):
     s = make_session(args)
     if args.weights:
-        weights = [parse_fraction(w) for w in args.weights.split(",")]
+        weights = [parse_rational(w, "weight")
+                   for w in args.weights.split(",")]
     else:
         weights = default_bgg_weights(s)
     cells = bgg_table(s, args.m, weights, seed=args.seed)
@@ -263,9 +277,7 @@ def cmd_pcover_certify(args, rep):
 
 
 def cmd_verify_cert(args, rep):
-    with open(args.certificate) as fh:
-        data = json.load(fh)
-    cert = FiltrationCertificate.from_json(data)
+    cert = FiltrationCertificate.from_json(read_json(args.certificate))
     rep.add("loaded %s certificate of degree %d"
             % (cert.kind, cert.degree), True)
     rep.extend("certificate", verify_filtration_certificate(cert))
@@ -347,7 +359,7 @@ def cmd_suite(args, rep):
         rep.add("standard filtration of V(1,%d) (x) L_%d" % (max_m, i), ok)
 
     # splitting sections on typical tops
-    typ = Fraction(1, 2) if s.ell % 2 == 0 else Fraction(3, 2)
+    typ = typical_weights(s)[0]
     base = build_generalized_verma(s, typ, max_m)
     big = build_tensor(base, build_simple(s, 0))
     f, lam = standard_top_surjection(big, max_m)

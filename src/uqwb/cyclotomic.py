@@ -7,6 +7,13 @@ gcd(d, *n) == 1, so zero is (0, ..., 0)/1 and equality is a plain tuple
 comparison.  The cyclotomic polynomial is monic with integer
 coefficients, so products convolve and reduce on integers and divide by
 one gcd at the end; inverses come from a fraction-free (Bareiss) solve.
+An operand that cannot change the value is not computed with: a product
+with the rational 1 (numerator (1, 0, ..., 0) over 1) returns the other
+operand, and a sum or difference with zero returns the other operand
+(0 - b returns -b).  That operand is canonical, so the result is; and
+handing back the operand object itself is safe because no Cyc is
+changed after its constructor (tests/test_source.py holds the library
+to that).
 The reduction rows, and a bounded table of solved inverses, live on the
 owning session object.  Fractions appear only at the boundary
 (from_rational, scale, coefficients); there are no floats.
@@ -87,6 +94,10 @@ class Cyc:
     # -- field operations ---------------------------------------------
 
     def __add__(self, other):
+        if not any(other.n):
+            return self
+        if not any(self.n):
+            return other
         da, db = self.d, other.d
         if da == db:
             return _reduced(self.s, [a + b for a, b in
@@ -95,6 +106,10 @@ class Cyc:
                                  zip(self.n, other.n)], da * db)
 
     def __sub__(self, other):
+        if not any(other.n):
+            return self
+        if not any(self.n):
+            return -other
         da, db = self.d, other.d
         if da == db:
             return _reduced(self.s, [a - b for a, b in
@@ -112,11 +127,15 @@ class Cyc:
             f = a[0]
             if not f:
                 return self.s.cyc_zero
+            if f == 1 and self.d == 1:
+                return other
             return _reduced(self.s, [f * x for x in b], d)
         if not any(b[1:]):
             f = b[0]
             if not f:
                 return self.s.cyc_zero
+            if f == 1 and other.d == 1:
+                return self
             return _reduced(self.s, [f * x for x in a], d)
         phi = self.s.phi
         conv = [0] * (2 * phi - 1)

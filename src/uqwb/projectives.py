@@ -321,8 +321,9 @@ def certify_projcover_structure(session, i, m, twist=0, seed=0,
         rep.add("costandard quotient weights",
                 ccert.quotient_weights() == [lo, hi],
                 "got %s, expected %s" % (ccert.quotient_weights(), [lo, hi]))
-    rep.add("self-duality", iso_test(build_dual(p), p, seed=seed) is not None)
-    tops = socle_counts(build_dual(p))
+    dual = build_dual(p)
+    rep.add("self-duality", iso_test(dual, p, seed=seed) is not None)
+    tops = socle_counts(dual)
     rep.add("unique simple top", tops == {lo: 1}, "top data %s" % (tops,))
     lab = simple_label(session, lo)
     rep.add("top label matches the twisted simple", lab == ("L", i, twist),

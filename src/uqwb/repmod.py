@@ -17,6 +17,7 @@ for again is not rebuilt.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -590,15 +591,30 @@ def _dump_int(value, what):
     return value
 
 
+# an integer, p/q or a plain decimal.  Fraction also reads an exponent,
+# and "1e99999999" would build 10**99999999 before any bound is checked;
+# a digit string longer than sys.get_int_max_str_digits() makes it raise
+# ValueError.
+_RATIONAL_TEXT = re.compile(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d+)\s*")
+
+
+def parse_rational(text, what):
+    """The Fraction written in text; RejectedInputError if malformed."""
+    if not _RATIONAL_TEXT.fullmatch(text):
+        raise RejectedInputError("bad %s %r" % (what, text))
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise RejectedInputError("bad %s %r" % (what, text))
+
+
 def _dump_weight(session, value, what):
     # dumps write weights as strings; a JSON bool or float is not a weight
-    if type(value) not in (str, int):
+    if type(value) is int:
+        return session.check_weight(Fraction(value))
+    if type(value) is not str:
         raise RejectedInputError("bad %s %r" % (what, value))
-    try:
-        w = Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise RejectedInputError("bad %s %r" % (what, value))
-    return session.check_weight(w)
+    return session.check_weight(parse_rational(value, what))
 
 
 def load_module(data, session=None):

@@ -5,14 +5,21 @@ are cyclotomic numbers.  tau stands for log q and carries no algebraic
 relation to zeta_M, so identities proved here hold for the complex values.
 Canonical form: den is monic, gcd(num, den) = 1, zero is (0)/(1).
 
-Most scalars are constants (num and den of length 1, so den is (1)), and
-the field operations take them first, straight on the tuples: a sum,
-difference or product of two constants is (a op b)/(1), which is already
-canonical, zero included.  _make runs the polynomial gcd only when both
-num and den have positive degree.  A nonzero constant is a unit of the
-polynomial ring, so its gcd with any polynomial is 1; when either side
-is a constant the pair is already coprime and the monic normalisation
-alone makes it canonical.
+Most scalars have den (1): the constants, and the tau-polynomials that
+K and the module entries are made of.  A den of length 1 is monic, so it
+is (1), and the field operations take any two such operands first,
+straight on the tuples: a sum, difference or product is the trimmed
+(a op b)/(1), which is already canonical, zero included, so neither
+_make nor the den * den product runs.  For two constants, when the Cyc
+result is one of the operands (the other was 1, or 0 in a sum), that
+operand's Scalar is returned; _pmul returns the other polynomial when
+one side is the constant 1.  Scalars, like Cycs, are never changed after
+their constructor, so sharing the operand object is safe.
+
+_make runs the polynomial gcd only when both num and den have positive
+degree.  A nonzero constant is a unit of the polynomial ring, so its gcd
+with any polynomial is 1; when either side is a constant the pair is
+already coprime and the monic normalisation alone makes it canonical.
 """
 
 from __future__ import annotations
@@ -46,9 +53,9 @@ def _pmul(a, b):
     if _pis_zero(a) or _pis_zero(b):
         return (a[0].s.cyc_zero,)
     if len(a) == 1:
-        return _ptrim([a[0] * x for x in b])
+        return b if a[0].is_one() else _ptrim([a[0] * x for x in b])
     if len(b) == 1:
-        return _ptrim([x * b[0] for x in a])
+        return a if b[0].is_one() else _ptrim([x * b[0] for x in a])
     z = a[0].s.cyc_zero
     out = [z] * (len(a) + len(b) - 1)
     bnz = [(j, bj) for j, bj in enumerate(b) if any(bj.n)]
@@ -143,13 +150,18 @@ class Scalar:
         return hash((self.num, self.den))
 
     # -- field operations ---------------------------------------------
-    # A constant's den is (1), so (a op b)/(1) below is canonical.
+    # Over a common den of length 1, that den is (1), so (a op b)/(1)
+    # below is canonical.
 
     def __add__(self, other):
         a, b = self.num, other.num
-        if (len(a) == 1 and len(b) == 1 and len(self.den) == 1
-                and len(other.den) == 1):
-            return Scalar((a[0] + b[0],), self.den)
+        if len(self.den) == 1 and len(other.den) == 1:
+            if len(a) == 1 and len(b) == 1:
+                c = a[0] + b[0]
+                if c is a[0]:
+                    return self
+                return other if c is b[0] else Scalar((c,), self.den)
+            return Scalar(_padd(a, b), self.den)
         if self.is_zero():
             return other
         if other.is_zero():
@@ -161,9 +173,11 @@ class Scalar:
 
     def __sub__(self, other):
         a, b = self.num, other.num
-        if (len(a) == 1 and len(b) == 1 and len(self.den) == 1
-                and len(other.den) == 1):
-            return Scalar((a[0] - b[0],), self.den)
+        if len(self.den) == 1 and len(other.den) == 1:
+            if len(a) == 1 and len(b) == 1:
+                c = a[0] - b[0]
+                return self if c is a[0] else Scalar((c,), self.den)
+            return Scalar(_psub(a, b), self.den)
         if other.is_zero():
             return self
         if self.is_zero():
@@ -182,9 +196,13 @@ class Scalar:
 
     def __mul__(self, other):
         a, b = self.num, other.num
-        if (len(a) == 1 and len(b) == 1 and len(self.den) == 1
-                and len(other.den) == 1):
-            return Scalar((a[0] * b[0],), self.den)
+        if len(self.den) == 1 and len(other.den) == 1:
+            if len(a) == 1 and len(b) == 1:
+                c = a[0] * b[0]
+                if c is a[0]:
+                    return self
+                return other if c is b[0] else Scalar((c,), self.den)
+            return Scalar(_pmul(a, b), self.den)
         if self.is_zero():
             return self
         if other.is_zero():

@@ -226,7 +226,7 @@ class Session:
             if not m:
                 raise RejectedInputError("cannot parse scalar term %r" % term)
             coef = self._parse_cyc(m.group(1))
-            k = int(m.group(2)) if m.group(2) else 0
+            k = _parse_digits(m.group(2), 0, term)
             poly[k] = poly.get(k, self.cyc_zero) + coef
         deg = max(poly) if poly else 0
         return tuple(poly.get(k, self.cyc_zero) for k in range(deg + 1))
@@ -248,13 +248,10 @@ class Session:
                 raise RejectedInputError("bad cyclotomic term %r" % term)
             try:
                 f = Fraction(m.group(1)) if m.group(1) else Fraction(1)
-            except ZeroDivisionError:
-                raise RejectedInputError(
-                    "zero denominator in cyclotomic term %r" % term)
-            if m.group(2) is None:
-                k = 0
-            else:
-                k = int(m.group(3)) if m.group(3) else 1
+            except (ValueError, ZeroDivisionError):
+                raise RejectedInputError("bad cyclotomic term %r" % term)
+            k = 0 if m.group(2) is None else _parse_digits(m.group(3), 1,
+                                                           term)
             acc = acc + Cyc.zeta_power(self, k).scale(f)
         return acc
 
@@ -301,3 +298,15 @@ def _split_terms(text):
             cur.append(ch)
     parts.append("".join(cur))
     return [p for p in parts if p.strip()]
+
+
+def _parse_digits(digits, default, term):
+    """The exponent written in digits (default if None).  int() refuses a
+    digit string longer than sys.get_int_max_str_digits(), which is a
+    malformed term, not a bug."""
+    if digits is None:
+        return default
+    try:
+        return int(digits)
+    except ValueError:
+        raise RejectedInputError("bad exponent in term %r" % term)

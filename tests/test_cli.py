@@ -20,8 +20,14 @@ from uqwb import (
     build_generalized_verma,
     dump_module,
     extract_standard_filtration,
+    typicality,
 )
-from uqwb.cli import default_bgg_weights, main
+from uqwb.cli import default_bgg_weights, main, typical_weights
+from uqwb.session import MAX_ORDER
+
+
+# more digits than int() reads by default (sys.get_int_max_str_digits())
+LONG_DIGITS = "1" * 4301
 
 
 def run(capsys, *argv):
@@ -66,6 +72,22 @@ def test_typical_verb(capsys):
     code, text = run(capsys, "--ell", "8", "typical", "--weight", "0")
     assert code == 0
     assert "atypical" in text
+
+
+def test_weight_text_forms(capsys):
+    """A weight is an integer, p/q or a plain decimal.  An exponent form
+    exits 2 before Fraction would expand 10**exponent."""
+    for text in ("1/2", "0.5", ".5", "+1/2"):
+        code, out = run(capsys, "--ell", "8", "typical", "--weight", text)
+        assert code == 0 and "weight %s is typical" % text in out
+    for text in ("5e-1", "1e99999999", "1E5", "1_0", "1/-2", "", "3/0",
+                 LONG_DIGITS, "0." + LONG_DIGITS, "1/" + LONG_DIGITS):
+        assert run(capsys, "--ell", "8", "typical", "--weight", text)[0] == 2
+    for bad in ("1e0", LONG_DIGITS):
+        assert run(capsys, "--ell", "8", "build", "verma",
+                   "--weight", bad)[0] == 2
+        assert run(capsys, "--ell", "8", "bgg", "--weights",
+                   "0," + bad)[0] == 2
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
@@ -233,9 +255,37 @@ def _negative_max_degree(d):
     d["max_degree"] = -1
 
 
+def _exponent_weight(d):
+    # the value 1, in the exponent form that Fraction would expand
+    d["labels"][0]["weight"] = "1e0"
+
+
+def _long_weight(d):
+    d["labels"][0]["weight"] = LONG_DIGITS
+
+
+def _long_coefficient(d):
+    d["E"][0][1] = "(%s)*t^0" % LONG_DIGITS
+
+
+def _long_denominator(d):
+    d["E"][0][1] = "(1/%s)*t^0" % LONG_DIGITS
+
+
+def _long_zeta_exponent(d):
+    d["E"][0][1] = "(z^%s)*t^0" % LONG_DIGITS
+
+
+def _long_tau_exponent(d):
+    d["E"][0][1] = "(1)*t^" + LONG_DIGITS
+
+
 @pytest.mark.parametrize("edit", [_bad_ell, _extra_row, _zero_denominator,
                                   _extra_column, _extra_zero_column,
-                                  _off_lattice_weight, _negative_max_degree],
+                                  _off_lattice_weight, _negative_max_degree,
+                                  _exponent_weight, _long_weight,
+                                  _long_coefficient, _long_denominator,
+                                  _long_zeta_exponent, _long_tau_exponent],
                          ids=lambda f: f.__name__[1:])
 def test_malformed_dump_rejected(tmp_path, capsys, edit):
     good = tmp_path / "good.json"
@@ -247,6 +297,30 @@ def test_malformed_dump_rejected(tmp_path, capsys, edit):
     bad.write_text(json.dumps(data))
     code, _ = run(capsys, "verify", str(bad))
     assert code == 2
+
+
+def test_unreadable_json_rejected(tmp_path, capsys, verma_certificate):
+    """A file Python cannot read as a JSON document exits 2: an integer
+    longer than int() reads, or bytes that are not UTF-8.  Text that is
+    not JSON at all stays a failed check, exit 1."""
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(SIMPLE_L1))
+    text = json.dumps(SIMPLE_L1).replace('"dim": 2', '"dim": ' + LONG_DIGITS)
+    assert text != json.dumps(SIMPLE_L1)
+    long_int = tmp_path / "long.json"
+    long_int.write_text(text)
+    text = json.dumps(verma_certificate)
+    cert = tmp_path / "cert.json"
+    cert.write_text(text.replace('"degree": 0', '"degree": ' + LONG_DIGITS))
+    assert cert.read_text() != text
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe{}")
+    for argv in (["verify", str(long_int)], ["verify", str(raw)],
+                 ["tensor", str(good), str(long_int)],
+                 ["verify-cert", str(cert)], ["verify-cert", str(raw)]):
+        assert run(capsys, *argv)[0] == 2, argv
+    (tmp_path / "text.json").write_text("not json")
+    assert run(capsys, "verify", str(tmp_path / "text.json"))[0] == 1
 
 
 def test_same_bad_text_in_two_entries_rejected(tmp_path, capsys):
@@ -456,6 +530,24 @@ def test_default_bgg_window_has_no_repeats():
     assert len(default_bgg_weights(Session(5))) ** 2 == 196
 
 
+@pytest.mark.parametrize("ell", [3, 4, 5, 6, 7, 8, 9, 12])
+def test_typical_weights_are_typical(ell):
+    """The suite's splitting section and the default BGG window take
+    their typical weights from typical_weights; at ell 3 and 7 the
+    weight 3/2 they used to take is atypical."""
+    s = Session(ell)
+    weights = typical_weights(s)
+    assert len(set(weights)) == 2
+    assert all(typicality(s, w).typical for w in weights)
+    assert set(weights) <= set(default_bgg_weights(s))
+
+
+def test_suite_at_ell_3_passes(capsys):
+    code, text = run(capsys, "--ell", "3", "suite")
+    assert code == 0, text
+    assert "splitting section at typical 1/2" in text
+
+
 def test_negative_fraction_weight_as_separate_token(tmp_path, capsys):
     outs = []
     for argv in (["--weight", "-3/2"], ["--weight=-3/2"]):
@@ -516,6 +608,14 @@ def _cert_claim_degree_str(d):
     d["claims"][0]["degree"] = "a"
 
 
+def _cert_claim_weight_exponent(d):
+    d["claims"][0]["weight"] = d["claims"][0]["weight"] + "e0"
+
+
+def _cert_claim_weight_long(d):
+    d["claims"][0]["weight"] = LONG_DIGITS
+
+
 @pytest.fixture(scope="module")
 def verma_certificate():
     """The standard filtration certificate of V(1, 0) at ell 5."""
@@ -529,7 +629,9 @@ def verma_certificate():
                                   _cert_chain_row_not_string,
                                   _cert_claim_kind_x, _cert_claim_weight_str,
                                   _cert_claim_weight_bool,
-                                  _cert_claim_degree_str],
+                                  _cert_claim_degree_str,
+                                  _cert_claim_weight_exponent,
+                                  _cert_claim_weight_long],
                          ids=lambda f: f.__name__[6:])
 def test_malformed_certificate_rejected(tmp_path, capsys, verma_certificate,
                                         edit):
@@ -592,6 +694,7 @@ SCALAR_CHARS = "()*/+-^tz 0123456789"
 # small integers only: a large ell or N makes a legitimately huge session
 LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 12),
                    st.floats(-4, 4), st.text(SCALAR_CHARS, max_size=8),
+                   st.just(LONG_DIGITS), st.just("(%s)*t^0" % LONG_DIGITS),
                    st.just([]), st.just({}))
 
 
@@ -652,3 +755,130 @@ def test_mutated_inputs_exit_cleanly(tmp_path_factory, fuzz_inputs, data):
             contextlib.redirect_stderr(io.StringIO()):
         code = main([verb[0], str(path)] + verb[1:])
     assert code in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------
+# argv fuzzing: any command line ends in exit code 0, 1 or 2, with no
+# uncaught exception
+# ---------------------------------------------------------------------
+
+# the verbs that read files, with the number of paths each takes
+FILE_VERBS = {"verify": 1, "decomp": 1, "dual": 1, "tensor": 2,
+              "filtration": 1, "jh": 1, "pcover-certify": 1,
+              "verify-cert": 1, "act": 1}
+# each verb's own options, the required ones first
+VERB_FLAGS = {"build": ("--weight", "--degree", "--i", "--k"),
+              "filtration": ("--degree", "--kind"),
+              "typical": ("--weight",),
+              "bgg": ("--m", "--weights"),
+              "pcover": ("--i", "--m", "--twist"),
+              "act": ("--word",),
+              "suite": ("--max-i", "--max-m")}
+REQUIRED = {"filtration": 1, "typical": 1, "pcover": 2, "act": 1}
+VERBS = sorted(set(FILE_VERBS) | set(VERB_FLAGS))
+GLOBAL_FLAGS = ("--ell", "--weight-denominator", "--mode", "--seed",
+                "--out", "--format")
+# ell and N stay below MAX_ORDER; 4095 is refused for every N >= 1
+SESSION_INTS = st.sampled_from(["5", "8", "3", "4", "6", "2", "1", "0",
+                                "-1", str(MAX_ORDER - 1)])
+WEIGHTS = st.sampled_from(["0", "1", "-3/2", "5/2", "1/3", "0.5", "1e3",
+                           "3/0", "x", "", LONG_DIGITS])
+# a stray token: a verb, a choice value, a number or garbage
+TOKENS = st.sampled_from(VERBS + ["verma", "simple", "onedim", "standard",
+                                  "-", "--", "-3/2", "2", "--help",
+                                  "--nope", "x"])
+
+
+def _flag(data, name, paths):
+    """The option name with a drawn value, as argv tokens."""
+    if name in ("--ell", "--weight-denominator"):
+        value = data.draw(SESSION_INTS)
+    elif name == "--weight":
+        value = data.draw(WEIGHTS)
+    elif name == "--weights":
+        value = ",".join(data.draw(st.lists(WEIGHTS, min_size=1,
+                                            max_size=3)))
+    elif name == "--mode":
+        value = data.draw(st.sampled_from(["exponential", "paper-literal",
+                                           "x"]))
+    elif name == "--format":
+        value = data.draw(st.sampled_from(["text", "json", "x"]))
+    elif name == "--kind":
+        value = data.draw(st.sampled_from(["standard", "costandard", "x"]))
+    elif name == "--word":
+        value = data.draw(st.sampled_from(["E F K", "Kinv H", "", "E X"]))
+    elif name == "--out":
+        value = data.draw(st.sampled_from(paths["out"]))
+    else:
+        value = str(data.draw(st.integers(-2, 3)))
+    if data.draw(st.booleans()):
+        return [name + "=" + value]
+    return [name, value]
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory, verma_certificate):
+    """Paths a drawn command line may name.  "in": module dumps at ell 5
+    and 8, a certificate, text that is not JSON, a dump with an integer
+    too long for int(), bytes that are not UTF-8, a directory and a
+    missing file; "out": a new file, the directory and a file in a
+    missing directory, so no input is overwritten."""
+    root = tmp_path_factory.mktemp("argv")
+    files = {"l1_5.json": SIMPLE_L1,
+             "v11_5.json": dump_module(build_generalized_verma(Session(5),
+                                                               1, 1)),
+             "v01_8.json": dump_module(build_generalized_verma(Session(8),
+                                                               0, 1)),
+             "cert.json": verma_certificate}
+    for name, doc in files.items():
+        (root / name).write_text(json.dumps(doc))
+    (root / "text.json").write_text("not json")
+    (root / "long.json").write_text(json.dumps(SIMPLE_L1).replace(
+        '"max_degree": 0', '"max_degree": ' + LONG_DIGITS))
+    (root / "raw.json").write_bytes(b"\xff\xfe{}")
+    (root / "dir").mkdir()
+    return {"in": [str(root / n) for n in
+                   sorted(files) + ["text.json", "long.json", "raw.json",
+                                    "dir", "missing.json"]],
+            "out": [str(root / n) for n in
+                    ("out.json", "dir", "missing/out.json")]}
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_argv_exits_cleanly(argv_paths, data):
+    """Drawn command lines: global options (usually --ell) before the
+    verb, its paths, then its own options (usually the required ones),
+    global options and now and then a stray token."""
+    verb = data.draw(st.sampled_from(VERBS))
+    own = VERB_FLAGS.get(verb, ())
+    argv = []
+    if data.draw(st.integers(0, 4)):
+        argv += _flag(data, "--ell", argv_paths)
+    for _ in range(data.draw(st.integers(0, 2))):
+        argv += _flag(data, data.draw(st.sampled_from(GLOBAL_FLAGS)),
+                      argv_paths)
+    argv.append(verb)
+    if verb == "build":
+        argv.append(data.draw(st.sampled_from(["verma", "simple", "onedim",
+                                               "x"])))
+    for _ in range(FILE_VERBS.get(verb, 0)):
+        if data.draw(st.integers(0, 9)):
+            argv.append(data.draw(st.sampled_from(argv_paths["in"])))
+    for name in own[:REQUIRED.get(verb, 0)]:
+        if data.draw(st.integers(0, 9)):
+            argv += _flag(data, name, argv_paths)
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.integers(0, 9))
+        if kind < 6 and own:
+            argv += _flag(data, data.draw(st.sampled_from(own)), argv_paths)
+        elif kind < 9:
+            argv += _flag(data, data.draw(st.sampled_from(GLOBAL_FLAGS)),
+                          argv_paths)
+        else:
+            argv.append(data.draw(TOKENS))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2), argv

@@ -137,6 +137,44 @@ def test_cyclotomic_results_canonical(session):
         assert (a - a).n == (0,) * session.phi and (a - a).d == 1
 
 
+def _from_coefficients(session, fs):
+    """The canonical Cyc with the power-basis coefficients fs."""
+    d = math.lcm(*(f.denominator for f in fs))
+    return Cyc(session, tuple(int(f * d) for f in fs), d)
+
+
+def test_cyclotomic_unit_and_zero_operands(session):
+    """x*1, 1*x, 0+x, x+0, 0-x and x-0, with 1 and 0 both the session's
+    objects and fresh equal ones, equal the value read off the
+    coefficients and are canonical; so do the products with the
+    rationals next to the shortcut (1/2 has numerator 1, -1 and 2 are
+    not 1), which take the general path."""
+    rng = random.Random(43)
+    xs = _cyc_samples(session, rng)
+    ones = [session.cyc_one, Cyc.from_rational(session, 1),
+            xs[0] * xs[0].inv()]
+    zeros = [session.cyc_zero, Cyc.from_rational(session, 0), xs[0] - xs[0]]
+    assert all(one is not session.cyc_one for one in ones[1:])
+    assert all(zero is not session.cyc_zero for zero in zeros[1:])
+    for x in xs:
+        same = _from_coefficients(session, x.coefficients())
+        neg = _from_coefficients(session, [-f for f in x.coefficients()])
+        results = []
+        for one in ones:
+            results += [(x * one, same), (one * x, same)]
+        for zero in zeros:
+            results += [(zero + x, same), (x + zero, same),
+                        (zero - x, neg), (x - zero, same)]
+        for f in (Fraction(1, 2), Fraction(-1), Fraction(2)):
+            c = Cyc.from_rational(session, f)
+            fx = _from_coefficients(session,
+                                    [f * v for v in x.coefficients()])
+            results += [(x * c, fx), (c * x, fx)]
+        for got, expect in results:
+            _assert_canonical(got)
+            assert (got.n, got.d) == (expect.n, expect.d)
+
+
 def test_cyclotomic_equality_matches_oracle(session):
     rng = random.Random(19)
     xs = _cyc_samples(session, rng)
@@ -217,12 +255,20 @@ def _operand_shapes(session, rng):
     unit = _nonzero_cyc(session, rng)
     while unit.is_one():
         unit = _nonzero_cyc(session, rng)
+    z = session.cyc_zero
+    half = Cyc.from_rational(session, Fraction(1, 2))
+    qw = session.q_power(Fraction(3, 2))
     return [
         ("constant", (_nonzero_cyc(session, rng),), one),
+        ("minus one", (-session.cyc_one,), one),
         ("poly over 1", _tau_poly(session, rng), one),
         ("poly over a constant", _tau_poly(session, rng), (unit,)),
         ("constant over poly", (_nonzero_cyc(session, rng),),
          _tau_poly(session, rng)),
+        # zero interior coefficients, as in the entries of K
+        ("tau^2/2", (z, z, half), one),
+        ("-tau^2/2", (z, z, -half), one),
+        ("q^w(1 + tau + tau^2/2)", (qw, qw, qw * half), one),
     ]
 
 
@@ -277,7 +323,10 @@ def test_fast_paths_match_general_form_and_oracle(session):
             assert close(scalar_value(session, x, t),
                          scalar_value(session, Scalar(num, den), t))
             xs.append(x)
-        xs.append(session.zero)
+        # one as the session's object and as an equal one parsed afresh
+        parsed_one = session.parse_scalar("(1)*t^0")
+        assert parsed_one == session.one and parsed_one is not session.one
+        xs += [session.zero, session.one, parsed_one]
         for x in xs:
             vx = scalar_value(session, x, t)
             results = [(-x, -vx, (_pneg(x.num), x.den))]

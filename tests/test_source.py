@@ -130,3 +130,63 @@ def test_verify_relations_is_row_wise():
                                 "__matmul__")):
             found.append("line %d: .%s" % (node.lineno, node.attr))
     assert not found, found
+
+
+# the fields of the two arithmetic types, set only by their constructors
+VALUE_FIELDS = {"Cyc": ("n", "d", "s"), "Scalar": ("num", "den")}
+
+
+def test_arithmetic_values_are_immutable():
+    """No assignment, augmented assignment, del or setattr of a Cyc field
+    (n, d, s) or a Scalar field (num, den) anywhere under src/uqwb,
+    except in that class's own __init__.  The field operations return an
+    operand object itself when the other operand is 0 or 1, and the
+    session caches built modules, so a value changed in place would
+    change every result that shares it.
+
+    The check goes by attribute name alone, since the AST does not know
+    an object's type: an assignment to .n, .d, .s, .num or .den on an
+    object of any other class is reported too.  If that fires on an
+    unrelated class, rename its field rather than widen the allowed
+    set."""
+    fields = {f for names in VALUE_FIELDS.values() for f in names}
+    allowed = {(cls, "__init__", f) for cls, names in VALUE_FIELDS.items()
+               for f in names}
+    seen, found = set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        def walk(node, cls, fn):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    walk(child, child.name, None)
+                    continue
+                if isinstance(child, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                    walk(child, cls, child.name)
+                    continue
+                targets = []
+                if isinstance(child, (ast.Assign, ast.Delete)):
+                    targets = child.targets
+                elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [child.target]
+                names = [t.attr for target in targets
+                         for t in ast.walk(target)
+                         if isinstance(t, ast.Attribute)]
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    called = getattr(func, "id", getattr(func, "attr", ""))
+                    if called in ("setattr", "__setattr__", "delattr"):
+                        names += [a.value for a in child.args
+                                  if isinstance(a, ast.Constant)]
+                for name in names:
+                    if (cls, fn, name) in allowed:
+                        seen.add((cls, fn, name))
+                    elif name in fields:
+                        found.append("%s:%d %s in %s.%s"
+                                     % (path.name, child.lineno, name,
+                                        cls, fn))
+                walk(child, cls, fn)
+
+        walk(ast.parse(path.read_text(), filename=str(path)), None, None)
+    assert seen == allowed, allowed - seen
+    assert not found, ("assignments to a Cyc or Scalar field name "
+                       "(matched by name, whatever the object)", found)

@@ -46,9 +46,9 @@ from .repmod import (
 )
 from .structure import (
     _apply,
+    _costandard,
     _shifted,
     _shifted_block,
-    extract_costandard_filtration,
     extract_standard_filtration,
     SubmoduleBasis,
     iso_test,
@@ -313,7 +313,8 @@ def certify_projcover_structure(session, i, m, twist=0, seed=0,
         rep.add("standard quotient weights",
                 cert.quotient_weights() == [hi, lo],
                 "got %s, expected %s" % (cert.quotient_weights(), [hi, lo]))
-    ccert = extract_costandard_filtration(p, m)
+    dual = build_dual(p)
+    ccert = _costandard(p, dual, m)
     rep.add("costandard filtration length 2",
             ccert is not None and len(ccert.claims) == 2,
             "no costandard filtration found")
@@ -321,7 +322,6 @@ def certify_projcover_structure(session, i, m, twist=0, seed=0,
         rep.add("costandard quotient weights",
                 ccert.quotient_weights() == [lo, hi],
                 "got %s, expected %s" % (ccert.quotient_weights(), [lo, hi]))
-    dual = build_dual(p)
     rep.add("self-duality", iso_test(dual, p, seed=seed) is not None)
     tops = socle_counts(dual)
     rep.add("unique simple top", tops == {lo: 1}, "top data %s" % (tops,))

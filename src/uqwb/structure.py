@@ -432,45 +432,31 @@ def submodule_to_module(sub):
 # highest-weight and dominant vectors
 # ---------------------------------------------------------------------
 
-def _block_kernel(mod, mat, shift, w):
-    """Kernel on block w of an operator mapping weight w to w + shift.
-
-    It is the kernel of the block of mat from w to w + shift; returned
-    as the sparse echelon rows of a SubmoduleBasis.
-    """
+def _hw_block(mod, w):
+    """ker E on the weight-w block, as the sparse echelon rows of a
+    SubmoduleBasis: the kernel of the block of E from w to w + 2."""
     s = mod.session
     blocks = mod.graded_blocks()
     idx = blocks.get(w, [])
-    rows = mat.block(blocks.get(w + shift, []), idx).to_dense()
+    rows = mod.matE.block(blocks.get(w + 2, []), idx).to_dense()
     ker = SubmoduleBasis(mod)
     for v in nullspace(rows, len(idx), s.zero, s.one):
         ker._insert(_embed(idx, v))
     return ker.sparse_rows()
 
 
-def _kernel_vectors(mod, mat, shift):
-    """Kernel of an operator mapping weight w to w + shift, as triples.
-
-    Returns (vector, weight, degree) triples: per weight, descending,
-    the echelon rows of the kernel on that block.
-    """
-    out = []
-    for w in sorted(mod.graded_blocks(), reverse=True):
-        for row in _block_kernel(mod, mat, shift, w):
-            out.append((_dense(mod, row), w, _degree(mod, row, w)))
-    return out
-
-
 def highest_weight_vectors(mod):
-    """Basis of ker(E) as (vector, weight, degree) triples."""
-    return _kernel_vectors(mod, mod.matE, 2)
+    """Basis of ker(E) as (vector, weight, degree) triples: per weight,
+    descending, the echelon rows of the kernel on that block."""
+    return [(_dense(mod, row), w, _degree(mod, row, w))
+            for w in sorted(mod.graded_blocks(), reverse=True)
+            for row in _hw_block(mod, w)]
 
 
 def _chain_tops(mod, lam, deg):
     """The sparse highest_weight_vectors of weight lam and degree deg,
     in the same order, from the weight-lam block alone."""
-    return [u for u in _block_kernel(mod, mod.matE, 2, lam)
-            if _degree(mod, u, lam) == deg]
+    return [u for u in _hw_block(mod, lam) if _degree(mod, u, lam) == deg]
 
 
 def _shifted_block(mat, idx, shift):
@@ -821,6 +807,7 @@ def verify_filtration_certificate(cert):
     """Re-check a filtration certificate from scratch.
 
     Returns {"status", "items"} in the same shape as verify_relations.
+    A quotient over a member that is not closed fails, unbuilt.
     """
     mod = cert.parent
     rep = Report()
@@ -829,55 +816,69 @@ def verify_filtration_certificate(cert):
             len(cert.chain) * block == mod.dim
             and len(cert.chain) == len(cert.claims),
             "dims %s vs %d" % ([c.dim for c in cert.chain], mod.dim))
-    prev = None
+    closed = [sub.is_closed() for sub in cert.chain]
     # a chain longer than its claims fails the first check; zip stops
     for j, (sub, (kind, w, deg)) in enumerate(zip(cert.chain,
                                                   cert.claims)):
-        rep.add("member %d closed" % j, sub.is_closed())
+        rep.add("member %d closed" % j, closed[j])
         rep.add("member %d dimension" % j, sub.dim == (j + 1) * block,
                 "dim %d" % sub.dim)
-        if prev is not None:
-            asc = all(not sub._reduce(row) for row in prev.sparse_rows())
+        prev = cert.chain[j - 1].sparse_rows() if j else []
+        # coordinates in member j of member j - 1's rows, None for a row
+        # outside it: one test for containment and for well-formedness
+        coords = [sub._coords(row) for row in prev]
+        asc = all(c is not None for c in coords)
+        if j:
             rep.add("member %d contains member %d" % (j, j - 1), asc)
+        what = "quotient %d is %s(%s,%d)" % (j, kind, w, deg)
+        if not (closed[j] and (j == 0 or closed[j - 1])):
+            rep.add(what, False)
+            continue
+        if j:
+            rep.add("member %d / member %d well formed" % (j, j - 1), asc)
+            if not asc:
+                continue
         big = submodule_to_module(sub)
         inner = SubmoduleBasis(big)
-        if prev is not None:
-            ok_inner = True
-            for row in prev.sparse_rows():
-                coords = sub._coords(row)
-                if coords is None:
-                    ok_inner = False
-                    break
-                for comp in _split(big, coords).values():
-                    inner._insert(comp)
-            rep.add("member %d / member %d well formed" % (j, j - 1), ok_inner)
-            if not ok_inner:
-                prev = sub
-                continue
+        for c in coords:
+            for comp in _split(big, c).values():
+                inner._insert(comp)
         quot = quotient_module(big, inner)
         if kind == "verma":
             good = is_generalized_verma(quot, w, deg)
         else:
             good = is_generalized_verma(build_dual(quot), w, deg)
-        rep.add("quotient %d is %s(%s,%d)" % (j, kind, w, deg), good)
-        prev = sub
+        rep.add(what, good)
     return rep.as_dict()
 
 
-def extract_standard_filtration(mod, deg):
-    """Greedy standard filtration of degree deg, or None.
+def _verified(cert, what):
+    """cert once verify_filtration_certificate passes it (None stays
+    None); DiagnosticError naming the first failed item otherwise."""
+    if cert is None:
+        return None
+    rep = verify_filtration_certificate(cert)
+    if rep["status"] != "pass":
+        raise DiagnosticError(
+            "%s failed re-verification: %s"
+            % (what, [it for it in rep["items"] if not it["ok"]][:1]))
+    return cert
 
-    Bottom-up: among highest-weight vectors of degree deg in the current
-    quotient, take one of maximal weight generating a generalized Verma
-    submodule; record it, quotient, repeat.  The returned certificate is
-    re-verified from scratch; None means this strategy found nothing.
-    An ungraded module raises ModuleInvalidError instead.
+
+def _standard_chain(mod, deg):
+    """The greedy standard filtration of degree deg, unverified, or None.
+
+    Bottom-up: take the first degree-deg highest-weight vector u of the
+    current quotient whose generated submodule has dimension (deg+1) r,
+    record that submodule, quotient, repeat.  The dimension suffices:
+    V(w, deg) is universal on a degree-deg highest-weight chain
+    (Humphreys, BGG Category O, 1.3), so the submodule u generates is a
+    quotient of V(w, deg), equal to it iff of the same dimension.
     """
-    s = mod.session
     if deg < 0:
         raise RejectedInputError("degree must be nonnegative")
     mod.graded_blocks()
-    block = (deg + 1) * s.r
+    block = (deg + 1) * mod.session.r
     if mod.dim % block != 0:
         return None
     chain = []
@@ -891,19 +892,13 @@ def extract_standard_filtration(mod, deg):
         return vec  # sparse, in the coordinates of mod
 
     while current.dim > 0:
-        found = None
         for u, w, d in highest_weight_vectors(current):
-            if d != deg:
-                continue
-            sub = submodule_generated(current, [u])
-            if sub.dim != block:
-                continue
-            if is_generalized_verma(submodule_to_module(sub), w, deg):
-                found = (w, sub)
-                break
-        if found is None:
+            if d == deg:
+                sub = submodule_generated(current, [u])
+                if sub.dim == block:
+                    break
+        else:
             return None
-        w, sub = found
         claims.append(("verma", w, deg))
         member = chain[-1].copy() if chain else SubmoduleBasis(mod)
         for row in sub.sparse_rows():
@@ -912,13 +907,18 @@ def extract_standard_filtration(mod, deg):
         chain.append(member)
         current, qm = quotient_with_map(current, sub)
         maps.append(qm)
-    cert = FiltrationCertificate(mod, "standard", deg, chain, claims)
-    rep = verify_filtration_certificate(cert)
-    if rep["status"] != "pass":
-        raise DiagnosticError(
-            "extracted filtration failed re-verification: %s"
-            % [it for it in rep["items"] if not it["ok"]][:1])
-    return cert
+    return FiltrationCertificate(mod, "standard", deg, chain, claims)
+
+
+def extract_standard_filtration(mod, deg):
+    """Greedy standard filtration of degree deg, or None.
+
+    The search needs no recognition step: it knows each Verma by its
+    dimension (see _standard_chain).  The certificate is verified from
+    scratch, once, before it is returned.  None means this strategy
+    found nothing; an ungraded module raises ModuleInvalidError.
+    """
+    return _verified(_standard_chain(mod, deg), "extracted filtration")
 
 
 def annihilator_basis(mod, dual_rows):
@@ -934,31 +934,30 @@ def annihilator_basis(mod, dual_rows):
     return sub
 
 
-def extract_costandard_filtration(mod, deg):
-    """Costandard filtration via the standard filtration of the dual."""
-    dmod = build_dual(mod)
-    dcert = extract_standard_filtration(dmod, deg)
+def _costandard(mod, dual, deg):
+    """extract_costandard_filtration of mod, given its dual module."""
+    dcert = _standard_chain(dual, deg)
     if dcert is None:
         return None
-    n = len(dcert.chain)
-    chain = []
-    claims = []
-    for j in range(n):
-        if j < n - 1:
-            sub = annihilator_basis(mod, dcert.chain[n - 2 - j].rows)
-        else:
-            sub = SubmoduleBasis(mod)
-            for i in range(mod.dim):
-                sub._insert({i: mod.session.one})
-        chain.append(sub)
-        claims.append(("dual-verma", dcert.claims[n - 1 - j][1], deg))
+    full = SubmoduleBasis(mod)
+    for i in range(mod.dim):
+        full._insert({i: mod.session.one})
+    chain = [annihilator_basis(mod, t.rows)
+             for t in reversed(dcert.chain[:-1])] + [full]
+    claims = [("dual-verma", c[1], deg) for c in reversed(dcert.claims)]
     cert = FiltrationCertificate(mod, "costandard", deg, chain, claims)
-    rep = verify_filtration_certificate(cert)
-    if rep["status"] != "pass":
-        raise DiagnosticError(
-            "costandard transport failed re-verification: %s"
-            % [it for it in rep["items"] if not it["ok"]][:1])
-    return cert
+    return _verified(cert, "costandard transport")
+
+
+def extract_costandard_filtration(mod, deg):
+    """Costandard filtration via the standard filtration of the dual.
+
+    Annihilators carry the dual's standard chain to mod, reversing
+    inclusions and dualising quotients, so the transported certificate
+    verifies iff the dual's chain does.  Only the returned certificate
+    is checked, once; the dual's chain is not checked separately.
+    """
+    return _costandard(mod, build_dual(mod), deg)
 
 
 # ---------------------------------------------------------------------

@@ -23,6 +23,7 @@ from uqwb import (
     typicality,
 )
 from uqwb.cli import default_bgg_weights, main, typical_weights
+from uqwb.projectives import build_projective_cover
 from uqwb.session import MAX_ORDER
 
 
@@ -655,6 +656,21 @@ def test_certificate_chain_longer_than_claims_fails(tmp_path, capsys,
     code, text = run(capsys, "verify-cert", str(bad))
     assert code == 1
     assert "[FAIL] certificate: chain length * block dim = dim" in text
+
+
+def test_certificate_member_not_closed_fails(tmp_path, capsys):
+    """A member that is not a submodule fails its check, and the
+    quotients over it fail, instead of stopping the verification."""
+    s = Session(5)
+    data = extract_standard_filtration(build_projective_cover(s, 1, 1),
+                                       1).to_json()
+    del data["chain"][0][0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, text = run(capsys, "verify-cert", str(bad))
+    assert code == 1
+    assert "[FAIL] certificate: member 0 closed" in text
+    assert "[FAIL] certificate: quotient 1 is verma" in text
 
 
 def test_negative_degree_rejected(tmp_path, capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from uqwb import (
+    DiagnosticError,
     FiltrationCertificate,
     ModuleInvalidError,
     RejectedInputError,
@@ -37,7 +38,9 @@ from uqwb import (
     weight_split,
 )
 from uqwb.linalg import SMat, invert_dense, nullspace, reduce_row, rref
-from uqwb.projectives import build_projective_cover
+from uqwb import projectives, structure
+from uqwb.projectives import (build_projective_cover,
+                              certify_projcover_structure)
 from uqwb.repmod import ModuleRep, direct_sum
 from uqwb.structure import (
     _chain_from_hw,
@@ -217,6 +220,119 @@ def test_filtration_certificate_json_round_trip(session):
     assert back.kind == cert.kind
     assert back.quotient_weights() == cert.quotient_weights()
     assert verify_filtration_certificate(back)["status"] == "pass"
+
+
+def _verma_tops(mod):
+    """(w, d, sub) for each highest-weight vector u of mod, of weight w
+    and degree d, whose generated submodule sub has dimension (d + 1) r."""
+    r = mod.session.r
+    out = []
+    for u, w, d in highest_weight_vectors(mod):
+        sub = submodule_generated(mod, [u])
+        if sub.dim == (d + 1) * r:
+            out.append((w, d, sub))
+    return out
+
+
+def test_verma_by_dimension(session):
+    """The standard search takes a highest-weight vector of degree d
+    whose submodule has dimension (d + 1) r for V(w, d), by the
+    universal property of V(w, d).  Checked on tensors, a cover, its
+    dual and a second cover, and on the quotient of each by its first
+    such submodule, as the search meets them."""
+    cover = build_projective_cover(session, 1, 1, twist=1)
+    mods = [build_tensor(build_generalized_verma(session, Fraction(1), m),
+                         build_simple(session, i))
+            for m, i in ((0, 2), (1, 1), (2, 2))]
+    mods += [cover, build_dual(cover), build_projective_cover(session, 0, 2)]
+    for mod in mods:
+        found = _verma_tops(mod)
+        assert found, mod.name
+        for w, d, sub in found:
+            assert is_generalized_verma(submodule_to_module(sub), w, d)
+        quot = quotient_module(mod, found[0][2])
+        for w, d, sub in _verma_tops(quot):
+            assert is_generalized_verma(submodule_to_module(sub), w, d)
+
+
+def _count_calls(monkeypatch, module, name, log):
+    """Wrap module.name so that each call appends its first argument to
+    log[name]."""
+    orig = getattr(module, name)
+    log[name] = []
+
+    def counted(*args, **kwargs):
+        log[name].append(args[0])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_filtrations_verify_once(s5, monkeypatch):
+    """Each extraction verifies the certificate it returns exactly once;
+    the search recognises no Verma; a cover certification verifies two
+    certificates and builds the cover's dual once."""
+    p = build_projective_cover(s5, 1, 1)
+    log = {}
+    for module, name in ((structure, "verify_filtration_certificate"),
+                         (structure, "is_generalized_verma"),
+                         (structure, "build_dual"),
+                         (projectives, "build_dual")):
+        _count_calls(monkeypatch, module, name, log)
+
+    def calls():
+        out = {n: len(v) for n, v in log.items()}
+        out["dual of the cover"] = sum(a is p for a in log["build_dual"])
+        for v in log.values():
+            v.clear()
+        return out
+
+    assert structure._standard_chain(p, 1) is not None
+    assert calls()["is_generalized_verma"] == 0
+    cert = extract_standard_filtration(p, 1)
+    got = calls()
+    assert got["verify_filtration_certificate"] == 1
+    assert got["is_generalized_verma"] == len(cert.claims) == 2
+    ccert = extract_costandard_filtration(p, 1)
+    got = calls()
+    assert got["verify_filtration_certificate"] == 1
+    assert got["dual of the cover"] == 1
+    assert got["is_generalized_verma"] == len(ccert.claims) == 2
+    rep = certify_projcover_structure(s5, 1, 1, module=p)
+    assert rep["status"] == "pass"
+    got = calls()
+    assert got["verify_filtration_certificate"] == 2
+    assert got["dual of the cover"] == 1
+
+
+def _wrong_claim_weight(cert):
+    kind, w, deg = cert.claims[0]
+    cert.claims[0] = (kind, w + 2, deg)
+
+
+def _members_swapped(cert):
+    cert.chain[0], cert.chain[1] = cert.chain[1], cert.chain[0]
+
+
+@pytest.mark.parametrize("fault", [_wrong_claim_weight, _members_swapped])
+def test_single_check_catches_search_faults(s5, monkeypatch, fault):
+    """A fault in the searched chain, on the dual or on the module
+    itself, fails the one verification of the returned certificate."""
+    p = build_projective_cover(s5, 1, 1)
+    orig = structure._standard_chain
+
+    def faulty(mod, deg):
+        cert = orig(mod, deg)
+        fault(cert)
+        return cert
+
+    monkeypatch.setattr(structure, "_standard_chain", faulty)
+    with pytest.raises(DiagnosticError,
+                       match="costandard transport failed re-verification"):
+        extract_costandard_filtration(p, 1)
+    with pytest.raises(DiagnosticError,
+                       match="extracted filtration failed re-verification"):
+        extract_standard_filtration(p, 1)
 
 
 # ---------------------------------------------------------------------

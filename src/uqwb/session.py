@@ -11,8 +11,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from sympy import Poly, cyclotomic_poly, symbols
-
 from .cyclotomic import Cyc
 from .errors import RejectedInputError
 from .scalars import Scalar
@@ -21,14 +19,53 @@ MODE_EXPONENTIAL = "exponential"
 MODE_PAPER_LITERAL = "paper-literal"
 
 # Ceiling on the cyclotomic order M = 2*N*ell.  Building a session costs
-# roughly M*phi(M) (Session(1024), M = 4096, took 0.36 s and 119 MB on a
-# 2-vCPU host), so a larger ell or N in a dump or on the command line is
-# refused as a usage error before any of that work is done.
+# roughly M*phi(M) (Session(1024), M = 4096, took 0.44-0.52 s, and its
+# process peaked at 80 MB, on a 2-vCPU host with Python 3.11), so a larger
+# ell or N in a dump or on the command line is refused as a usage error
+# before any of that work is done.
 MAX_ORDER = 4096
+
+
+def _cyclotomic_coeffs(M):
+    """Ascending int coefficients of the M-th cyclotomic polynomial.
+
+    Moebius inversion of x^M - 1 = prod_{d | M} Phi_d gives
+    Phi_M = prod_{d | M} (x^d - 1)^mu(M/d).  mu(M/d) is nonzero only when
+    M/d is a product of distinct primes of M, so the factors are
+    d = M/P for the subsets P of those primes, with mu = (-1)^|P|.  The
+    factors with mu = 1 are multiplied in first and those with mu = -1
+    divided out after, exactly; each step is one pass over the ints.
+    """
+    primes, n, p = [], M, 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    up, down = [M], []  # d = M/P for |P| even, and for |P| odd
+    for p in primes:
+        up, down = up + [d // p for d in down], down + [d // p for d in up]
+    poly = [1]
+    for d in up:  # times (x^d - 1): c_k -> c_{k-d} - c_k
+        poly = [-c for c in poly] + [0] * d
+        for k in range(len(poly) - 1, d - 1, -1):
+            poly[k] -= poly[k - d]
+    for d in down:  # over (x^d - 1): q_k = q_{k-d} - c_k, remainder 0
+        poly = [-c for c in poly[:len(poly) - d]]
+        for k in range(d, len(poly)):
+            poly[k] += poly[k - d]
+    return poly
 
 
 class Session:
     """Arithmetic context: exact model of Q(zeta_M)(tau) for fixed ell, N.
+
+    Q(zeta_M) is Q[x]/Phi_M, and Phi_M is built from integers alone by
+    Moebius inversion of x^M - 1 = prod_{d | M} Phi_d (see
+    _cyclotomic_coeffs).
 
     The session also holds the caches of its arithmetic: q_power results
     keyed by weight (only weights on the (1/N)Z lattice are stored, so an
@@ -70,9 +107,7 @@ class Session:
         # for every integer k.
         self._q_exp_unit = 2 * weight_denominator
 
-        x = symbols("x")
-        cp = Poly(cyclotomic_poly(self.M, x), x)
-        coeffs = [int(c) for c in reversed(cp.all_coeffs())]
+        coeffs = _cyclotomic_coeffs(self.M)
         self.phi = len(coeffs) - 1
         self._red_rows = self._build_reduction_rows(coeffs)
         self._zeta_table = self._build_zeta_table()

@@ -437,9 +437,9 @@ CLI_REPORT_SHA256 = {
     "pcover-certify":
         "6440d56536443261b8ee7a92dd395ca4655e314a9ba90bafc5cc6dfb4596598d",
     "filtration":
-        "8d8cb536c7099dd94b87e5157b184d3a773db3c11e5799b01a3647362cbdd3cb",
+        "45466fec8983a303b158cf1a5b55f5f92d7757c74ce51a442b5388f57b42b6be",
     "verify-cert":
-        "316b04eb1d2698f9aa9266e012d27ef0258eea06b24c29de7407977bacd1f18b",
+        "388945a82d7abd2fe80ee87ba2bffea02619ae8dd953eb835c9fcb46811a0ceb",
     "verify":
         "43c50e3e3f72a9b7018aa90e3484bf71850d5b421a182153e44e80f3189bc1ba",
 }

@@ -1,10 +1,13 @@
-"""Source-level gates on the library: exact arithmetic only, and every
-name the benchmark traces still in place."""
+"""Source-level gates on the library: exact arithmetic only, the standard
+library as its only dependency, and every name the benchmark traces still
+in place."""
 
 import ast
 import importlib
 import inspect
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "uqwb"
 
@@ -25,6 +28,66 @@ def test_no_float_in_library():
                 found.append("%s:%d float() call" % (path.name, node.lineno))
     assert list(SRC.rglob("*.py")), "library sources not found"
     assert not found, found
+
+
+def test_imports_only_standard_library():
+    """Every import under src/uqwb names a standard-library module, uqwb
+    itself, or a module relative to it."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "uqwb" and top not in sys.stdlib_module_names:
+                    found.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert not found, found
+
+
+# refuses every module outside the standard library and uqwb that is not
+# loaded yet (mpmath, which is installed, must be refused), then imports
+# uqwb and its CLI and builds two sessions and a projective cover
+STDLIB_ONLY = """
+import sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        top = name.split(".")[0]
+        if top != "uqwb" and top not in sys.stdlib_module_names:
+            raise ImportError("refused: " + name)
+
+sys.meta_path.insert(0, Refuse())
+try:
+    import mpmath
+except ImportError:
+    pass
+else:
+    sys.exit("mpmath was not refused")
+import uqwb, uqwb.cli
+from uqwb import Session
+from uqwb.projectives import build_projective_cover
+
+Session(5)
+Session(8)
+print(build_projective_cover(Session(5), 1, 1).dim)
+"""
+
+
+def test_runs_on_standard_library_alone():
+    """In a fresh interpreter that refuses to import anything outside the
+    standard library, uqwb and its CLI import, sessions build and P(1,1)
+    at ell 5 builds."""
+    done = subprocess.run([sys.executable, "-c", STDLIB_ONLY],
+                          cwd=SRC.parent, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["20"], done.stdout
 
 
 LAYERS = SRC.parent.parent / "perfbench" / "layers.py"

@@ -3,6 +3,7 @@ composition series, splitting sections, and the BGG table."""
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -333,6 +334,33 @@ def test_single_check_catches_search_faults(s5, monkeypatch, fault):
     with pytest.raises(DiagnosticError,
                        match="extracted filtration failed re-verification"):
         extract_standard_filtration(p, 1)
+
+
+def _assert_no_repeated_check(rep, members):
+    names = [it["check"] for it in rep["items"]]
+    assert len(names) == len(set(names)), names
+    for j in range(1, members):
+        pair = [n for n in names
+                if set(re.findall(r"member (\d+)", n)) == {str(j - 1),
+                                                           str(j)}]
+        assert len(pair) == 1, (j, pair)
+
+
+def test_certificate_report_repeats_no_check(session):
+    """verify_filtration_certificate reports each check once: one item
+    for each member pair (member j contains member j - 1), on the P(1,1)
+    certificate and on a copy whose top member lost a row."""
+    p = build_projective_cover(session, 1, 1)
+    cert = extract_standard_filtration(p, 1)
+    rep = verify_filtration_certificate(cert)
+    assert rep["status"] == "pass"
+    _assert_no_repeated_check(rep, len(cert.chain))
+    data = cert.to_json()
+    del data["chain"][-1][-1]
+    rep = verify_filtration_certificate(
+        FiltrationCertificate.from_json(data, session))
+    assert rep["status"] == "fail"
+    _assert_no_repeated_check(rep, len(cert.chain))
 
 
 # ---------------------------------------------------------------------

@@ -134,12 +134,20 @@ def build_projective_cover(session, i, m, twist=0):
         bad = [it["check"] for it in rep["items"] if not it["ok"]]
         raise ConstructionError(
             "projective cover construction failed relations: %s" % (bad,))
-    if twist:
-        mod = build_tensor(mod, build_one_dim(session, twist))
-        mod.name = "%s x C(%d)" % (name, twist)
-        rep = verify_relations(mod)
-        if rep["status"] != "pass":
-            raise ConstructionError("twisted cover failed relations")
+    return _twist(mod, twist) if twist else mod
+
+
+def _twist(p, twist):
+    """p (x) C_{twist*ell/2}, named after p, once its relations pass.
+
+    The only twist path: build_projective_cover and bgg_table both take
+    their twisted covers from here.  Raises ConstructionError if the
+    tensor fails any defining relation.
+    """
+    mod = build_tensor(p, build_one_dim(p.session, twist))
+    mod.name = "%s x C(%d)" % (p.name, twist)
+    if verify_relations(mod)["status"] != "pass":
+        raise ConstructionError("twisted cover failed relations")
     return mod
 
 

@@ -804,7 +804,9 @@ def verify_filtration_certificate(cert):
     """Re-check a filtration certificate from scratch.
 
     Returns {"status", "items"} in the same shape as verify_relations.
-    A quotient over a member that is not closed fails, unbuilt.
+    A member is closed only as a submodule of cert.parent: one held in
+    another module fails "member j closed".  A quotient over a member
+    that is not closed fails, unbuilt.
     """
     mod = cert.parent
     rep = Report()
@@ -813,7 +815,7 @@ def verify_filtration_certificate(cert):
             len(cert.chain) * block == mod.dim
             and len(cert.chain) == len(cert.claims),
             "dims %s vs %d" % ([c.dim for c in cert.chain], mod.dim))
-    closed = [sub.is_closed() for sub in cert.chain]
+    closed = [sub.parent is mod and sub.is_closed() for sub in cert.chain]
     # a chain longer than its claims fails the first check; zip stops
     for j, (sub, (kind, w, deg)) in enumerate(zip(cert.chain,
                                                   cert.claims)):
@@ -944,6 +946,25 @@ def _costandard(mod, dual, deg):
     return _verified(cert, "costandard transport")
 
 
+def _twisted_chain(cert, tmod, shift):
+    """A standard certificate of tmod = cert.parent (x) C, unverified.
+
+    C is one-dimensional with E = F = 0 and H = shift, so build_tensor
+    keeps cert.parent's basis indices, and on them E acts on tmod as a
+    nonzero multiple of E, F as F and H as H + shift.  tmod therefore
+    has exactly the submodules of cert.parent, and a chain with
+    quotients V(w, deg) is one of tmod with quotients V(w + shift, deg):
+    the same rows, rebased onto tmod, and every claim weight shifted.
+    """
+    chain = []
+    for sub in cert.chain:
+        member = sub.copy()
+        member.parent = tmod
+        chain.append(member)
+    claims = [(kind, w + shift, deg) for kind, w, deg in cert.claims]
+    return FiltrationCertificate(tmod, cert.kind, cert.degree, chain, claims)
+
+
 def extract_costandard_filtration(mod, deg):
     """Costandard filtration via the standard filtration of the dual.
 
@@ -1053,7 +1074,8 @@ def verma_splitting_section(mod, f, lam, deg):
     f is a (dim V x dim mod) matrix.  Follows the inductive recursion
     on the extremal operators X+ = E^{r-1}, X- = F^{r-1}: the diagonal
     coefficients of X+X- on the highest-weight chain are invertible
-    exactly when lam is typical.
+    exactly when lam is typical.  X+X- is applied only to the vectors
+    that need it, one F or E step at a time.
     """
     s = mod.session
     lam = s.check_weight(lam)
@@ -1064,9 +1086,18 @@ def verma_splitting_section(mod, f, lam, deg):
     if not _intertwiner_ok(f, mod, verma):
         raise RejectedInputError("f is not equivariant")
     n = deg + 1
-    xpxm_v = verma.matE.matpow(s.r - 1) @ verma.matF.matpow(s.r - 1)
+
+    def xpxm(module, vec):
+        """X+X- vec for a sparse vector of module."""
+        for g in ("F", "E"):
+            cols = module.columns(g)
+            for _ in range(s.r - 1):
+                vec = _apply(cols, vec)
+        return vec
+
     # nu[k2][k] = coefficient of v^{k2} in X+X- v^k (chain indices t=0)
-    nu = [[xpxm_v.rows[k2].get(k, s.zero) for k in range(n)]
+    images = [xpxm(verma, {k: s.one}) for k in range(n)]
+    nu = [[images[k].get(k2, s.zero) for k in range(n)]
           for k2 in range(n)]
     for k in range(n):
         if nu[k][k].is_zero():
@@ -1096,9 +1127,7 @@ def verma_splitting_section(mod, f, lam, deg):
     diff = us[deg]
     for k in range(deg):
         diff = _axpy(diff, -s.one, us[k])
-    xpxm_m = mod.matE.matpow(s.r - 1) @ mod.matF.matpow(s.r - 1)
-    w = _sparse(xpxm_m.apply(_dense(mod, diff)))
-    chain = _chain_from_hw(mod, w, lam, deg)
+    chain = _chain_from_hw(mod, xpxm(mod, diff), lam, deg)
     g = _verma_map_from_chain(mod, chain, lam, deg)
     if not (f @ g - SMat.identity(s, verma.dim)).is_zero():
         raise DiagnosticError("section fails f*g = id")
@@ -1169,18 +1198,30 @@ def bgg_table(session, m, weights, seed=0):
     for typical lam and the twisted projective P_i^m (x) C otherwise;
     filtration multiplicities come from certificates, composition
     multiplicities from the independent jordan_holder computation.
+
+    Each untwisted P_i^m is built and searched once per call; a twist
+    gets the search's chain by transport (_twisted_chain).  Every
+    returned certificate is verified once, and every twisted cover
+    passes its own relation check.
     """
-    from .projectives import build_projective_cover
+    from .projectives import _twist, build_projective_cover
 
     weights = [session.check_weight(w) for w in weights]
+    covers = {}  # i -> (P_i^m, its standard chain, unverified)
     filt = {}
     for lam in weights:
         if typicality(session, lam).typical:
-            p = build_generalized_verma(session, lam, m)
+            cert = extract_standard_filtration(
+                build_generalized_verma(session, lam, m), m)
         else:
             i, k = atypical_decompose(session, lam)
-            p = build_projective_cover(session, i, m, twist=k)
-        cert = extract_standard_filtration(p, m)
+            if i not in covers:
+                p = build_projective_cover(session, i, m)
+                covers[i] = (p, _standard_chain(p, m))
+            p, cert = covers[i]
+            if cert is not None and k:
+                cert = _twisted_chain(cert, _twist(p, k), lam - i)
+            cert = _verified(cert, "filtration of the cover at %s" % (lam,))
         if cert is None:
             raise DiagnosticError(
                 "no standard filtration found for the cover at %s" % (lam,))

@@ -428,9 +428,10 @@ def test_ungraded_module_reported(tmp_path, capsys, argv):
 
 
 # SHA-256 of the --format json report, "seconds" removed, of each verb run
-# at ell 5 in a scratch directory: P(1,1) is built, certified and given a
+# in a scratch directory: at ell 5, P(1,1) is built, certified and given a
 # standard filtration certificate, and an L_1 dump with E entry (0,1)
-# doubled fails exactly one relation, with a witness
+# doubled fails exactly one relation, with a witness; at ell 8, the
+# degree-0 BGG table over the default window
 CLI_REPORT_SHA256 = {
     "pcover":
         "d9911bc2728b91b81c9342adb7fa99d1c39b3a266b68acefdfab45895bfd77bb",
@@ -442,6 +443,8 @@ CLI_REPORT_SHA256 = {
         "388945a82d7abd2fe80ee87ba2bffea02619ae8dd953eb835c9fcb46811a0ceb",
     "verify":
         "43c50e3e3f72a9b7018aa90e3484bf71850d5b421a182153e44e80f3189bc1ba",
+    "bgg":
+        "bfc3d7ea9cdb4df84b362645309a2c327cfe9a26e02eef5dfb672ff50ea3dedb",
 }
 
 
@@ -457,6 +460,7 @@ def test_json_report_digests(tmp_path, capsys, monkeypatch):
         (0, ["filtration", "p.json", "--degree", "1", "--out", "c.json"]),
         (0, ["verify-cert", "c.json"]),
         (1, ["verify", "tampered.json"]),
+        (0, ["--ell", "8", "bgg", "--m", "0"]),
     ]
     digests = {}
     for code, argv in runs:

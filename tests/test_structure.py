@@ -14,6 +14,7 @@ from uqwb import (
     ModuleInvalidError,
     RejectedInputError,
     atypical_decompose,
+    bgg_table,
     build_dual,
     build_generalized_verma,
     build_one_dim,
@@ -40,6 +41,7 @@ from uqwb import (
 )
 from uqwb.linalg import SMat, invert_dense, nullspace, reduce_row, rref
 from uqwb import projectives, structure
+from uqwb.cli import default_bgg_weights
 from uqwb.projectives import (build_projective_cover,
                               certify_projcover_structure)
 from uqwb.repmod import ModuleRep, direct_sum
@@ -272,13 +274,18 @@ def _count_calls(monkeypatch, module, name, log):
 def test_filtrations_verify_once(s5, monkeypatch):
     """Each extraction verifies the certificate it returns exactly once;
     the search recognises no Verma; a cover certification verifies two
-    certificates and builds the cover's dual once."""
+    certificates and builds the cover's dual once.  bgg_table searches
+    each untwisted cover and each typical Verma once, checks the
+    relations of each untwisted and each twisted cover once, and
+    verifies one certificate per weight."""
     p = build_projective_cover(s5, 1, 1)
     log = {}
     for module, name in ((structure, "verify_filtration_certificate"),
                          (structure, "is_generalized_verma"),
                          (structure, "build_dual"),
-                         (projectives, "build_dual")):
+                         (structure, "_standard_chain"),
+                         (projectives, "build_dual"),
+                         (projectives, "verify_relations")):
         _count_calls(monkeypatch, module, name, log)
 
     def calls():
@@ -304,6 +311,67 @@ def test_filtrations_verify_once(s5, monkeypatch):
     got = calls()
     assert got["verify_filtration_certificate"] == 2
     assert got["dual of the cover"] == 1
+    # i = 1 at twists 0, 2 and -2, i = 2 at twists 0 and 2, typical 4
+    weights = [Fraction(w) for w in (1, 6, -4, 2, 7, 4)]
+    assert all(c[3] for c in bgg_table(s5, 1, weights))
+    got = calls()
+    assert got["_standard_chain"] == 2 + 1
+    assert got["verify_filtration_certificate"] == len(weights)
+    assert got["verify_relations"] == 2 + 3
+
+
+def _transport(s5):
+    """The unverified standard chain of P(1,1), P(1,1) x C(2) and the
+    shift 2*ell/2."""
+    p = build_projective_cover(s5, 1, 1)
+    return structure._standard_chain(p, 1), projectives._twist(p, 2), \
+        Fraction(5)
+
+
+def test_transported_certificate_verifies(s5):
+    chain, t, shift = _transport(s5)
+    cert = structure._verified(structure._twisted_chain(chain, t, shift),
+                               "transport")
+    assert cert.parent is t
+    assert all(sub.parent is t for sub in cert.chain)
+    assert cert.quotient_weights() == [Fraction(12), Fraction(6)]
+
+
+def _wrong_shift(chain, t, shift):
+    return structure._twisted_chain(chain, t, shift + 2)
+
+
+def _members_not_rebased(chain, t, shift):
+    return FiltrationCertificate(t, "standard", 1, chain.chain,
+                                 [(k, w + shift, d)
+                                  for k, w, d in chain.claims])
+
+
+@pytest.mark.parametrize("fault", [_wrong_shift, _members_not_rebased])
+def test_faulty_transport_fails_verification(s5, fault):
+    chain, t, shift = _transport(s5)
+    with pytest.raises(DiagnosticError,
+                       match="transport failed re-verification"):
+        structure._verified(fault(chain, t, shift), "transport")
+
+
+def test_certificate_members_must_lie_in_its_module(s5, monkeypatch):
+    """Members held in another module fail "member j closed", and no
+    quotient is built over them: P(1,1)'s chain, claims unchanged, is
+    not a certificate of P(1,1) x C(2), whose quotients are V(12,1) and
+    V(6,1)."""
+    p = build_projective_cover(s5, 1, 1)
+    t = build_projective_cover(s5, 1, 1, 2)
+    c = structure._standard_chain(p, 1)
+    log = {}
+    _count_calls(monkeypatch, structure, "submodule_to_module", log)
+    rep = verify_filtration_certificate(
+        FiltrationCertificate(t, "standard", 1, c.chain, c.claims))
+    assert rep["status"] == "fail"
+    assert [it["check"] for it in rep["items"] if not it["ok"]] == [
+        "member 0 closed", "quotient 0 is verma(7,1)",
+        "member 1 closed", "quotient 1 is verma(1,1)"]
+    assert log["submodule_to_module"] == []
 
 
 def _wrong_claim_weight(cert):
@@ -405,7 +473,17 @@ def test_splitting_section_typical(session):
     g = verma_splitting_section(big, f, top, m)
     # f*g = id and equivariance are certified inside; a section implies
     # the surjection splits, so the tensor has a Verma direct summand.
-    assert g is not None
+    rows = [[session.format_scalar(x) for x in row] for row in g.to_dense()]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == SECTION_SHA256[session.ell]
+
+
+# SHA-256 of the JSON rows of scalar texts of the section above, as
+# full-dimension powers of E and F computed it
+SECTION_SHA256 = {
+    5: "e5e01edca2b7c4a4ebe82a8f096c2c59ca7e3620e171f66dadd85c5ce14c41fb",
+    8: "abf4c5e8cda272dcea71a469830c9f88180402d7b742dd10a3ac28c37556e960",
+}
 
 
 def test_splitting_requires_typical(session):
@@ -422,12 +500,43 @@ def test_splitting_requires_typical(session):
 # ---------------------------------------------------------------------
 
 def test_bgg_small_window(session):
-    from uqwb import bgg_table
     weights = [Fraction(0), Fraction(1)]
     cells = bgg_table(session, 0, weights)
     assert len(cells) == 4
     for (_lam, _mu), a, b, ok in cells:
         assert ok, ((_lam, _mu), a, b)
+
+
+# SHA-256 of the JSON list of [lam, mu, filtration, composition, equal]
+# of bgg_table over the CLI default window moved by shift*r, as the
+# tables were when every twisted cover was searched on its own
+BGG_SHA256 = {
+    (5, 0):
+        "2c10265f9e5ec1bc893b892b7ef1f4862b459cdd43f897039da303a2c87eb373",
+    (5, 2):
+        "655e7c49ad3e1dd45b1744d94d2a27b3e6a2a9f118c422ca304a56beafa32789",
+    (5, -2):
+        "61844762e3e6a78e2c9c17c0af3a9986b9080b1d6a77fda2c1b08a98eac696e9",
+    (8, 0):
+        "aa9683391511f1b3e476c73c4d92753da95fde61a354c095fa28a0a6c88b9d10",
+    (8, 2):
+        "aabcc8b44b794d5b6a03746c4b3fd61368a69361395c38d7647014abefde4b9c",
+    (8, -2):
+        "530c3c9b978d04647187a1c37d5c241b87e94c791104f3c3910781d8fda14219",
+}
+
+
+@pytest.mark.parametrize("shift", [0, 2, -2])
+@pytest.mark.parametrize("ell,m", [(5, 0), (5, 1), (8, 0)])
+def test_bgg_cells_unchanged(s5, s8, ell, m, shift):
+    """Pinned tables; in the moved windows every atypical weight is a
+    nonzero twist."""
+    s = s5 if ell == 5 else s8
+    weights = [w + shift * s.r for w in default_bgg_weights(s)]
+    data = json.dumps([[str(lam), str(mu), a, b, ok]
+                       for (lam, mu), a, b, ok in bgg_table(s, m, weights)])
+    digest = hashlib.sha256(data.encode()).hexdigest()
+    assert digest == BGG_SHA256[(ell, shift)]
 
 
 # ---------------------------------------------------------------------

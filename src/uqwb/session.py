@@ -25,6 +25,13 @@ MODE_PAPER_LITERAL = "paper-literal"
 # before any of that work is done.
 MAX_ORDER = 4096
 
+# Ceiling on a tau exponent in scalar text.  A polynomial is parsed into a
+# coefficient tuple as long as its largest exponent, so a larger exponent
+# is refused as a usage error before that tuple is built.  It cannot come
+# from a dump's max_degree: a change of basis by diag(tau^k, 1, ..., 1)
+# puts tau^(k+1) into a valid module of degree 1, for any k.
+MAX_TAU_DEGREE = 4096
+
 
 def _cyclotomic_coeffs(M):
     """Ascending int coefficients of the M-th cyclotomic polynomial.
@@ -262,6 +269,10 @@ class Session:
                 raise RejectedInputError("cannot parse scalar term %r" % term)
             coef = self._parse_cyc(m.group(1))
             k = _parse_digits(m.group(2), 0, term)
+            if k > MAX_TAU_DEGREE:
+                raise RejectedInputError("tau exponent in term %r exceeds "
+                                         "the ceiling %d"
+                                         % (term, MAX_TAU_DEGREE))
             poly[k] = poly.get(k, self.cyc_zero) + coef
         deg = max(poly) if poly else 0
         return tuple(poly.get(k, self.cyc_zero) for k in range(deg + 1))

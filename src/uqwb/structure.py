@@ -16,6 +16,11 @@ vectors, so reducing a vector touches only the rows of its own weight.
 The public functions take and return dense lists, as before, and since
 a reduced echelon basis is unique their answers are exactly those of a
 dense computation.
+
+Isomorphism is decided from the Hom space: `_hom_basis` solves the
+equations of an intertwiner, weight block by weight block, in one such
+sparse echelon, and `iso_test` looks for an invertible element among
+that basis and a few seeded combinations of it.
 """
 
 from __future__ import annotations
@@ -426,7 +431,7 @@ def submodule_to_module(sub):
 
 
 # ---------------------------------------------------------------------
-# highest-weight and dominant vectors
+# highest-weight vectors
 # ---------------------------------------------------------------------
 
 def _hw_block(mod, w):
@@ -464,73 +469,9 @@ def _shifted_block(mat, idx, shift):
     return out
 
 
-def leading_dominant_vectors(mod):
-    """Weight-w degree-d vectors with (H-w)^d (FE)^2 v = 0, as triples.
-
-    For d = 0 this is the dominant condition (FE)^2 v = 0; for d >= 1
-    it asks (FE)^2 v to drop to strictly lower degree, which is the
-    most a degree-d generator can satisfy: the commutator of E and F
-    against the nilpotent part of K never vanishes on higher degrees.
-    FE and H preserve every weight block, so both conditions are solved
-    on the block alone.
-    """
-    s = mod.session
-    blocks = mod.graded_blocks()
-    out = []
-    for w, idx in sorted(blocks.items(), reverse=True):
-        n = len(idx)
-        up = blocks.get(w + 2, [])
-        fe = mod.matF.block(idx, up) @ mod.matE.block(up, idx)
-        fe2 = fe @ fe
-        hw = _shifted_block(mod.matH, idx, s.from_rational(w))
-        hpow = SMat.identity(s, n)
-        for d in range(mod.max_degree + 1):
-            hnext = hpow @ hw
-            rows = (hpow @ fe2).to_dense() + hnext.to_dense()
-            for v in nullspace(rows, n, s.zero, s.one):
-                vec = _embed(idx, v)
-                if _degree(mod, vec, w) == d:
-                    out.append((_dense(mod, vec), w, d))
-            hpow = hnext
-    return out
-
-
 # ---------------------------------------------------------------------
 # isomorphism testing
 # ---------------------------------------------------------------------
-
-def _weight_profile(mod):
-    prof = {}
-    for lab in mod.labels:
-        prof[lab.weight] = prof.get(lab.weight, 0) + 1
-    return prof
-
-
-def _generator_tree(mod, v):
-    """Spanning set {word(v)} with parent/generator bookkeeping.
-
-    v is a sparse weight-homogeneous vector.  Returns (nodes, steps)
-    where steps[i] = (parent index, generator name) and steps[0] is
-    None; nodes are sparse and form a basis iff v generates.  In a
-    graded module every node is weight-homogeneous.
-    """
-    if len(_split(mod, v)) != 1:
-        raise RejectedInputError("tree seed must be weight-homogeneous")
-    nodes = [v]
-    steps = [None]
-    indep = SubmoduleBasis(mod)
-    indep._insert(v)
-    gens = [(g, mod.columns(g)) for g in ("E", "F", "H")]
-    i = 0
-    while i < len(nodes):
-        for g, cols in gens:
-            img = _apply(cols, nodes[i])
-            if indep._insert(img) is not None:
-                nodes.append(img)
-                steps.append((i, g))
-        i += 1
-    return nodes, steps
-
 
 def _intertwiner_ok(g, a, b):
     """Whether g : a -> b commutes with E, F and H.
@@ -562,76 +503,105 @@ def _blocks_full_rank(g, pairs):
                for rows, cols in pairs)
 
 
-def iso_test(a, b, seed=0, attempts=3):
-    """An exact invertible intertwiner a -> b, or None.
+def _hom_basis(a, b):
+    """A basis of Hom_U(a, b) as SMats, or None if the weight blocks of
+    a and b differ in size.
 
-    Finds a cyclic generator of a, then searches images among the
-    matching dominant vectors of b (basis elements plus a few seeded
-    random combinations); every candidate map is certified exactly.
-    A None answer is "no isomorphism found", not a proof of absence.
-    Every map here preserves weights, so the basis change T of the
-    generator tree is inverted, and the candidate G = W T^-1 formed and
-    tested for invertibility, one weight block at a time.
+    An H-equivariant X maps block w of a to block w of b, so the
+    unknowns are X[i, j] with i in block w of b and j in block w of a.
+    The equations are the entries (i, j) of X M_a - M_b X for M = H, E
+    and F, with weight(i) = weight(j) + 0, +2 and -2: (X M_a)[i, j] sums
+    X[i, k] M_a[k, j] over k of weight(i), (M_b X)[i, j] sums
+    M_b[i, k] X[k, j] over k of weight(j).  They go into one sparse
+    echelon, and each free unknown gives the basis element that is 1
+    there and 0 on the other free unknowns.
     """
-    if a.dim != b.dim:
-        return None
-    if _weight_profile(a) != _weight_profile(b):
-        return None
-    if a.matE == b.matE and a.matF == b.matF and a.matH == b.matH:
-        return SMat.identity(a.session, a.dim)
     s = a.session
     blocks_a = a.graded_blocks()
     blocks_b = b.graded_blocks()
-    # the span of a generator tree is the submodule its seed generates
-    for v, w, d in leading_dominant_vectors(a):
-        nodes, steps = _generator_tree(a, _sparse(v))
-        if len(nodes) == a.dim:
-            break
-    else:
+    if ({w: len(idx) for w, idx in blocks_a.items()}
+            != {w: len(idx) for w, idx in blocks_b.items()}):
         return None
-    by_weight = {}
-    for al, node in enumerate(nodes):
-        by_weight.setdefault(a.labels[min(node)].weight, []).append(al)
-    tinv = []
-    for wt, idx in blocks_a.items():
-        als = by_weight.get(wt, [])
-        inv = None
-        if len(als) == len(idx):
-            inv = invert_dense([[nodes[al].get(i, s.zero) for al in als]
-                                for i in idx], s.zero, s.one)
-        if inv is None:
-            raise DiagnosticError("generator tree is not a basis")
-        tinv.append((idx, als, inv))
-    dom_b = leading_dominant_vectors(b)
-    cands = [_sparse(u) for u, wu, du in dom_b if wu == w and du == d]
-    lower = [_sparse(u) for u, wu, du in dom_b if wu == w and du < d]
-    rng = random.Random(seed)
-    extra = []
-    for _ in range(attempts if (len(cands) > 1 or lower) else 0):
-        mix = {}
-        for u in cands + lower:
-            mix = _axpy(mix, s.from_rational(rng.randint(0, 7)), u)
-        extra.append(mix)
-    pairs = [(blocks_b[wt], idx) for wt, idx in blocks_a.items()]
-    for u in cands + extra:
-        images = [u]
-        for parent, g in steps[1:]:
-            images.append(_apply(b.columns(g), images[parent]))
-        # G maps node_alpha to images[alpha]; in standard coordinates
-        # G = W * T^{-1} with W the image columns
+    var = {}  # (i, j) -> unknown number
+    for w, jdx in blocks_a.items():
+        for i in blocks_b[w]:
+            for j in jdx:
+                var[i, j] = len(var)
+    eqs = SubmoduleBasis(None)
+    for g, shift in (("H", 0), ("E", 2), ("F", -2)):
+        acols = a.columns(g)
+        brows = b.generator_matrix(g).rows
+        for w, jdx in blocks_a.items():
+            for i in blocks_b.get(w + shift, []):
+                for j in jdx:
+                    eqs._insert(_axpy(
+                        {var[i, k]: x for k, x in acols[j].items()},
+                        -s.one,
+                        {var[k, j]: x for k, x in brows[i].items()}))
+    sols = {f: {f: s.one} for f in range(len(var)) if f not in eqs._rows}
+    for p, row in eqs._rows.items():
+        for f, x in row.items():
+            if f != p:
+                sols[f][p] = -x
+    entries = list(var)
+    out = []
+    for f in sorted(sols):
         g = SMat(s, b.dim, a.dim)
-        for idx, als, inv in tinv:
-            for jj, j in enumerate(idx):
-                col = {}
-                for al, trow in zip(als, inv):
-                    col = _axpy(col, trow[jj], images[al])
-                for i, x in col.items():
-                    g.rows[i][j] = x
-        if not _intertwiner_ok(g, a, b):
-            continue
-        if not _blocks_full_rank(g, pairs):
-            continue
-        return g
+        for v, x in sols[f].items():
+            i, j = entries[v]
+            g.rows[i][j] = x
+        out.append(g)
+    return out
+
+
+def iso_test(a, b, seed=0):
+    """An exact invertible intertwiner a -> b, or None.
+
+    Solves for a basis of Hom_U(a, b) (_hom_basis) and tries each basis
+    element, then a few combinations of them with small positive
+    integer coefficients drawn from seed.  The basis is tried from its
+    last free unknown back: the element of a free unknown vanishes on
+    every later unknown, so one of an early unknown is zero on the later
+    weight blocks and singular.  A candidate is returned when
+    every weight block of it has full rank; it is then re-checked
+    exactly against E, F and H, and DiagnosticError is raised if it
+    fails.
+
+    None proves that a and b are not isomorphic when the dimensions or
+    the weight blocks differ, when Hom_U(a, b) = 0, or when a or b is
+    indecomposable, as every module with a simple top is: every
+    generalized Verma module, simple module and projective cover.  Were
+    they isomorphic, End(a) would be local (Fitting's lemma; Assem,
+    Simson and Skowronski, Elements of the Representation Theory of
+    Associative Algebras, I.4), its non-units a proper subspace, and so
+    some element of every basis of Hom_U(a, b) invertible.
+    """
+    if a.dim != b.dim:
+        return None
+    if a.matE == b.matE and a.matF == b.matF and a.matH == b.matH:
+        return SMat.identity(a.session, a.dim)
+    basis = _hom_basis(a, b)
+    if basis is None:
+        return None
+    s = a.session
+
+    def candidates():
+        yield from reversed(basis)
+        rng = random.Random(seed)
+        for _ in range(3 if len(basis) > 1 else 0):
+            mix = SMat(s, b.dim, a.dim)
+            for h in basis:
+                mix = mix + h.scale(s.from_rational(rng.randint(1, 7)))
+            yield mix
+
+    blocks_b = b.graded_blocks()
+    pairs = [(blocks_b[w], idx) for w, idx in a.graded_blocks().items()]
+    for g in candidates():
+        if _blocks_full_rank(g, pairs):
+            if not _intertwiner_ok(g, a, b):
+                raise DiagnosticError("a solved Hom element a -> b fails "
+                                      "the intertwiner check")
+            return g
     return None
 
 
@@ -1111,19 +1081,19 @@ def verma_splitting_section(mod, f, lam, deg):
         for k2 in range(k + 1, deg):
             acc = acc - gamma[k2] * nu[k][k2]
         gamma[k] = acc * nu[k][k].inv()
-    # preimages of the targets under f (weight-lam components suffice)
+    # preimages of the targets, on the chain v^0..v^deg of V: f is
+    # equivariant, so it maps the weight-lam block of mod onto the chain
+    # and every other block away from it, and one block solve suffices
     targets = []
-    for k in range(deg):
-        z = [s.zero] * verma.dim
-        z[k] = gamma[k]
+    for k in range(n):
+        z = [s.zero] * n
+        z[k] = top if k == deg else gamma[k]
         targets.append(z)
-    ztop = [s.zero] * verma.dim
-    ztop[deg] = top
-    targets.append(ztop)
-    sols = solve(f.to_dense(), targets, s.zero, s.one)
+    idx = mod.graded_blocks().get(lam, [])
+    sols = solve(f.block(range(n), idx).to_dense(), targets, s.zero, s.one)
     if any(x is None for x in sols):
         raise RejectedInputError("f is not surjective onto the chain")
-    us = [_split(mod, _sparse(x)).get(lam, {}) for x in sols]
+    us = [_embed(idx, x) for x in sols]
     diff = us[deg]
     for k in range(deg):
         diff = _axpy(diff, -s.one, us[k])

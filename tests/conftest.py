@@ -9,6 +9,8 @@ import mpmath as mp
 import pytest
 
 from uqwb import Session
+from uqwb.linalg import SMat
+from uqwb.repmod import ModuleRep
 
 mp.mp.dps = 50
 
@@ -51,3 +53,27 @@ def s8():
 @pytest.fixture(scope="session", params=[5, 8], ids=["ell5", "ell8"])
 def session(request, s5, s8):
     return s5 if request.param == 5 else s8
+
+
+def tau_conjugated(mod, k):
+    """mod in the basis changed by diag(tau^k, 1, ..., 1): D X D^-1 for
+    each generator X, so entries of row 0 gain tau^k and entries of
+    column 0 lose it."""
+    s = mod.session
+    t = s.tau_power(k)
+    tinv = t.inv()
+
+    def conj(mat):
+        out = SMat(s, mat.nrows, mat.ncols)
+        for i, row in enumerate(mat.rows):
+            for j, x in row.items():
+                if i == 0:
+                    x = x * t
+                if j == 0:
+                    x = x * tinv
+                out.set(i, j, x)
+        return out
+
+    return ModuleRep(s, mod.labels, conj(mod.matE), conj(mod.matF),
+                     conj(mod.matH), mod.max_degree,
+                     name="%s tau^%d-conjugated" % (mod.name, k))

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import tau_conjugated
+
 import uqwb
 from uqwb import (
     Session,
@@ -281,12 +283,18 @@ def _long_tau_exponent(d):
     d["E"][0][1] = "(1)*t^" + LONG_DIGITS
 
 
+def _huge_tau_exponent(d):
+    # refused before a billion-entry coefficient tuple is built
+    d["E"][0][1] = "(1)*t^1000000000"
+
+
 @pytest.mark.parametrize("edit", [_bad_ell, _extra_row, _zero_denominator,
                                   _extra_column, _extra_zero_column,
                                   _off_lattice_weight, _negative_max_degree,
                                   _exponent_weight, _long_weight,
                                   _long_coefficient, _long_denominator,
-                                  _long_zeta_exponent, _long_tau_exponent],
+                                  _long_zeta_exponent, _long_tau_exponent,
+                                  _huge_tau_exponent],
                          ids=lambda f: f.__name__[1:])
 def test_malformed_dump_rejected(tmp_path, capsys, edit):
     good = tmp_path / "good.json"
@@ -298,6 +306,16 @@ def test_malformed_dump_rejected(tmp_path, capsys, edit):
     bad.write_text(json.dumps(data))
     code, _ = run(capsys, "verify", str(bad))
     assert code == 2
+
+
+def test_tau_conjugated_dump_loads(tmp_path, capsys):
+    """V(1, 1) conjugated by diag(tau^5, 1, ...) has max_degree 1 and a
+    tau^6 entry: a valid dump that the exponent ceiling keeps."""
+    mod = tau_conjugated(build_generalized_verma(Session(5), 1, 1), 5)
+    path = tmp_path / "conj.json"
+    path.write_text(json.dumps(dump_module(mod)))
+    assert mod.max_degree == 1 and "t^6" in path.read_text()
+    assert run(capsys, "verify", str(path))[0] == 0
 
 
 def test_unreadable_json_rejected(tmp_path, capsys, verma_certificate):

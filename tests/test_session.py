@@ -7,8 +7,10 @@ import math
 
 import mpmath as mp
 
-from uqwb import Session
-from uqwb.session import _cyclotomic_coeffs
+import pytest
+
+from uqwb import RejectedInputError, Session
+from uqwb.session import MAX_TAU_DEGREE, _cyclotomic_coeffs
 
 from conftest import TOL
 
@@ -62,3 +64,13 @@ def test_primitive_root_is_a_root():
         assert len(c) - 1 == s.phi
         z = mp.e ** (2j * mp.pi / s.M)
         assert abs(mp.polyval(c[::-1], z)) < TOL, ell
+
+
+def test_tau_exponent_ceiling():
+    """A tau exponent up to MAX_TAU_DEGREE parses; one above it is
+    refused."""
+    s = Session(5)
+    top = s.parse_scalar("(1)*t^%d" % MAX_TAU_DEGREE)
+    assert len(top.num) == MAX_TAU_DEGREE + 1
+    with pytest.raises(RejectedInputError):
+        s.parse_scalar("(1)*t^%d" % (MAX_TAU_DEGREE + 1))

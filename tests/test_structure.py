@@ -7,6 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from conftest import tau_conjugated
 
 from uqwb import (
     DiagnosticError,
@@ -26,7 +27,6 @@ from uqwb import (
     is_generalized_verma,
     iso_test,
     jordan_holder,
-    leading_dominant_vectors,
     quotient_module,
     simple_label,
     socle_counts,
@@ -44,7 +44,7 @@ from uqwb import projectives, structure
 from uqwb.cli import default_bgg_weights
 from uqwb.projectives import (build_projective_cover,
                               certify_projcover_structure)
-from uqwb.repmod import ModuleRep, direct_sum
+from uqwb.repmod import ModuleRep, WeightLabel, direct_sum
 from uqwb.structure import (
     _chain_from_hw,
     _intertwiner_ok,
@@ -177,6 +177,118 @@ def test_iso_test_negative(session):
     assert iso_test(a, b) is None
     c = build_simple(session, 1)
     assert iso_test(a, c) is None  # different dimensions
+
+
+def test_iso_test_dual_of_semisimple_sum(session):
+    """dual(L_1 + L_2) is isomorphic to L_1 + L_2, but no weight vector
+    generates either, and no element of the Hom basis (one map per
+    simple) is invertible: the seeded combination is."""
+    mod = direct_sum(build_simple(session, 1), build_simple(session, 2))
+    dual = build_dual(mod)
+    assert len(structure._hom_basis(dual, mod)) == 2
+    g = iso_test(dual, mod)
+    assert g is not None
+    assert _intertwiner_ok(g, dual, mod)
+
+
+def test_iso_test_negative_with_equal_blocks(session):
+    """V(1, 0) and its dual have the same weight blocks and a nonzero
+    Hom space, but no isomorphism: V(1, 0) has a simple top, so the
+    None is decided."""
+    v = build_generalized_verma(session, Fraction(1), 0)
+    dual = build_dual(v)
+    assert ({w: len(i) for w, i in v.weight_blocks().items()}
+            == {w: len(i) for w, i in dual.weight_blocks().items()})
+    assert structure._hom_basis(v, dual)
+    assert iso_test(v, dual) is None
+
+
+def test_iso_test_tau_conjugated(session):
+    """V(1, 1) against its conjugate by diag(tau^5, 1, ...): a basis
+    change with tau-dependent entries."""
+    mod = build_generalized_verma(session, Fraction(1), 1)
+    other = tau_conjugated(mod, 5)
+    assert verify_relations(other)["status"] == "pass"
+    g = iso_test(mod, other)
+    assert g is not None
+    assert _intertwiner_ok(g, mod, other)
+
+
+def test_iso_test_rechecks_the_solved_map(session, monkeypatch):
+    """An invertible map that is not an intertwiner, handed back as the
+    Hom basis, is caught by the exact re-check."""
+    v = build_generalized_verma(session, Fraction(1), 0)
+    dual = build_dual(v)
+    monkeypatch.setattr(structure, "_hom_basis",
+                        lambda a, b: [SMat.identity(session, a.dim)])
+    with pytest.raises(DiagnosticError):
+        iso_test(v, dual)
+
+
+def _ref_hom_basis(a, b):
+    """Hom_U(a, b) from the full Kronecker system, with no use of the
+    weights: X[i, j] is unknown i * a.dim + j, and each entry (i, j) of
+    X M_a - M_b X, for M = E, F, H, is one dense equation."""
+    s = a.session
+    n = b.dim * a.dim
+    rows = []
+    for ma, mb in ((a.matE, b.matE), (a.matF, b.matF), (a.matH, b.matH)):
+        for i in range(b.dim):
+            for j in range(a.dim):
+                row = [s.zero] * n
+                for k in range(a.dim):
+                    row[i * a.dim + k] = row[i * a.dim + k] + ma.get(k, j)
+                for k in range(b.dim):
+                    row[k * a.dim + j] = row[k * a.dim + j] - mb.get(i, k)
+                rows.append(row)
+    return nullspace(rows, n, s.zero, s.one)
+
+
+def _jordan_triple(s):
+    """Two basis vectors of weight 0 with E = F = 0 and H a nilpotent
+    Jordan block.  This is a graded triple, not a U-module: on modules,
+    commuting with E and F already forces commuting with the nilpotent
+    part of H at every weight w with q^(2w) != -1, so only such a triple
+    shows what the H equations alone cut out."""
+    labels = [WeightLabel(Fraction(0), d, "j%d" % d) for d in (0, 1)]
+    return ModuleRep(s, labels, SMat(s, 2, 2), SMat(s, 2, 2),
+                     SMat(s, 2, 2, [{1: s.one}, {}]), 1, name="Jordan")
+
+
+def _hom_pairs(s):
+    """Pairs (a, b) of modules of dimension at most 10 at ell 5."""
+    v10 = build_generalized_verma(s, Fraction(1), 0)
+    v11 = build_generalized_verma(s, Fraction(1), 1)
+    l12 = direct_sum(build_simple(s, 1), build_simple(s, 2))
+    p10 = build_projective_cover(s, 1, 0)
+    return {
+        "V(1,0)": (v10, v10),
+        "V(1,0) to its dual": (v10, build_dual(v10)),
+        "dual V(1,0) to V(1,0)": (build_dual(v10), v10),
+        "dual(L1+L2) to L1+L2": (build_dual(l12), l12),
+        "V(1,1) to its tau-conjugate": (v11, tau_conjugated(v11, 5)),
+        "V(3/2,1)": (build_generalized_verma(s, Fraction(3, 2), 1),) * 2,
+        "dual P(1,0) to P(1,0)": (build_dual(p10), p10),
+        "Jordan block of H": (_jordan_triple(s),) * 2,
+    }
+
+
+@pytest.mark.parametrize("name", ["V(1,0)", "V(1,0) to its dual",
+                                  "dual V(1,0) to V(1,0)",
+                                  "dual(L1+L2) to L1+L2",
+                                  "V(1,1) to its tau-conjugate",
+                                  "V(3/2,1)", "dual P(1,0) to P(1,0)",
+                                  "Jordan block of H"])
+def test_hom_basis_matches_dense_kronecker(s5, name):
+    a, b = _hom_pairs(s5)[name]
+    basis = structure._hom_basis(a, b)
+    flat = [[g.get(i, j) for i in range(b.dim) for j in range(a.dim)]
+            for g in basis]
+    ref = _ref_hom_basis(a, b)
+    assert len(flat) == len(ref)
+    assert rref(flat, s5.zero)[0] == rref(ref, s5.zero)[0]
+    for g in basis:
+        assert _intertwiner_ok(g, a, b)
 
 
 def test_is_generalized_verma(session):
@@ -597,32 +709,6 @@ def _ref_highest_weight(mod):
     return out
 
 
-def _ref_leading_dominant(mod):
-    """Full-dimension (H-w)^d (FE)^2 and (H-w)^{d+1}, restricted to the
-    columns of block w."""
-    s = mod.session
-    fe = mod.matF @ mod.matE
-    fe2 = fe @ fe
-    out = []
-    for w, idx in sorted(mod.weight_blocks().items(), reverse=True):
-        hw = mod.matH.copy()
-        for a in range(mod.dim):
-            hw.add_to(a, a, -s.from_rational(w))
-        hpow = SMat.identity(s, mod.dim)
-        for d in range(mod.max_degree + 1):
-            hnext = hpow @ hw
-            rows = [[m.get(a, b) for b in idx]
-                    for m in (hpow @ fe2, hnext) for a in range(mod.dim)]
-            for v in nullspace(rows, len(idx), s.zero, s.one):
-                vec = [s.zero] * mod.dim
-                for x, b in zip(v, idx):
-                    vec[b] = x
-                if _ref_degree(mod, vec, w) == d:
-                    out.append((vec, w, d))
-            hpow = hnext
-    return out
-
-
 def _ref_generated(mod, seeds):
     """Dense saturation: echelonize, apply E, F, H, repeat until stable."""
     z = mod.session.zero
@@ -688,10 +774,6 @@ def _seeds(mod):
 
 def test_graded_highest_weight_vectors_match_dense(graded):
     assert highest_weight_vectors(graded) == _ref_highest_weight(graded)
-
-
-def test_graded_leading_dominant_vectors_match_dense(graded):
-    assert leading_dominant_vectors(graded) == _ref_leading_dominant(graded)
 
 
 def test_graded_socle_counts_match_dense(graded):

@@ -2,9 +2,11 @@
 
 A ModuleRep stores the three generator matrices E, F, H over Scalar
 together with one WeightLabel per basis vector.  K and its inverse are
-never stored or serialized; they are derived from H blockwise.  All
-structural claims recorded in the labels are re-checked from the
-matrices (weight blocks, nilpotency) before K is built.
+never serialized; they are derived from H blockwise, and cached beside a
+copy of the labels and H they came from, so a changed H is not read
+through a stale K.  All structural claims recorded in the labels are
+re-checked from the matrices (weight blocks, nilpotency) before K is
+built.
 
 derive_K is the only K = q^H series.  The generalized Verma constructor
 needs K on its highest-weight chain too: it wraps the chain's block of H
@@ -32,12 +34,16 @@ from .session import MODE_PAPER_LITERAL, Session
 
 WeightLabel = namedtuple("WeightLabel", ["weight", "degree", "tag"])
 
+# what a cached (K, Kinv) was derived from, and the rows derive_K gave
+KRecord = namedtuple("KRecord", ["labels", "H", "K", "Kinv"])
+
 
 class ModuleRep:
     """Finite-dimensional module given by exact generator matrices."""
 
     __slots__ = ("session", "dim", "labels", "matE", "matF", "matH",
-                 "max_degree", "name", "_K", "_Kinv", "_cols", "_graded")
+                 "max_degree", "name", "_K", "_Kinv", "_Ksrc", "_cols",
+                 "_graded")
 
     def __init__(self, session, labels, matE, matF, matH, max_degree,
                  name=""):
@@ -51,20 +57,51 @@ class ModuleRep:
         self.name = name
         self._K = None
         self._Kinv = None
+        self._Ksrc = None
         self._cols = {}
         self._graded = None
 
     @property
     def K(self):
         if self._K is None:
-            self._K, self._Kinv = derive_K(self)
+            self._derive_K()
         return self._K
 
     @property
     def Kinv(self):
         if self._Kinv is None:
-            self._K, self._Kinv = derive_K(self)
+            self._derive_K()
         return self._Kinv
+
+    def _derive_K(self):
+        """Cache derive_K's pair, with a record of what it was derived
+        from: copies of the labels and of the rows of H, K and Kinv."""
+        self._K, self._Kinv = derive_K(self)
+        self._Ksrc = KRecord(list(self.labels),
+                             [dict(r) for r in self.matH.rows],
+                             [dict(r) for r in self._K.rows],
+                             [dict(r) for r in self._Kinv.rows])
+
+    def _k_is_series(self):
+        """Whether K and Kinv are derive_K's series of the current H.
+
+        The H weight-block check is decided from the current labels and
+        H: if they differ from the record of the cached pair, that pair
+        is stale and is dropped, and derive_K runs again, raising
+        ModuleInvalidError on a bad H.  Otherwise the record's H passed
+        that check when the pair was derived, and derive_K does not run.
+        A K or Kinv set on the module with no record is not known to be
+        the series, so False.
+        """
+        rec = self._Ksrc
+        if rec is not None and (rec.labels != self.labels
+                                or rec.H != self.matH.rows):
+            self._K = self._Kinv = self._Ksrc = None
+        if self._K is None or self._Kinv is None:
+            self._derive_K()
+            return True
+        return (rec is not None and rec.K == self._K.rows
+                and rec.Kinv == self._Kinv.rows)
 
     def generator_matrix(self, g):
         if g == "E":
@@ -268,24 +305,46 @@ def verify_relations(mod):
     """Check the defining relations as exact matrix identities.
 
     Returns {"status": "pass"|"fail", "items": [...]} where each item is
-    {"check": name, "ok": bool, "witness": str or None}.  The H block
-    structure is checked first (through K); then each of the nine
+    {"check": name, "ok": bool, "witness": str or None}.  The H weight
+    blocks are checked first, from the current H.  Then each of the nine
     relations LHS = RHS is checked one row at a time: row i of each side
     is built from the sparse rows (row i of K*E is K's row i times the
     rows of E, row i of E^r is r-1 such steps), and the two rows are
     compared as dicts.  The witness of a failing relation is the first
     nonzero entry (i, j) of LHS - RHS in row-major order.
+
+    K*Kinv = I, K*E = q^2 E*K, K*F = q^-2 F*K and H*K = K*H are decided
+    without their rows when three premises hold: the H weight-block
+    check, [H,E] = 2E and [H,F] = -2F (row-checked before them), and K
+    and Kinv equal to derive_K's series of the current H
+    (ModuleRep._k_is_series).  On the weight-w block, K = q^w U(N) and
+    Kinv = q^-w U(-N) with N = H - w nilpotent and U the series of
+    Session.degree_drop_coeff.  Then:
+
+    - [H,E] = 2E gives (H - w - 2)^n E = E (H - w)^n, so E maps the
+      generalized w-eigenspace of H, which the block check makes the
+      span of the weight-w basis vectors, into the (w+2)-eigenspace:
+      the grading needs no separate pass.  On block w it reads
+      N_{w+2} E = E N_w, hence U(N_{w+2}) E = E U(N_w) and K*E = q^2 E*K.
+      The same argument with [H,F] = -2F gives K*F = q^-2 F*K.
+    - H*K = K*H, since K is a polynomial in H on each block.
+    - K*Kinv = I is exp(tau N) exp(-tau N) = 1 in the exponential mode.
+      In the paper-literal mode it is (1 + tau N)(1 - tau N) = 1, since
+      derive_K refuses a block with N^2 != 0 there.
+
+    If any premise fails, all four are row-checked like the other five,
+    so every verdict and witness is that of the row check.
     """
     s = mod.session
     rep = Report()
     try:
-        # derive_K validates the H blocks before it builds K
-        K, Kinv = mod.K.rows, mod.Kinv.rows
+        series = mod._k_is_series()
         rep.add("H weight-block structure", True)
     except ModuleInvalidError as e:
         rep.add("H weight-block structure", False, str(e))
         return rep.as_dict()
 
+    K, Kinv = mod.K.rows, mod.Kinv.rows
     E, F, H = mod.matE.rows, mod.matF.rows, mod.matH.rows
     one = s.one
     two = s.from_rational(2)
@@ -307,32 +366,42 @@ def verify_relations(mod):
         k_minus_kinv = _row((None, K[i], None), (None, neg_kinv, None))
         return _row((None, F[i], E), (dqi, k_minus_kinv, None))
 
-    checks = (
-        ("K*Kinv = I",
-         lambda i: _row((None, K[i], Kinv)), lambda i: {i: one}),
-        ("K*E = q^2 E*K",
-         lambda i: _row((None, K[i], E)), lambda i: _row((q2, E[i], K))),
-        ("K*F = q^-2 F*K",
-         lambda i: _row((None, K[i], F)), lambda i: _row((qm2, F[i], K))),
-        ("[E,F] = (K-Kinv)/(q-q^-1)",
-         lambda i: _row((None, E[i], F)), ef_rhs),
-        ("H*K = K*H",
-         lambda i: _row((None, H[i], K)), lambda i: _row((None, K[i], H))),
-        ("[H,E] = 2E",
-         lambda i: _row((None, H[i], E)),
-         lambda i: _row((None, E[i], H), (two, E[i], None))),
-        ("[H,F] = -2F",
-         lambda i: _row((None, H[i], F), (two, F[i], None)),
-         lambda i: _row((None, F[i], H))),
-        ("E^r = 0", lambda i: power(E, i), lambda i: {}),
-        ("F^r = 0", lambda i: power(F, i), lambda i: {}),
-    )
-    for name, lhs, rhs in checks:
-        w = None
+    def witness(lhs, rhs):
         for i in range(mod.dim):
             w = _row_witness(s, i, lhs(i), rhs(i))
             if w is not None:
-                break
+                return w
+        return None
+
+    he = witness(lambda i: _row((None, H[i], E)),
+                 lambda i: _row((None, E[i], H), (two, E[i], None)))
+    hf = witness(lambda i: _row((None, H[i], F), (two, F[i], None)),
+                 lambda i: _row((None, F[i], H)))
+    premised = series and he is None and hf is None
+
+    def k_item(lhs, rhs):
+        return None if premised else witness(lhs, rhs)
+
+    items = (
+        ("K*Kinv = I",
+         k_item(lambda i: _row((None, K[i], Kinv)), lambda i: {i: one})),
+        ("K*E = q^2 E*K",
+         k_item(lambda i: _row((None, K[i], E)),
+                lambda i: _row((q2, E[i], K)))),
+        ("K*F = q^-2 F*K",
+         k_item(lambda i: _row((None, K[i], F)),
+                lambda i: _row((qm2, F[i], K)))),
+        ("[E,F] = (K-Kinv)/(q-q^-1)",
+         witness(lambda i: _row((None, E[i], F)), ef_rhs)),
+        ("H*K = K*H",
+         k_item(lambda i: _row((None, H[i], K)),
+                lambda i: _row((None, K[i], H)))),
+        ("[H,E] = 2E", he),
+        ("[H,F] = -2F", hf),
+        ("E^r = 0", witness(lambda i: power(E, i), lambda i: {})),
+        ("F^r = 0", witness(lambda i: power(F, i), lambda i: {})),
+    )
+    for name, w in items:
         rep.add(name, w is None, w)
     return rep.as_dict()
 

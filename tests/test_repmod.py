@@ -445,8 +445,12 @@ def _passing_modules(session):
     vermas = [build_generalized_verma(session, Fraction(lam), m)
               for lam in (1, Fraction(-3, 2), 2 * r - 3) for m in (0, 1, 2)]
     simples = [build_simple(session, i) for i in range(r)]
+    # the paper-literal mode, at degree at most 1
+    literal = Session(session.ell, mode="paper-literal")
+    lv = build_generalized_verma(literal, Fraction(1), 1)
     return (simples + vermas + [build_dual(v) for v in vermas[:3]]
-            + _artifact_modules(session))
+            + _artifact_modules(session)
+            + [lv, build_dual(lv), build_projective_cover(literal, 1, 1, 1)])
 
 
 def test_verify_relations_matches_reference_on_passing_modules(session):
@@ -500,6 +504,179 @@ def test_verify_relations_matches_reference_on_broken_modules(session):
             assert rep == reference_relations(bad), bad.name
             failed |= {it["check"] for it in rep["items"] if not it["ok"]}
     assert set(RELATION_NAMES) <= failed, set(RELATION_NAMES) - failed
+
+
+# ---------------------------------------------------------------------
+# the four K relations decided from checked premises
+# ---------------------------------------------------------------------
+
+K_ITEMS = {"K*Kinv = I", "K*E = q^2 E*K", "K*F = q^-2 F*K", "H*K = K*H"}
+
+
+def _fresh(mod):
+    """A new module on copies of mod's E, F and H; K not derived yet."""
+    return ModuleRep(mod.session, mod.labels, mod.matE.copy(),
+                     mod.matF.copy(), mod.matH.copy(), mod.max_degree,
+                     name=mod.name)
+
+
+def _broken_bases(s):
+    return [build_simple(s, 2), build_generalized_verma(s, Fraction(1), 1),
+            build_projective_cover(s, 1, 1, 1),
+            build_dual(build_generalized_verma(s, Fraction(1, 2), 1)),
+            build_tensor(build_simple(s, 1), build_simple(s, 1))]
+
+
+def _entries(mat, last):
+    """Three (i, j, value) changes of mat, as the broken-module copies
+    make them: its first nonzero entry plus one, (last, last) set to 2
+    and (0, last) set to 1."""
+    s = mat.session
+    i, j = next((i, j) for i, row in enumerate(mat.rows) for j in sorted(row))
+    return [(i, j, mat.get(i, j) + s.one), (last, last, s.from_rational(2)),
+            (0, last, s.one)]
+
+
+def _in_block_entry(mod):
+    """An off-diagonal entry (i, j) of H inside a weight block, or None."""
+    return next(((i, j) for i, row in enumerate(mod.matH.rows)
+                 for j in sorted(row) if j != i), None)
+
+
+def test_cached_k_does_not_hide_a_broken_h(s5):
+    """Once K is cached, the H weight-block item is still decided from
+    the current H: a copy of L(2) whose H is broken after K was read
+    reports what a fresh copy of the same matrices reports."""
+    cached = _fresh(build_simple(s5, 2))
+    cached.K
+    cached.matH.set(0, 1, s5.one)
+    rep = verify_relations(cached)
+    assert rep == verify_relations(_fresh(cached))
+    assert rep["items"] == [{
+        "check": "H weight-block structure", "ok": False,
+        "witness": "matH connects weight 2 to weight 0 (entry 0,1)"}]
+    # the stale pair is dropped, not served to the next reader
+    with pytest.raises(ModuleInvalidError):
+        cached.K
+
+
+def _premise_copies(mod):
+    """(copy, expected report, stale) triples that change a module after
+    its K was cached: the cached K object changed in place, _Kinv
+    replaced by a changed copy, H changed in place (also inside a weight
+    block, so that the blocks stay valid and only the series moves), or
+    the first label's weight moved by 2.  A copy with a changed K or Kinv
+    must match the whole-matrix reference, which reads the cached pair; a
+    copy whose H or labels changed under its cache (stale) must match a
+    fresh copy of its matrices."""
+    last = mod.dim - 1
+    out = []
+    for i, j, v in _entries(mod.K, last):
+        c = _fresh(mod)
+        c.K.set(i, j, v)
+        out.append((c, reference_relations(c), False))
+    for i, j, v in _entries(mod.Kinv, last):
+        c = _fresh(mod)
+        kinv = c.Kinv.copy()
+        kinv.set(i, j, v)
+        c._Kinv = kinv
+        out.append((c, reference_relations(c), False))
+    changes = _entries(mod.matH, last)
+    ij = _in_block_entry(mod)
+    if ij is not None:
+        i, j = ij
+        changes.append((i, j, mod.matH.get(i, j) + mod.matH.get(i, j)))
+    for i, j, v in changes:
+        c = _fresh(mod)
+        c.K
+        c.matH.set(i, j, v)
+        out.append((c, reference_relations(_fresh(c)), True))
+    c = _fresh(mod)
+    c.K
+    c.labels[0] = c.labels[0]._replace(weight=c.labels[0].weight + 2)
+    out.append((c, reference_relations(_fresh(c)), True))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["exponential", "paper-literal"])
+def test_verify_relations_premise_route(session, mode):
+    """Copies changed after K was cached give the report of the
+    whole-matrix reference, or of a fresh copy where the cache is
+    stale; together they fail each of the four K relations.  In
+    the paper-literal mode the bases stop at degree 1."""
+    s = session if mode == "exponential" else Session(session.ell, mode=mode)
+    failed = set()
+    n_block = 0
+    for mod in _broken_bases(s):
+        n_block += _in_block_entry(mod) is not None
+        for bad, want, stale in _premise_copies(mod):
+            rep = verify_relations(bad)
+            assert rep == want, bad.name
+            if stale and rep["items"][0]["ok"]:
+                # the stale pair was replaced by the current H's series
+                assert (bad.K, bad.Kinv) == derive_K(bad), bad.name
+            failed |= {it["check"] for it in rep["items"] if not it["ok"]}
+    assert n_block >= 3
+    assert K_ITEMS <= failed, failed
+
+
+def _count_k_rows(monkeypatch, mod):
+    """Count the _row calls that build a row of one of the four K items
+    (a product with K or Kinv on the right, or with a row of K on the
+    left) while verify_relations(mod) runs; return (count, report)."""
+    import uqwb.repmod as repmod
+
+    K, Kinv = mod.K.rows, mod.Kinv.rows
+    real = repmod._row
+    n = [0]
+
+    def counting(*terms):
+        if any(B is K or B is Kinv
+               or (B is not None and any(a is row for row in K))
+               for _, a, B in terms):
+            n[0] += 1
+        return real(*terms)
+
+    monkeypatch.setattr(repmod, "_row", counting)
+    rep = verify_relations(mod)
+    monkeypatch.setattr(repmod, "_row", real)
+    return n[0], rep
+
+
+def test_k_items_decided_once(session, monkeypatch):
+    """On every passing module no row of the four K items is built, and
+    derive_K runs once per module: not again on the next verify of the
+    same unchanged module.  On a copy with K changed, the four items are
+    row-checked and their witnesses are the reference's."""
+    import uqwb.repmod as repmod
+
+    derived = []
+    real = repmod.derive_K
+
+    def counting(mod):
+        derived.append(mod)
+        return real(mod)
+
+    mods = _passing_modules(session)
+    tampered = _fresh(build_projective_cover(session, 1, 1, 1))
+    tampered.K.set(0, tampered.dim - 1, session.one)
+    monkeypatch.setattr(repmod, "derive_K", counting)
+    for mod in mods:
+        fresh = _fresh(mod)
+        rows, rep = _count_k_rows(monkeypatch, fresh)
+        assert rep["status"] == "pass", mod.name
+        assert (rows, derived) == (0, [fresh]), mod.name
+        rows, again = _count_k_rows(monkeypatch, fresh)
+        assert again == rep
+        assert (rows, derived) == (0, [fresh]), mod.name
+        del derived[:]
+
+    rows, rep = _count_k_rows(monkeypatch, tampered)
+    assert rows > 0
+    assert derived == []
+    assert rep == reference_relations(tampered)
+    bad = {it["check"] for it in rep["items"] if not it["ok"]}
+    assert bad & K_ITEMS, bad
 
 
 # ---------------------------------------------------------------------

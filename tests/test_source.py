@@ -253,3 +253,40 @@ def test_arithmetic_values_are_immutable():
     assert seen == allowed, allowed - seen
     assert not found, ("assignments to a Cyc or Scalar field name "
                        "(matched by name, whatever the object)", found)
+
+
+CATALOGUE = SRC.parent.parent / "mutants" / "catalogue.json"
+
+
+def test_mutant_snippets_occur_once():
+    """Every mutant of mutants/catalogue.json still applies: its snippet
+    occurs exactly once under src/uqwb, in the file it names, the mutated
+    file parses, and its kill selection names test files and functions
+    that exist.  A refactor that moves a gate must move its mutants."""
+    import json
+
+    mutants = json.loads(CATALOGUE.read_text())
+    assert len({m["id"] for m in mutants}) == len(mutants) > 10
+    root = SRC.parent.parent
+    sources = {path: path.read_text() for path in sorted(SRC.rglob("*.py"))}
+    for m in mutants:
+        assert set(m) == {"id", "file", "snippet", "replacement", "gate",
+                          "kill"}, m["id"]
+        path = root / m["file"]
+        assert path in sources, m["id"]
+        assert m["snippet"] != m["replacement"], m["id"]
+        assert sum(text.count(m["snippet"])
+                   for text in sources.values()) == 1, m["id"]
+        assert sources[path].count(m["snippet"]) == 1, m["id"]
+        ast.parse(sources[path].replace(m["snippet"], m["replacement"]))
+        targets = [a for a in m["kill"] if a.startswith("tests/")]
+        assert targets, m["id"]
+        for target in targets:
+            file, _, name = target.partition("::")
+            test_file = root / file
+            assert test_file.is_file(), (m["id"], target)
+            if name:
+                tree = ast.parse(test_file.read_text())
+                assert any(isinstance(node, ast.FunctionDef)
+                           and node.name == name.split("[")[0]
+                           for node in tree.body), (m["id"], target)

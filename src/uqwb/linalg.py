@@ -4,10 +4,23 @@ The generator matrices of every module here are sparse (a handful of
 entries per row), so matrices are stored as per-row dicts with no zero
 entries.  Row reduction works generically over any field-like element
 type exposing is_zero / inv and the arithmetic operators, which covers
-both Scalar and Cyc.
+both Scalar and Cyc.  A frozen matrix (every generator matrix of a
+built module) refuses every write.
 """
 
 from __future__ import annotations
+
+
+def _refuse(self, *args, **kwargs):
+    raise TypeError("a frozen matrix row is read-only")
+
+
+class FrozenRow(dict):
+    """A row of a frozen SMat: a dict that refuses every write."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    pop = popitem = clear = update = setdefault = _refuse
 
 
 class SMat:
@@ -46,6 +59,13 @@ class SMat:
         return SMat(self.session, self.nrows, self.ncols,
                     [dict(r) for r in self.rows])
 
+    def freeze(self):
+        """Make the matrix read-only in place: rows become a tuple of
+        FrozenRow.  Freezing a frozen matrix does nothing."""
+        if type(self.rows) is not tuple:
+            self.rows = tuple(map(FrozenRow, self.rows))
+        return self
+
     def block(self, rows, cols):
         """The submatrix on the given row and column indices."""
         pos = {j: c for c, j in enumerate(cols)}
@@ -63,7 +83,7 @@ class SMat:
             isinstance(other, SMat)
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and tuple(self.rows) == tuple(other.rows)  # list or frozen
         )
 
     def __add__(self, other):

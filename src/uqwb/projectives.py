@@ -110,9 +110,10 @@ def build_projective_cover(session, i, m, twist=0):
     glued = direct_sum(quo, sub)
     # E a_{t,k} = E^{V(i,m)} F^t v^k + F^{t+j} u_k, and F^{t+j} u_k = 0
     # once t+j >= r
+    matE = glued.matE.copy()
     for t in range(r - j):
         for k in range(n):
-            glued.matE.set(off + (t + j) * n + k, t * n + k, session.one)
+            matE.set(off + (t + j) * n + k, t * n + k, session.one)
 
     labels = []
     for t in range(r):
@@ -127,7 +128,7 @@ def build_projective_cover(session, i, m, twist=0):
             labels.append(WeightLabel(w, s, "%s[%s,%d]" % (fam, w, s)))
 
     name = "P(%d,%d)" % (i, m)
-    mod = ModuleRep(session, labels, glued.matE, glued.matF, glued.matH, m,
+    mod = ModuleRep(session, labels, matE, glued.matF, glued.matH, m,
                     name=name)
     rep = verify_relations(mod)
     if rep["status"] != "pass":

@@ -1,12 +1,12 @@
 """Concrete modules as labeled exact matrix representations.
 
-A ModuleRep stores the three generator matrices E, F, H over Scalar
-together with one WeightLabel per basis vector.  K and its inverse are
-never serialized; they are derived from H blockwise, and cached beside a
-copy of the labels and H they came from, so a changed H is not read
-through a stale K.  All structural claims recorded in the labels are
-re-checked from the matrices (weight blocks, nilpotency) before K is
-built.
+A ModuleRep stores the three generator matrices E, F and H over Scalar
+together with one WeightLabel per basis vector.  A built module never
+changes: its constructor freezes E, F and H and keeps the labels as a
+tuple, so what is derived from it (K, the graded blocks, the columns)
+is computed once and cannot go stale.  K and its inverse are never
+serialized; they are derived from H blockwise once the weight blocks
+and nilpotency claimed by the labels are re-checked from H.
 
 derive_K is the only K = q^H series.  The generalized Verma constructor
 needs K on its highest-weight chain too: it wraps the chain's block of H
@@ -34,32 +34,41 @@ from .session import MODE_PAPER_LITERAL, Session
 
 WeightLabel = namedtuple("WeightLabel", ["weight", "degree", "tag"])
 
-# what a cached (K, Kinv) was derived from, and the rows derive_K gave
-KRecord = namedtuple("KRecord", ["labels", "H", "K", "Kinv"])
-
 
 class ModuleRep:
-    """Finite-dimensional module given by exact generator matrices."""
+    """Finite-dimensional module given by exact generator matrices.
+
+    Read-only: no field is reassigned once set, except the lazy caches
+    filling from None and the display-only name, which no cache reads.
+    """
 
     __slots__ = ("session", "dim", "labels", "matE", "matF", "matH",
-                 "max_degree", "name", "_K", "_Kinv", "_Ksrc", "_cols",
-                 "_graded")
+                 "max_degree", "name", "_K", "_Kinv", "_cols", "_graded")
 
     def __init__(self, session, labels, matE, matF, matH, max_degree,
                  name=""):
-        self.session = session
-        self.dim = len(labels)
-        self.labels = list(labels)
-        self.matE = matE
-        self.matF = matF
-        self.matH = matH
-        self.max_degree = max_degree
-        self.name = name
-        self._K = None
-        self._Kinv = None
-        self._Ksrc = None
-        self._cols = {}
-        self._graded = None
+        init = object.__setattr__  # every field is unset: skip the guard
+        labels = tuple(labels)
+        init(self, "session", session)
+        init(self, "labels", labels)
+        init(self, "dim", len(labels))
+        init(self, "matE", matE.freeze())
+        init(self, "matF", matF.freeze())
+        init(self, "matH", matH.freeze())
+        init(self, "max_degree", max_degree)
+        init(self, "name", name)
+        init(self, "_K", None)
+        init(self, "_Kinv", None)
+        init(self, "_cols", {})
+        init(self, "_graded", None)
+
+    def __setattr__(self, field, value):
+        if field != "name" and getattr(self, field) is not None:
+            raise TypeError("%s of a built ModuleRep is read-only" % field)
+        object.__setattr__(self, field, value)
+
+    def __delattr__(self, field):
+        raise TypeError("%s of a built ModuleRep is read-only" % field)
 
     @property
     def K(self):
@@ -74,34 +83,9 @@ class ModuleRep:
         return self._Kinv
 
     def _derive_K(self):
-        """Cache derive_K's pair, with a record of what it was derived
-        from: copies of the labels and of the rows of H, K and Kinv."""
-        self._K, self._Kinv = derive_K(self)
-        self._Ksrc = KRecord(list(self.labels),
-                             [dict(r) for r in self.matH.rows],
-                             [dict(r) for r in self._K.rows],
-                             [dict(r) for r in self._Kinv.rows])
-
-    def _k_is_series(self):
-        """Whether K and Kinv are derive_K's series of the current H.
-
-        The H weight-block check is decided from the current labels and
-        H: if they differ from the record of the cached pair, that pair
-        is stale and is dropped, and derive_K runs again, raising
-        ModuleInvalidError on a bad H.  Otherwise the record's H passed
-        that check when the pair was derived, and derive_K does not run.
-        A K or Kinv set on the module with no record is not known to be
-        the series, so False.
-        """
-        rec = self._Ksrc
-        if rec is not None and (rec.labels != self.labels
-                                or rec.H != self.matH.rows):
-            self._K = self._Kinv = self._Ksrc = None
-        if self._K is None or self._Kinv is None:
-            self._derive_K()
-            return True
-        return (rec is not None and rec.K == self._K.rows
-                and rec.Kinv == self._Kinv.rows)
+        K, Kinv = derive_K(self)
+        self._K = K.freeze()
+        self._Kinv = Kinv.freeze()
 
     def generator_matrix(self, g):
         if g == "E":
@@ -133,10 +117,7 @@ class ModuleRep:
 
     def weight_blocks(self):
         """Map weight -> sorted list of basis indices with that weight."""
-        blocks = {}
-        for i, lab in enumerate(self.labels):
-            blocks.setdefault(lab.weight, []).append(i)
-        return blocks
+        return _weight_blocks([lab.weight for lab in self.labels])
 
     def graded_blocks(self):
         """weight_blocks(), once E, F and H are checked to respect them.
@@ -168,25 +149,30 @@ class ModuleRep:
 # K = q^H, blockwise
 # ---------------------------------------------------------------------
 
-def _h_nilpotent_blocks(mod):
-    """Validated (weight, indices, nilpotent powers of H - w) per block.
+def _weight_blocks(weights):
+    """Map weight -> sorted list of the indices with that weight."""
+    blocks = {}
+    for i, w in enumerate(weights):
+        blocks.setdefault(w, []).append(i)
+    return blocks
+
+
+def _h_nilpotent_blocks(session, weights, matH):
+    """Validated (weight, indices, nilpotent powers of H - w) per block
+    of the basis weights.
 
     Checks that matH never connects distinct weight blocks and that
     H - w is nilpotent on each block; both are required for K = q^H
     to make sense.
     """
-    s = mod.session
-    blocks = mod.weight_blocks()
-    windex = {}
-    for w, idx in blocks.items():
-        for i in idx:
-            windex[i] = w
-    for j in range(mod.dim):
-        for i in mod.matH.rows[j]:
-            if windex[i] != windex[j]:
+    s = session
+    blocks = _weight_blocks(weights)
+    for j, row in enumerate(matH.rows):
+        for i in row:
+            if weights[i] != weights[j]:
                 raise ModuleInvalidError(
                     "matH connects weight %s to weight %s (entry %d,%d)"
-                    % (windex[j], windex[i], j, i)
+                    % (weights[j], weights[i], j, i)
                 )
     out = []
     for w, idx in blocks.items():
@@ -194,7 +180,7 @@ def _h_nilpotent_blocks(mod):
         n = len(idx)
         nil = SMat(s, n, n)
         for j in idx:
-            for i, v in mod.matH.rows[j].items():
+            for i, v in matH.rows[j].items():
                 nil.rows[pos[j]][pos[i]] = v
             nil.add_to(pos[j], pos[j], -s.from_rational(w))
         powers = [SMat.identity(s, n)]
@@ -215,7 +201,8 @@ def derive_K(mod):
     s = mod.session
     K = SMat(s, mod.dim, mod.dim)
     Kinv = SMat(s, mod.dim, mod.dim)
-    for w, idx, powers in _h_nilpotent_blocks(mod):
+    weights = [lab.weight for lab in mod.labels]
+    for w, idx, powers in _h_nilpotent_blocks(s, weights, mod.matH):
         if s.mode == MODE_PAPER_LITERAL and len(powers) > 2:
             raise ModeUnsupportedError(
                 "paper-literal coefficients give K*Kinv != I on a block "
@@ -306,20 +293,21 @@ def verify_relations(mod):
 
     Returns {"status": "pass"|"fail", "items": [...]} where each item is
     {"check": name, "ok": bool, "witness": str or None}.  The H weight
-    blocks are checked first, from the current H.  Then each of the nine
-    relations LHS = RHS is checked one row at a time: row i of each side
-    is built from the sparse rows (row i of K*E is K's row i times the
-    rows of E, row i of E^r is r-1 such steps), and the two rows are
-    compared as dicts.  The witness of a failing relation is the first
-    nonzero entry (i, j) of LHS - RHS in row-major order.
+    blocks are checked first: the item passes when mod.K is derived,
+    since derive_K raises on an H that connects two weight blocks or is
+    not w plus a nilpotent on one.  Then each relation LHS = RHS is
+    checked one row at a time: row i of each side is built from the
+    sparse rows (row i of K*E is K's row i times the rows of E, row i of
+    E^r is r-1 such steps), and the two rows are compared as dicts.  The
+    witness of a failing relation is the first nonzero entry (i, j) of
+    LHS - RHS in row-major order.
 
-    K*Kinv = I, K*E = q^2 E*K, K*F = q^-2 F*K and H*K = K*H are decided
-    without their rows when three premises hold: the H weight-block
-    check, [H,E] = 2E and [H,F] = -2F (row-checked before them), and K
-    and Kinv equal to derive_K's series of the current H
-    (ModuleRep._k_is_series).  On the weight-w block, K = q^w U(N) and
-    Kinv = q^-w U(-N) with N = H - w nilpotent and U the series of
-    Session.degree_drop_coeff.  Then:
+    K*Kinv = I, K*E = q^2 E*K, K*F = q^-2 F*K and H*K = K*H follow from
+    three premises: the H weight-block check, [H,E] = 2E and [H,F] = -2F
+    (row-checked before them), and K and Kinv being derive_K's series of
+    H, which holds by construction since a module never changes.  On the
+    weight-w block, K = q^w U(N) and Kinv = q^-w U(-N) with N = H - w
+    nilpotent and U the series of Session.degree_drop_coeff.  Then:
 
     - [H,E] = 2E gives (H - w - 2)^n E = E (H - w)^n, so E maps the
       generalized w-eigenspace of H, which the block check makes the
@@ -332,21 +320,20 @@ def verify_relations(mod):
       In the paper-literal mode it is (1 + tau N)(1 - tau N) = 1, since
       derive_K refuses a block with N^2 != 0 there.
 
-    If any premise fails, all four are row-checked like the other five,
-    so every verdict and witness is that of the row check.
+    So K*Kinv = I and H*K = K*H pass with no row built.  If [H,E] or
+    [H,F] fails, K*E and K*F are row-checked like the other five, so
+    every verdict and witness is that of the row check.
     """
     s = mod.session
     rep = Report()
     try:
-        series = mod._k_is_series()
+        K, Kinv = mod.K.rows, mod.Kinv.rows
         rep.add("H weight-block structure", True)
     except ModuleInvalidError as e:
         rep.add("H weight-block structure", False, str(e))
         return rep.as_dict()
 
-    K, Kinv = mod.K.rows, mod.Kinv.rows
     E, F, H = mod.matE.rows, mod.matF.rows, mod.matH.rows
-    one = s.one
     two = s.from_rational(2)
     q2 = s.from_cyc(s.q_power(2))
     qm2 = s.from_cyc(s.q_power(-2))
@@ -377,14 +364,13 @@ def verify_relations(mod):
                  lambda i: _row((None, E[i], H), (two, E[i], None)))
     hf = witness(lambda i: _row((None, H[i], F), (two, F[i], None)),
                  lambda i: _row((None, F[i], H)))
-    premised = series and he is None and hf is None
+    premised = he is None and hf is None
 
     def k_item(lhs, rhs):
         return None if premised else witness(lhs, rhs)
 
     items = (
-        ("K*Kinv = I",
-         k_item(lambda i: _row((None, K[i], Kinv)), lambda i: {i: one})),
+        ("K*Kinv = I", None),
         ("K*E = q^2 E*K",
          k_item(lambda i: _row((None, K[i], E)),
                 lambda i: _row((q2, E[i], K)))),
@@ -393,9 +379,7 @@ def verify_relations(mod):
                 lambda i: _row((qm2, F[i], K)))),
         ("[E,F] = (K-Kinv)/(q-q^-1)",
          witness(lambda i: _row((None, E[i], F)), ef_rhs)),
-        ("H*K = K*H",
-         k_item(lambda i: _row((None, H[i], K)),
-                lambda i: _row((None, K[i], H)))),
+        ("H*K = K*H", None),
         ("[H,E] = 2E", he),
         ("[H,F] = -2F", hf),
         ("E^r = 0", witness(lambda i: power(E, i), lambda i: {})),
@@ -414,7 +398,9 @@ def weight_decomposition(mod):
     H - w on the block (may be below the declared max_degree).
     """
     out = []
-    for w, idx, powers in _h_nilpotent_blocks(mod):
+    weights = [lab.weight for lab in mod.labels]
+    for w, idx, powers in _h_nilpotent_blocks(mod.session, weights,
+                                              mod.matH):
         deg = len(powers) - 1
         if deg > mod.max_degree:
             raise ModuleInvalidError(
@@ -437,8 +423,7 @@ def build_one_dim(session, k):
     z = SMat(session, 1, 1)
     matH = SMat(session, 1, 1)
     matH.set(0, 0, session.from_rational(w))
-    return ModuleRep(session, [lab], z, z.copy(), matH, 0,
-                     name="C(%s)" % (w,))
+    return ModuleRep(session, [lab], z, z, matH, 0, name="C(%s)" % (w,))
 
 
 def build_simple(session, i):
@@ -474,8 +459,8 @@ def build_generalized_verma(session, lam, m):
     row family), so no closed formula is transcribed by hand.
 
     The module is built once per session and (lam, m); later calls
-    return the same object, which callers must not mutate.  The weight
-    and degree are checked on every call.
+    return the same object, which is read-only like every ModuleRep.
+    The weight and degree are checked on every call.
     """
     lam = session.check_weight(lam)
     if m < 0:
@@ -584,15 +569,12 @@ def direct_sum(a, b):
     s = a.session
     na = a.dim
     dim = na + b.dim
-    labels = list(a.labels) + list(b.labels)
+    labels = a.labels + b.labels
 
     def block(x, y):
-        out = SMat(s, dim, dim)
-        for i, row in enumerate(x.rows):
-            out.rows[i] = dict(row)
-        for i, row in enumerate(y.rows):
-            out.rows[na + i] = {na + j: v for j, v in row.items()}
-        return out
+        # the rows of x are frozen, so the sum can take them as they are
+        return SMat(s, dim, dim, list(x.rows) + [
+            {na + j: v for j, v in row.items()} for row in y.rows])
 
     return ModuleRep(s, labels, block(a.matE, b.matE),
                      block(a.matF, b.matF), block(a.matH, b.matH),

@@ -81,7 +81,7 @@ class Session:
     belong to `repmod.build_generalized_verma`: the built V(lam, m) keyed
     by (checked weight, degree), and the PBW normal forms of E*F^t keyed
     by t.  Neither key is stored before the weight and degree are checked,
-    and the cached modules are never mutated.
+    and the cached modules are read-only, like every built module.
 
     M = 2*N*ell may not exceed MAX_ORDER (RejectedInputError otherwise).
     """

@@ -342,18 +342,14 @@ def _make_module(session, weights, tags, matE, matF, matH, name):
     of H: the degree of a basis vector is the largest p with
     (H - w)^p nonzero on it."""
     degs = [0] * len(weights)
-    mod = ModuleRep(session, [WeightLabel(w, 0, t)
-                              for w, t in zip(weights, tags)],
-                    matE, matF, matH, 0, name=name)
-    for _, idx, powers in _h_nilpotent_blocks(mod):
+    for _, idx, powers in _h_nilpotent_blocks(session, weights, matH):
         for p in range(1, len(powers)):
             for row in powers[p].rows:
                 for c in row:
                     degs[idx[c]] = p
-    mod.labels = [WeightLabel(w, d, t)
-                  for w, d, t in zip(weights, degs, tags)]
-    mod.max_degree = max(degs, default=0)
-    return mod
+    return ModuleRep(session, [WeightLabel(w, d, t)
+                               for w, d, t in zip(weights, degs, tags)],
+                     matE, matF, matH, max(degs, default=0), name=name)
 
 
 class QuotientMap:

@@ -3,6 +3,8 @@ tensors, and serialization round-trips."""
 
 import hashlib
 import json
+import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -397,6 +399,8 @@ def test_load_rejects_a_dump_of_another_ell_or_n(session):
 RELATION_NAMES = ["K*Kinv = I", "K*E = q^2 E*K", "K*F = q^-2 F*K",
                   "[E,F] = (K-Kinv)/(q-q^-1)", "H*K = K*H", "[H,E] = 2E",
                   "[H,F] = -2F", "E^r = 0", "F^r = 0"]
+# the two that hold for every pair derive_K returns
+K_ALWAYS = {"K*Kinv = I", "H*K = K*H"}
 
 
 def reference_relations(mod):
@@ -463,25 +467,19 @@ def test_verify_relations_matches_reference_on_passing_modules(session):
 
 
 def _with_entry(mod, g, i, j, value):
-    """A copy of mod whose generator g (E, F, H or K) has entry (i, j)
-    set to value; K is set on the copy, which keeps the derived Kinv."""
+    """A new module on copies of mod's E, F and H, with entry (i, j) of
+    generator g (E, F or H) set to value."""
     mats = {x: mod.generator_matrix(x).copy() for x in "EFH"}
-    if g == "K":
-        mats["K"], mats["Kinv"] = mod.K.copy(), mod.Kinv
     mats[g].set(i, j, value)
-    out = ModuleRep(mod.session, mod.labels, mats["E"], mats["F"],
-                    mats["H"], mod.max_degree, name=mod.name)
-    if g == "K":
-        out._K, out._Kinv = mats["K"], mats["Kinv"]
-    return out
+    return ModuleRep(mod.session, mod.labels, mats["E"], mats["F"],
+                     mats["H"], mod.max_degree, name=mod.name)
 
 
 def test_verify_relations_matches_reference_on_broken_modules(session):
-    """One changed entry of E, F, H (or of the derived K, the only way to
-    break K*Kinv = I or H*K = K*H, which hold for every K derive_K
-    returns) gives the same report, witnesses included, as the
-    whole-matrix reference; together the copies fail all nine
-    relations."""
+    """One changed entry of E, F or H gives the same report, witnesses
+    included, as the whole-matrix reference.  K*Kinv = I and H*K = K*H
+    hold for every K derive_K returns, so they pass on every copy;
+    together the copies fail the other seven relations."""
     s = session
     one, two = s.one, s.from_rational(2)
     bases = [build_simple(s, 2), build_generalized_verma(s, Fraction(1), 1),
@@ -489,10 +487,11 @@ def test_verify_relations_matches_reference_on_broken_modules(session):
              build_dual(build_generalized_verma(s, Fraction(1, 2), 1)),
              build_tensor(build_simple(s, 1), build_simple(s, 1))]
     failed = set()
+    n_copies = 0
     for mod in bases:
         last = mod.dim - 1
         copies = []
-        for g in "EFHK":
+        for g in "EFH":
             mat = mod.generator_matrix(g)
             i, j = next((i, j) for i, row in enumerate(mat.rows)
                         for j in sorted(row))
@@ -502,8 +501,15 @@ def test_verify_relations_matches_reference_on_broken_modules(session):
         for bad in copies:
             rep = verify_relations(bad)
             assert rep == reference_relations(bad), bad.name
-            failed |= {it["check"] for it in rep["items"] if not it["ok"]}
-    assert set(RELATION_NAMES) <= failed, set(RELATION_NAMES) - failed
+            ok = {it["check"]: it["ok"] for it in rep["items"]}
+            if ok["H weight-block structure"]:
+                assert ok["K*Kinv = I"] and ok["H*K = K*H"], bad.name
+            failed |= {c for c, passed in ok.items() if not passed}
+            n_copies += 1
+    assert n_copies == 45
+    assert failed & K_ALWAYS == set()
+    assert set(RELATION_NAMES) - K_ALWAYS <= failed, \
+        set(RELATION_NAMES) - K_ALWAYS - failed
 
 
 # ---------------------------------------------------------------------
@@ -544,43 +550,46 @@ def _in_block_entry(mod):
 
 
 def test_cached_k_does_not_hide_a_broken_h(s5):
-    """Once K is cached, the H weight-block item is still decided from
-    the current H: a copy of L(2) whose H is broken after K was read
-    reports what a fresh copy of the same matrices reports."""
+    """Once K is cached, H cannot change under it: the write into H of a
+    copy of L(2) after K was read raises, and a new module built from
+    the changed matrices reports the broken H."""
     cached = _fresh(build_simple(s5, 2))
     cached.K
-    cached.matH.set(0, 1, s5.one)
-    rep = verify_relations(cached)
-    assert rep == verify_relations(_fresh(cached))
+    with pytest.raises(TypeError):
+        cached.matH.set(0, 1, s5.one)
+    assert verify_relations(cached)["status"] == "pass"
+    changed = _with_entry(cached, "H", 0, 1, s5.one)
+    rep = verify_relations(changed)
+    assert rep == reference_relations(changed)
     assert rep["items"] == [{
         "check": "H weight-block structure", "ok": False,
         "witness": "matH connects weight 2 to weight 0 (entry 0,1)"}]
-    # the stale pair is dropped, not served to the next reader
     with pytest.raises(ModuleInvalidError):
-        cached.K
+        changed.K
 
 
 def _premise_copies(mod):
-    """(copy, expected report, stale) triples that change a module after
-    its K was cached: the cached K object changed in place, _Kinv
-    replaced by a changed copy, H changed in place (also inside a weight
-    block, so that the blocks stay valid and only the series moves), or
-    the first label's weight moved by 2.  A copy with a changed K or Kinv
-    must match the whole-matrix reference, which reads the cached pair; a
-    copy whose H or labels changed under its cache (stale) must match a
-    fresh copy of its matrices."""
+    """(module, expected report) pairs for the changes a module could
+    once take after its K was cached: K changed in place, _Kinv replaced
+    by a changed copy, H changed in place (also inside a weight block,
+    so that the blocks stay valid and only the series moves), or the
+    first label's weight moved by 2.  Each write into a built module
+    raises TypeError and leaves it as it was; a new module on the
+    changed H or labels stands in for each H and label change."""
     last = mod.dim - 1
     out = []
     for i, j, v in _entries(mod.K, last):
         c = _fresh(mod)
-        c.K.set(i, j, v)
-        out.append((c, reference_relations(c), False))
+        with pytest.raises(TypeError):
+            c.K.set(i, j, v)
+        out.append((c, reference_relations(c)))
     for i, j, v in _entries(mod.Kinv, last):
         c = _fresh(mod)
         kinv = c.Kinv.copy()
         kinv.set(i, j, v)
-        c._Kinv = kinv
-        out.append((c, reference_relations(c), False))
+        with pytest.raises(TypeError):
+            c._Kinv = kinv
+        out.append((c, reference_relations(c)))
     changes = _entries(mod.matH, last)
     ij = _in_block_entry(mod)
     if ij is not None:
@@ -589,35 +598,42 @@ def _premise_copies(mod):
     for i, j, v in changes:
         c = _fresh(mod)
         c.K
-        c.matH.set(i, j, v)
-        out.append((c, reference_relations(_fresh(c)), True))
+        with pytest.raises(TypeError):
+            c.matH.set(i, j, v)
+        changed = _with_entry(c, "H", i, j, v)
+        out.append((changed, reference_relations(changed)))
     c = _fresh(mod)
     c.K
-    c.labels[0] = c.labels[0]._replace(weight=c.labels[0].weight + 2)
-    out.append((c, reference_relations(_fresh(c)), True))
+    moved = c.labels[0]._replace(weight=c.labels[0].weight + 2)
+    with pytest.raises(TypeError):
+        c.labels[0] = moved
+    changed = ModuleRep(c.session, (moved,) + c.labels[1:],
+                        c.matE.copy(), c.matF.copy(), c.matH.copy(),
+                        c.max_degree, name=c.name)
+    out.append((changed, reference_relations(changed)))
     return out
 
 
 @pytest.mark.parametrize("mode", ["exponential", "paper-literal"])
 def test_verify_relations_premise_route(session, mode):
-    """Copies changed after K was cached give the report of the
-    whole-matrix reference, or of a fresh copy where the cache is
-    stale; together they fail each of the four K relations.  In
-    the paper-literal mode the bases stop at degree 1."""
+    """A module whose K is cached refuses every write; its report, and
+    that of a new module on each changed H or labels, is the
+    whole-matrix reference's.  Together they fail K*E and K*F, and never
+    K*Kinv = I or H*K = K*H.  In the paper-literal mode the bases stop
+    at degree 1."""
     s = session if mode == "exponential" else Session(session.ell, mode=mode)
     failed = set()
     n_block = 0
     for mod in _broken_bases(s):
         n_block += _in_block_entry(mod) is not None
-        for bad, want, stale in _premise_copies(mod):
+        for bad, want in _premise_copies(mod):
             rep = verify_relations(bad)
             assert rep == want, bad.name
-            if stale and rep["items"][0]["ok"]:
-                # the stale pair was replaced by the current H's series
+            if rep["items"][0]["ok"]:
                 assert (bad.K, bad.Kinv) == derive_K(bad), bad.name
             failed |= {it["check"] for it in rep["items"] if not it["ok"]}
     assert n_block >= 3
-    assert K_ITEMS <= failed, failed
+    assert failed & K_ITEMS == K_ITEMS - K_ALWAYS, failed
 
 
 def _count_k_rows(monkeypatch, mod):
@@ -646,8 +662,10 @@ def _count_k_rows(monkeypatch, mod):
 def test_k_items_decided_once(session, monkeypatch):
     """On every passing module no row of the four K items is built, and
     derive_K runs once per module: not again on the next verify of the
-    same unchanged module.  On a copy with K changed, the four items are
-    row-checked and their witnesses are the reference's."""
+    same unchanged module.  A write into the cached K raises and leaves
+    the module passing, still with no K row built.  On a copy with a
+    broken E, K*E and K*F are row-checked and their witnesses are the
+    reference's."""
     import uqwb.repmod as repmod
 
     derived = []
@@ -658,8 +676,13 @@ def test_k_items_decided_once(session, monkeypatch):
         return real(mod)
 
     mods = _passing_modules(session)
-    tampered = _fresh(build_projective_cover(session, 1, 1, 1))
-    tampered.K.set(0, tampered.dim - 1, session.one)
+    cover = build_projective_cover(session, 1, 1, 1)
+    tampered = _fresh(cover)
+    with pytest.raises(TypeError):
+        tampered.K.set(0, tampered.dim - 1, session.one)
+    last = cover.dim - 1
+    broken = _with_entry(cover, "E", last, last, session.from_rational(2))
+    broken.K
     monkeypatch.setattr(repmod, "derive_K", counting)
     for mod in mods:
         fresh = _fresh(mod)
@@ -672,11 +695,93 @@ def test_k_items_decided_once(session, monkeypatch):
         del derived[:]
 
     rows, rep = _count_k_rows(monkeypatch, tampered)
+    assert (rows, derived, rep["status"]) == (0, [], "pass")
+    assert rep == reference_relations(tampered)
+
+    rows, rep = _count_k_rows(monkeypatch, broken)
     assert rows > 0
     assert derived == []
-    assert rep == reference_relations(tampered)
+    assert rep == reference_relations(broken)
     bad = {it["check"] for it in rep["items"] if not it["ok"]}
     assert bad & K_ITEMS, bad
+
+
+# ---------------------------------------------------------------------
+# built modules are read-only
+# ---------------------------------------------------------------------
+
+def _writes(mat, s):
+    """Each way to write into a matrix, as a zero-argument call."""
+    i, j = next((i, j) for i, row in enumerate(mat.rows) for j in row)
+    return [lambda: mat.set(i, j, s.one), lambda: mat.add_to(i, j, s.one),
+            lambda: operator.setitem(mat.rows[i], j, s.one),
+            lambda: operator.setitem(mat.rows, i, {}),
+            lambda: mat.rows[i].pop(j), lambda: mat.rows[i].clear(),
+            lambda: mat.rows[i].update({j: s.one}),
+            lambda: mat.rows[i].setdefault(j + 1, s.one),
+            lambda: mat.rows[i].popitem(),
+            lambda: operator.delitem(mat.rows[i], j),
+            lambda: operator.ior(mat.rows[i], {j: s.one})]
+
+
+def test_built_module_is_read_only(s5):
+    """Every write into a built module raises TypeError and changes
+    nothing: the entries of E, F, H, K and Kinv, the rows themselves,
+    the labels, and every field but the display name."""
+    mod = build_projective_cover(s5, 1, 1)
+    before = dump_module(mod)
+    for g in ("E", "F", "H", "K", "Kinv"):
+        mat = mod.generator_matrix(g)
+        for write in _writes(mat, s5):
+            with pytest.raises(TypeError):
+                write()
+    with pytest.raises(TypeError):
+        mod.labels[0] = mod.labels[1]
+    mod.graded_blocks()  # the lazy caches fill once, from None
+    for field in ModuleRep.__slots__:
+        if field == "name":
+            continue
+        with pytest.raises(TypeError):
+            setattr(mod, field, getattr(mod, field))
+        with pytest.raises(TypeError):
+            delattr(mod, field)
+    mod.name = "renamed"
+    assert dump_module(mod) == before
+    assert verify_relations(mod)["status"] == "pass"
+    # a copy is writable, and a frozen matrix equals its writable copy
+    copy = mod.matE.copy()
+    copy.set(0, 0, s5.one)
+    assert copy != mod.matE and mod.matE.copy() == mod.matE
+
+
+def test_cached_blocks_and_columns_cannot_go_stale(s5):
+    """graded_blocks() and columns() are read once and cached: a write
+    into E after both were read raises, and a new module on the changed
+    matrices rejects the entry that breaks the grading."""
+    mod = _fresh(build_simple(s5, 2))
+    mod.graded_blocks()
+    cols = mod.columns("E")
+    with pytest.raises(TypeError):
+        mod.matE.set(0, 2, s5.one)  # weight -2 to weight 2
+    assert 0 not in cols[2] and mod.matE.get(0, 2).is_zero()
+    matE = mod.matE.copy()
+    matE.set(0, 2, s5.one)
+    fresh = ModuleRep(s5, mod.labels, matE, mod.matF.copy(),
+                      mod.matH.copy(), mod.max_degree, name="f")
+    with pytest.raises(ModuleInvalidError, match=re.escape(
+            "E entry (0,2) of f maps weight -2 to weight 2, not 0")):
+        fresh.graded_blocks()
+
+
+def test_cached_verma_cannot_be_poisoned():
+    """A write into the session's cached V(1, 1) raises, so the covers
+    built from it later in that session match a fresh session's."""
+    s = Session(5)
+    v = build_generalized_verma(s, Fraction(1), 1)
+    with pytest.raises(TypeError):
+        v.matE.set(0, v.dim - 1, s.one)
+    assert (dump_module(build_projective_cover(s, 1, 1))
+            == dump_module(build_projective_cover(Session(5), 1, 1)))
 
 
 # ---------------------------------------------------------------------

@@ -818,9 +818,11 @@ def test_graded_submodules_and_quotients_match_dense(graded):
 
 
 def test_ungraded_module_rejected(s5):
-    mod = build_simple(s5, 1)
-    bad = build_tensor(mod, build_one_dim(s5, 0))
-    bad.matE.rows[0][0] = s5.one  # E maps weight 1 to weight 1
+    mod = build_tensor(build_simple(s5, 1), build_one_dim(s5, 0))
+    matE = mod.matE.copy()
+    matE.rows[0][0] = s5.one  # E maps weight 1 to weight 1
+    bad = ModuleRep(s5, mod.labels, matE, mod.matF.copy(),
+                    mod.matH.copy(), mod.max_degree, name=mod.name)
     with pytest.raises(ModuleInvalidError, match=r"E entry \(0,0\)"):
         highest_weight_vectors(bad)
     with pytest.raises(ModuleInvalidError):

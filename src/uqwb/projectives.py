@@ -36,17 +36,18 @@ from .repmod import (
     ModuleRep,
     Report,
     WeightLabel,
+    _block_sum,
     build_dual,
     build_generalized_verma,
     build_one_dim,
     build_simple,
     build_tensor,
-    direct_sum,
     verify_relations,
 )
 from .structure import (
     _apply,
     _costandard,
+    _embed,
     _shifted,
     _shifted_block,
     extract_standard_filtration,
@@ -107,10 +108,9 @@ def build_projective_cover(session, i, m, twist=0):
     off = r * n
     sub = build_generalized_verma(session, Fraction(j + r), m)
     quo = build_generalized_verma(session, Fraction(i), m)
-    glued = direct_sum(quo, sub)
     # E a_{t,k} = E^{V(i,m)} F^t v^k + F^{t+j} u_k, and F^{t+j} u_k = 0
-    # once t+j >= r
-    matE = glued.matE.copy()
+    # once t+j >= r; the units go into the writable rows of the submodule
+    matE = _block_sum(quo.matE, sub.matE)
     for t in range(r - j):
         for k in range(n):
             matE.set(off + (t + j) * n + k, t * n + k, session.one)
@@ -128,8 +128,8 @@ def build_projective_cover(session, i, m, twist=0):
             labels.append(WeightLabel(w, s, "%s[%s,%d]" % (fam, w, s)))
 
     name = "P(%d,%d)" % (i, m)
-    mod = ModuleRep(session, labels, matE, glued.matF, glued.matH, m,
-                    name=name)
+    mod = ModuleRep(session, labels, matE, _block_sum(quo.matF, sub.matF),
+                    _block_sum(quo.matH, sub.matH), m, name=name)
     rep = verify_relations(mod)
     if rep["status"] != "pass":
         bad = [it["check"] for it in rep["items"] if not it["ok"]]
@@ -251,10 +251,7 @@ def _generalized_eigenspace(mod, mat, chi):
             ker = nullspace(power.to_dense(), n, s.zero, s.one)
             power = a @ power
         for v in ker:
-            vec = [s.zero] * mod.dim
-            for i, x in zip(idx, v):
-                vec[i] = x
-            sub.insert(vec)
+            sub._insert(_embed(idx, v))
     return sub
 
 

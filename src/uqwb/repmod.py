@@ -4,7 +4,7 @@ A ModuleRep stores the three generator matrices E, F and H over Scalar
 together with one WeightLabel per basis vector.  A built module never
 changes: its constructor freezes E, F and H and keeps the labels as a
 tuple, so what is derived from it (K, the graded blocks, the columns)
-is computed once and cannot go stale.  K and its inverse are never
+is computed once, read-only, and cannot go stale.  K and Kinv are never
 serialized; they are derived from H blockwise once the weight blocks
 and nilpotency claimed by the labels are re-checked from H.
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
+from types import MappingProxyType
 
 from .algebra import AlgebraElement, pbw_normal_form
 from .errors import (
@@ -101,17 +102,14 @@ class ModuleRep:
         raise RejectedInputError("unknown generator %r" % (g,))
 
     def columns(self, g):
-        """Columns of the E, F or H matrix as {row: entry} dicts, cached.
+        """The E, F or H columns, cached: rows of the frozen transpose.
 
         A sparse vector is applied by walking only the columns in its
         support.
         """
         cols = self._cols.get(g)
         if cols is None:
-            cols = [{} for _ in range(self.dim)]
-            for i, row in enumerate(self.generator_matrix(g).rows):
-                for j, v in row.items():
-                    cols[j][i] = v
+            cols = self.generator_matrix(g).transpose().freeze().rows
             self._cols[g] = cols
         return cols
 
@@ -124,8 +122,9 @@ class ModuleRep:
 
         E must map weight w to w+2, F map w to w-2 and H preserve w; the
         blockwise routines of `structure` rely on this.  The check is one
-        pass over the nonzero entries and its result is cached; an
-        offending entry raises ModuleInvalidError naming it.
+        pass over the nonzero entries and its result is cached, read-only,
+        as a mapping of index tuples; an offending entry raises
+        ModuleInvalidError naming it.
         """
         if self._graded is None:
             weights = [lab.weight for lab in self.labels]
@@ -138,7 +137,8 @@ class ModuleRep:
                                 "weight %s, not %s"
                                 % (g, i, j, self.name or "?", weights[j],
                                    weights[i], weights[j] + shift))
-            self._graded = self.weight_blocks()
+            self._graded = MappingProxyType(
+                {w: tuple(idx) for w, idx in self.weight_blocks().items()})
         return self._graded
 
     def __repr__(self):
@@ -564,20 +564,20 @@ def build_tensor(a, b):
                      name="(%s)x(%s)" % (a.name or "?", b.name or "?"))
 
 
+def _block_sum(x, y):
+    """The block-diagonal SMat of x and y.  x's rows are frozen, so they
+    are taken as they are; y's rows are new, writable dicts."""
+    nx = x.ncols
+    dim = nx + y.ncols
+    return SMat(x.session, dim, dim, list(x.rows) + [
+        {nx + j: v for j, v in row.items()} for row in y.rows])
+
+
 def direct_sum(a, b):
     assert a.session is b.session
-    s = a.session
-    na = a.dim
-    dim = na + b.dim
-    labels = a.labels + b.labels
-
-    def block(x, y):
-        # the rows of x are frozen, so the sum can take them as they are
-        return SMat(s, dim, dim, list(x.rows) + [
-            {na + j: v for j, v in row.items()} for row in y.rows])
-
-    return ModuleRep(s, labels, block(a.matE, b.matE),
-                     block(a.matF, b.matF), block(a.matH, b.matH),
+    return ModuleRep(a.session, a.labels + b.labels,
+                     _block_sum(a.matE, b.matE), _block_sum(a.matF, b.matF),
+                     _block_sum(a.matH, b.matH),
                      max(a.max_degree, b.max_degree),
                      name="(%s)+(%s)" % (a.name or "?", b.name or "?"))
 

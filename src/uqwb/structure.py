@@ -20,7 +20,9 @@ dense computation.
 Isomorphism is decided from the Hom space: `_hom_basis` solves the
 equations of an intertwiner, weight block by weight block, in one such
 sparse echelon, and `iso_test` looks for an invertible element among
-that basis and a few seeded combinations of it.
+that basis and a few seeded combinations of it.  The standard search
+quotients the module itself by each member, and Verma recognition
+decides from one chain top (`is_generalized_verma`).
 """
 
 from __future__ import annotations
@@ -451,10 +453,13 @@ def highest_weight_vectors(mod):
             for row in _hw_block(mod, w)]
 
 
-def _chain_tops(mod, lam, deg):
-    """The sparse highest_weight_vectors of weight lam and degree deg,
-    in the same order, from the weight-lam block alone."""
-    return [u for u in _hw_block(mod, lam) if _degree(mod, u, lam) == deg]
+def _chain_top(mod, lam, deg):
+    """The first sparse highest_weight_vectors row of weight lam and
+    degree deg, from the weight-lam block alone, or None."""
+    for u in _hw_block(mod, lam):
+        if _degree(mod, u, lam) == deg:
+            return u
+    return None
 
 
 def _shifted_block(mat, idx, shift):
@@ -644,6 +649,13 @@ def is_generalized_verma(mod, lam, deg):
     intertwiner maps the weight lam-2t columns of V into the weight
     lam-2t block of mod, so it is invertible iff each of those r
     blocks has full rank.
+
+    One chain top decides (_chain_top): if mod is V(lam, deg), ker E on
+    the weight-lam block is the span of the chain v^0 .. v^deg, and a
+    vector of degree deg in it is p(N) v^deg with N = H - lam and
+    p(0) != 0.  Its canonical map acts on block lam-2t as p(N_t), which
+    is invertible.  So if the first degree-deg row fails, every row
+    fails, and if there is none, mod is not V(lam, deg).
     """
     s = mod.session
     lam = s.check_weight(lam)
@@ -654,28 +666,20 @@ def is_generalized_verma(mod, lam, deg):
     n = deg + 1
     pairs = [(blocks.get(lam - 2 * t, []), range(t * n, (t + 1) * n))
              for t in range(s.r)]
-    cands = _chain_tops(mod, lam, deg)
-    if len(cands) > 1:
-        total = {}
-        for u in cands:
-            total = _axpy(total, s.one, u)
-        cands = cands + [total]
-    for u in cands:
-        chain = _chain_from_hw(mod, u, lam, deg)
-        g = _verma_map_from_chain(mod, chain, lam, deg)
-        if not _intertwiner_ok(g, verma, mod):
-            raise DiagnosticError(
-                "canonical chain map failed equivariance at weight %s"
-                % (lam,))
-        invertible = _blocks_full_rank(g, pairs)
-        generated = (submodule_generated(mod, [_dense(mod, u)]).dim
-                     == mod.dim)
-        if invertible != generated:
-            raise DiagnosticError(
-                "generation and intertwiner routes disagree at %s" % (lam,))
-        if invertible:
-            return True
-    return False
+    u = _chain_top(mod, lam, deg)
+    if u is None:
+        return False
+    chain = _chain_from_hw(mod, u, lam, deg)
+    g = _verma_map_from_chain(mod, chain, lam, deg)
+    if not _intertwiner_ok(g, verma, mod):
+        raise DiagnosticError(
+            "canonical chain map failed equivariance at weight %s" % (lam,))
+    invertible = _blocks_full_rank(g, pairs)
+    generated = submodule_generated(mod, [_dense(mod, u)]).dim == mod.dim
+    if invertible != generated:
+        raise DiagnosticError(
+            "generation and intertwiner routes disagree at %s" % (lam,))
+    return invertible
 
 
 # ---------------------------------------------------------------------
@@ -801,12 +805,12 @@ def verify_filtration_certificate(cert):
             continue
         if not asc:
             continue
+        # member 0 is its own quotient; homogeneous rows, homogeneous coords
         big = submodule_to_module(sub)
         inner = SubmoduleBasis(big)
         for c in coords:
-            for comp in _split(big, c).values():
-                inner._insert(comp)
-        quot = quotient_module(big, inner)
+            inner._insert(c)
+        quot = quotient_module(big, inner) if j else big
         if kind == "verma":
             good = is_generalized_verma(quot, w, deg)
         else:
@@ -831,12 +835,15 @@ def _verified(cert, what):
 def _standard_chain(mod, deg):
     """The greedy standard filtration of degree deg, unverified, or None.
 
-    Bottom-up: take the first degree-deg highest-weight vector u of the
-    current quotient whose generated submodule has dimension (deg+1) r,
-    record that submodule, quotient, repeat.  The dimension suffices:
-    V(w, deg) is universal on a degree-deg highest-weight chain
-    (Humphreys, BGG Category O, 1.3), so the submodule u generates is a
-    quotient of V(w, deg), equal to it iff of the same dimension.
+    Bottom-up: take the first degree-deg highest-weight vector u of
+    mod / S_j (mod itself for j = 0) whose generated submodule has
+    dimension (deg+1) r, and add that submodule's rows, lifted to mod,
+    to S_j for S_{j+1}.  The rows of a SubmoduleBasis are homogeneous,
+    and so are their lifts.  The dimension suffices: V(w, deg) is
+    universal on a degree-deg highest-weight chain (Humphreys, BGG
+    Category O, 1.3), so the submodule u generates is a quotient of
+    V(w, deg), equal to it iff of the same dimension.  The last member
+    is mod, and its zero quotient is never built.
     """
     if deg < 0:
         raise RejectedInputError("degree must be nonnegative")
@@ -846,15 +853,11 @@ def _standard_chain(mod, deg):
         return None
     chain = []
     claims = []
-    current = mod
-    maps = []
-
-    def lift_full(vec):
-        for qm in reversed(maps):
-            vec = qm.lift(vec)
-        return vec  # sparse, in the coordinates of mod
-
-    while current.dim > 0:
+    current, lift = mod, dict  # a row of mod lifts to itself
+    while len(chain) * block < mod.dim:
+        if chain:
+            current, qmap = quotient_with_map(mod, chain[-1])
+            lift = qmap.lift
         for u, w, d in highest_weight_vectors(current):
             if d == deg:
                 sub = submodule_generated(current, [u])
@@ -865,11 +868,8 @@ def _standard_chain(mod, deg):
         claims.append(("verma", w, deg))
         member = chain[-1].copy() if chain else SubmoduleBasis(mod)
         for row in sub.sparse_rows():
-            for comp in _split(mod, lift_full(row)).values():
-                member._insert(comp)
+            member._insert(lift(row))
         chain.append(member)
-        current, qm = quotient_with_map(current, sub)
-        maps.append(qm)
     return FiltrationCertificate(mod, "standard", deg, chain, claims)
 
 
@@ -885,15 +885,18 @@ def extract_standard_filtration(mod, deg):
 
 
 def annihilator_basis(mod, dual_rows):
-    """Annihilator in mod of a span of functionals (rows in dual coords)."""
+    """Annihilator in mod of a span of functionals (rows in dual coords).
+
+    Each functional must be homogeneous, as the rows of a SubmoduleBasis
+    of the dual are, so the annihilator is the direct sum of its kernels
+    on the weight blocks.  No functionals give all of mod.
+    """
     s = mod.session
-    if not dual_rows:
-        return None
-    ker = nullspace(dual_rows, mod.dim, s.zero, s.one)
     sub = SubmoduleBasis(mod)
-    for v in ker:
-        for comp in _split(mod, _sparse(v)).values():
-            sub._insert(comp)
+    for idx in mod.graded_blocks().values():
+        rows = [[row[i] for i in idx] for row in dual_rows]
+        for v in nullspace(rows, len(idx), s.zero, s.one):
+            sub._insert(_embed(idx, v))
     return sub
 
 
@@ -902,11 +905,9 @@ def _costandard(mod, dual, deg):
     dcert = _standard_chain(dual, deg)
     if dcert is None:
         return None
-    full = SubmoduleBasis(mod)
-    for i in range(mod.dim):
-        full._insert({i: mod.session.one})
-    chain = [annihilator_basis(mod, t.rows)
-             for t in reversed(dcert.chain[:-1])] + [full]
+    # member j annihilates the dual's member n-2-j, member -1 being 0
+    members = ([SubmoduleBasis(dual)] + dcert.chain)[:len(dcert.chain)]
+    chain = [annihilator_basis(mod, t.rows) for t in reversed(members)]
     claims = [("dual-verma", c[1], deg) for c in reversed(dcert.claims)]
     cert = FiltrationCertificate(mod, "costandard", deg, chain, claims)
     return _verified(cert, "costandard transport")
@@ -1121,11 +1122,11 @@ def standard_top_surjection(mod, deg):
 
         def push(vec):
             return vec
-    hw = _chain_tops(quot, lam, deg)
-    if not hw:
+    u = _chain_top(quot, lam, deg)
+    if u is None:
         raise DiagnosticError("top quotient has no highest-weight chain "
                               "at %s" % (lam,))
-    chain = _chain_from_hw(quot, hw[0], lam, deg)
+    chain = _chain_from_hw(quot, u, lam, deg)
     g = _verma_map_from_chain(quot, chain, lam, deg)
     # g maps the weight lam-2t columns of V onto the weight lam-2t block
     # of quot, so g^-1 is the inverse of each of those blocks

@@ -773,6 +773,24 @@ def test_cached_blocks_and_columns_cannot_go_stale(s5):
         fresh.graded_blocks()
 
 
+def test_derived_caches_are_read_only(s5):
+    """columns() is a tuple of read-only rows and graded_blocks() a
+    read-only mapping of index tuples: every write raises, and both
+    caches read the same afterwards."""
+    mod = build_simple(s5, 2)
+    cols = [dict(c) for c in mod.columns("E")]
+    blocks = dict(mod.graded_blocks())
+    w = next(iter(blocks))
+    for write in (lambda: operator.setitem(mod.columns("E")[0], 2, s5.one),
+                  lambda: operator.setitem(mod.columns("E"), 0, {}),
+                  lambda: mod.graded_blocks()[w].append(99),
+                  lambda: operator.setitem(mod.graded_blocks(), w, [])):
+        with pytest.raises((TypeError, AttributeError)):
+            write()
+    assert [dict(c) for c in mod.columns("E")] == cols
+    assert dict(mod.graded_blocks()) == blocks
+
+
 def test_cached_verma_cannot_be_poisoned():
     """A write into the session's cached V(1, 1) raises, so the covers
     built from it later in that session match a fresh session's."""

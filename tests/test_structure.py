@@ -2,6 +2,7 @@
 composition series, splitting sections, and the BGG table."""
 
 import hashlib
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -46,10 +47,12 @@ from uqwb.projectives import (build_projective_cover,
                               certify_projcover_structure)
 from uqwb.repmod import ModuleRep, WeightLabel, direct_sum
 from uqwb.structure import (
+    SubmoduleBasis,
     _chain_from_hw,
     _intertwiner_ok,
     _sparse,
     _verma_map_from_chain,
+    annihilator_basis,
     quotient_with_map,
     simple_dim,
 )
@@ -307,6 +310,55 @@ def test_is_generalized_verma_rejects_equivariant_singular_map(session):
     assert not is_generalized_verma(mod, Fraction(1), 0)
 
 
+def _rebased_verma(s):
+    """V(1, 1) on the basis v^1, v^0 + v^1, then the rest: X' = P^-1 X P
+    for the P whose columns 0 and 1 are the two new vectors."""
+    v = build_generalized_verma(s, Fraction(1), 1)
+    assert [(lab.weight, lab.degree) for lab in v.labels[:2]] == [(1, 0),
+                                                                 (1, 1)]
+    p = SMat.identity(s, v.dim)
+    pinv = SMat.identity(s, v.dim)
+    for mat, entries in ((p, (0, 1, 1, 1)), (pinv, (-1, 1, 1, 0))):
+        for (i, j), x in zip(((0, 0), (0, 1), (1, 0), (1, 1)), entries):
+            mat.set(i, j, s.from_rational(x))
+    labels = [WeightLabel(Fraction(1), 1, "v1"),
+              WeightLabel(Fraction(1), 1, "v0+v1")] + list(v.labels[2:])
+    return ModuleRep(s, labels, *[pinv @ v.generator_matrix(g) @ p
+                                  for g in ("E", "F", "H")], 1,
+                     name="V(1,1) rebased")
+
+
+def test_is_generalized_verma_takes_the_first_top(session):
+    """One top decides: on the basis v^1, v^0 + v^1, ... of V(1, 1) both
+    echelon rows of ker E on weight 1 have degree 1, and the first one
+    gives the isomorphism."""
+    mod = _rebased_verma(session)
+    assert verify_relations(mod)["status"] == "pass"
+    lam = Fraction(1)
+    rows = structure._hw_block(mod, lam)
+    assert [structure._degree(mod, u, lam) for u in rows] == [1, 1]
+    assert structure._chain_top(mod, lam, 1) == rows[0] == {0: session.one}
+    assert is_generalized_verma(mod, lam, 1)
+    assert not is_generalized_verma(mod, lam + 2, 1)
+
+
+@pytest.mark.parametrize("route", ["rank", "generation"])
+def test_is_generalized_verma_raises_when_routes_disagree(s5, monkeypatch,
+                                                          route):
+    """The intertwiner's rank and the chain top's generated submodule
+    must agree; either one failing alone raises."""
+    mod = build_generalized_verma(s5, Fraction(2), 1)
+    if route == "rank":
+        monkeypatch.setattr(structure, "_blocks_full_rank",
+                            lambda g, pairs: False)
+    else:
+        monkeypatch.setattr(structure, "submodule_generated",
+                            lambda mod, seeds: SubmoduleBasis(mod))
+    with pytest.raises(DiagnosticError, match="generation and intertwiner "
+                       "routes disagree at 2"):
+        is_generalized_verma(mod, Fraction(2), 1)
+
+
 # ---------------------------------------------------------------------
 # filtrations
 # ---------------------------------------------------------------------
@@ -323,6 +375,54 @@ def test_tensor_standard_filtration(session):
     assert got == sorted(lam + i - 2 * k for k in range(i + 1))
     rep = verify_filtration_certificate(cert)
     assert rep["status"] == "pass", [x for x in rep["items"] if not x["ok"]]
+
+
+def test_standard_search_needs_the_verma_dimension(session):
+    """L_i + L_{r-2-i} has dimension r and degree-0 highest-weight
+    vectors, but no submodule V(w, 0): the search finds no filtration
+    rather than a member generated by a smaller simple."""
+    r = session.r
+    for i in range(r - 1):
+        mod = direct_sum(build_simple(session, i),
+                         build_simple(session, r - 2 - i))
+        assert mod.dim == r
+        assert extract_standard_filtration(mod, 0) is None
+
+
+def test_zero_module_has_empty_filtrations(s5):
+    """A zero-dimensional module has the empty standard and costandard
+    certificates, and both verify."""
+    zero = ModuleRep(s5, [], SMat(s5, 0, 0), SMat(s5, 0, 0), SMat(s5, 0, 0),
+                     0, name="0")
+    for extract in (extract_standard_filtration,
+                    extract_costandard_filtration):
+        cert = extract(zero, 1)
+        assert (cert.chain, cert.claims) == ([], [])
+
+
+def _dense_annihilator(mod, dual_rows):
+    """The annihilator of the functionals from one full-dimension dense
+    nullspace, for reference."""
+    s = mod.session
+    sub = SubmoduleBasis(mod)
+    for v in nullspace(dual_rows, mod.dim, s.zero, s.one):
+        for comp in weight_split(mod, v).values():
+            sub.insert(comp)
+    return sub
+
+
+def test_annihilator_basis_matches_dense_nullspace(session):
+    """annihilator_basis, one kernel per weight block, equals the dense
+    full-dimension kernel on the zero member and every member of the
+    dual's standard chain of every cover P_i^m (x) C, m <= 2."""
+    for i in range(session.r - 1):
+        for m, twist in itertools.product(range(3), (0, 1, -2)):
+            p = build_projective_cover(session, i, m, twist)
+            dcert = structure._standard_chain(build_dual(p), m)
+            assert len(dcert.chain) == 2
+            for rows in [[]] + [t.rows for t in dcert.chain]:
+                assert (annihilator_basis(p, rows).rows
+                        == _dense_annihilator(p, rows).rows)
 
 
 def test_filtration_certificate_json_round_trip(session):

@@ -61,9 +61,10 @@ class SMat:
 
     def freeze(self):
         """Make the matrix read-only in place: rows become a tuple of
-        FrozenRow.  Freezing a frozen matrix does nothing."""
+        FrozenRow, frozen ones shared.  Freezing again does nothing."""
         if type(self.rows) is not tuple:
-            self.rows = tuple(map(FrozenRow, self.rows))
+            self.rows = tuple(r if type(r) is FrozenRow else FrozenRow(r)
+                              for r in self.rows)
         return self
 
     def block(self, rows, cols):

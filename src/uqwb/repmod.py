@@ -708,11 +708,14 @@ def load_module(data, session=None):
     for lab in raw_labels:
         if not isinstance(lab, dict):
             raise RejectedInputError("a label must be a JSON object")
+        degree = _dump_int(_dump_key(lab, "degree", "a label"), "label degree")
+        if degree > max_degree:  # build_dual writes max_degree - degree
+            raise RejectedInputError("label degree %d exceeds max_degree %d"
+                                     % (degree, max_degree))
         labels.append(WeightLabel(
             _dump_weight(session, _dump_key(lab, "weight", "a label"),
                          "label weight"),
-            _dump_int(_dump_key(lab, "degree", "a label"), "label degree"),
-            lab.get("tag", "")))
+            degree, lab.get("tag", "")))
     parsed = {}  # entry text -> Scalar, shared by E, F and H of this call
 
     def matrix(name):

@@ -20,9 +20,10 @@ dense computation.
 Isomorphism is decided from the Hom space: `_hom_basis` solves the
 equations of an intertwiner, weight block by weight block, in one such
 sparse echelon, and `iso_test` looks for an invertible element among
-that basis and a few seeded combinations of it.  The standard search
-quotients the module itself by each member, and Verma recognition
-decides from one chain top (`is_generalized_verma`).
+that basis and a few seeded combinations of it.  One constructor,
+`_subquotient`, builds every submodule, quotient and S_j / S_{j-1}
+straight from the parent's columns, and Verma recognition decides from
+one chain top (`is_generalized_verma`).
 """
 
 from __future__ import annotations
@@ -271,15 +272,6 @@ class SubmoduleBasis:
                 coeffs[p] = c
         return v
 
-    def _coords(self, vec):
-        """{row position: coefficient} of a sparse vector, or None if it
-        lies outside the span."""
-        coeffs = {}
-        if self._reduce(vec, coeffs):
-            return None
-        pos = {p: k for k, p in enumerate(self.pivots)}
-        return {pos[p]: c for p, c in coeffs.items()}
-
     def _insert(self, vec):
         """Add a sparse vector to the span; the new sparse row or None."""
         v = self._reduce(vec)
@@ -317,10 +309,15 @@ class SubmoduleBasis:
 
 def submodule_generated(mod, seeds):
     """Least submodule containing the seeds (saturation under E, F, H)."""
+    return _generated(mod, [_sparse(v) for v in seeds])
+
+
+def _generated(mod, seeds):
+    """submodule_generated of sparse seeds."""
     sub = SubmoduleBasis(mod)
     work = []
     for v in seeds:
-        for comp in _split(mod, _sparse(v)).values():
+        for comp in _split(mod, v).values():
             nv = sub._insert(comp)
             if nv is not None:
                 work.append(nv)
@@ -355,10 +352,8 @@ def _make_module(session, weights, tags, matE, matF, matH, name):
 
 
 class QuotientMap:
-    """Projection of a module onto a quotient by a submodule basis.
-
-    push and lift act on sparse vectors.
-    """
+    """Projection of U onto U / L, for L = sub: push reads the remainder
+    mod L at coords.  lift, its inverse there, is a section if U = parent."""
 
     def __init__(self, parent, sub, coords):
         self.parent = parent
@@ -368,64 +363,67 @@ class QuotientMap:
 
     def push(self, vec):
         pos = self._pos
-        return {pos[j]: x for j, x in self.sub._reduce(vec).items()}
+        return {pos[j]: x for j, x in self.sub._reduce(vec).items()
+                if j in pos}
 
     def lift(self, qvec):
         coords = self.coords
         return {coords[k]: x for k, x in qvec.items()}
 
 
-def quotient_with_map(mod, sub):
-    if not sub.is_closed():
+def _subquotient(mod, lower, upper=None):
+    """U / L and its QuotientMap, for SubmoduleBases L = lower inside
+    U = upper of mod (U = mod when upper is None).
+
+    The pivots of L are pivots of U, and a vector of U reduced modulo L
+    is the sum of U's rows at the other pivots, its entries there the
+    coefficients.  So the basis is the classes of those rows (unit
+    vectors when U = mod), and column k of g is g applied to row k,
+    reduced modulo L and read at those pivots.  RejectedInputError if L
+    is not closed or g leaves U.
+    """
+    if not lower.is_closed():
         raise RejectedInputError("quotient by a non-closed subspace")
     s = mod.session
-    pivset = set(sub.pivots)
-    coords = [j for j in range(mod.dim) if j not in pivset]
-    qmap = QuotientMap(mod, sub, coords)
-    n = len(coords)
+    low = lower._rows  # by pivot
+    if upper is None:
+        coords = [j for j in range(mod.dim) if j not in low]
+    else:
+        coords = [p for p in upper.pivots if p not in low]
+    qmap = QuotientMap(mod, lower, coords)
 
     def induced(g):
         cols = mod.columns(g)
-        out = SMat(s, n, n)
+        out = SMat(s, len(coords), len(coords))
         for col, j in enumerate(coords):
-            for row, x in qmap.push(cols[j]).items():
-                out.rows[row][col] = x
+            img = cols[j] if upper is None else _apply(cols, upper._rows[j])
+            if upper is not None and upper._reduce(img):
+                raise RejectedInputError(
+                    "basis is not closed under the module action")
+            for i, x in qmap.push(img).items():
+                out.rows[i][col] = x
         return out
 
-    weights = [mod.labels[j].weight for j in coords]
-    tags = [mod.labels[j].tag for j in coords]
-    q = _make_module(s, weights, tags, induced("E"), induced("F"),
-                     induced("H"), "%s/sub" % (mod.name or "?"))
+    base = mod.name or "?"
+    name = ("%s/sub" % base if upper is None
+            else "sub(%s)%s" % (base, "/sub" if lower.dim else ""))
+    q = _make_module(s, [mod.labels[j].weight for j in coords],
+                     [mod.labels[j].tag for j in coords], induced("E"),
+                     induced("F"), induced("H"), name)
     return q, qmap
 
 
+def quotient_with_map(mod, sub):
+    return _subquotient(mod, sub)
+
+
 def quotient_module(mod, sub):
-    return quotient_with_map(mod, sub)[0]
+    return _subquotient(mod, sub)[0]
 
 
 def submodule_to_module(sub):
     """The submodule spanned by an echelon basis, as its own ModuleRep."""
-    mod = sub.parent
-    s = mod.session
-    n = sub.dim
-    rows = sub.sparse_rows()
-
-    def induced(g):
-        cols = mod.columns(g)
-        out = SMat(s, n, n)
-        for col, row in enumerate(rows):
-            coords = sub._coords(_apply(cols, row))
-            if coords is None:
-                raise RejectedInputError(
-                    "basis is not closed under the module action")
-            for i, x in coords.items():
-                out.rows[i][col] = x
-        return out
-
-    weights = [mod.labels[p].weight for p in sub.pivots]
-    tags = [mod.labels[p].tag for p in sub.pivots]
-    return _make_module(s, weights, tags, induced("E"), induced("F"),
-                        induced("H"), "sub(%s)" % (mod.name or "?"))
+    return _subquotient(sub.parent, SubmoduleBasis(sub.parent), sub)[0]
 
 
 # ---------------------------------------------------------------------
@@ -445,12 +443,17 @@ def _hw_block(mod, w):
     return ker.sparse_rows()
 
 
+def _hw_rows(mod):
+    """Basis of ker(E) as (sparse row, weight, degree) triples, lazily:
+    per weight, descending, the echelon rows of the kernel there."""
+    for w in sorted(mod.graded_blocks(), reverse=True):
+        for row in _hw_block(mod, w):
+            yield row, w, _degree(mod, row, w)
+
+
 def highest_weight_vectors(mod):
-    """Basis of ker(E) as (vector, weight, degree) triples: per weight,
-    descending, the echelon rows of the kernel on that block."""
-    return [(_dense(mod, row), w, _degree(mod, row, w))
-            for w in sorted(mod.graded_blocks(), reverse=True)
-            for row in _hw_block(mod, w)]
+    """_hw_rows with dense vectors."""
+    return [(_dense(mod, row), w, d) for row, w, d in _hw_rows(mod)]
 
 
 def _chain_top(mod, lam, deg):
@@ -675,7 +678,7 @@ def is_generalized_verma(mod, lam, deg):
         raise DiagnosticError(
             "canonical chain map failed equivariance at weight %s" % (lam,))
     invertible = _blocks_full_rank(g, pairs)
-    generated = submodule_generated(mod, [_dense(mod, u)]).dim == mod.dim
+    generated = _generated(mod, [u]).dim == mod.dim
     if invertible != generated:
         raise DiagnosticError(
             "generation and intertwiner routes disagree at %s" % (lam,))
@@ -792,11 +795,9 @@ def verify_filtration_certificate(cert):
         rep.add("member %d closed" % j, closed[j])
         rep.add("member %d dimension" % j, sub.dim == (j + 1) * block,
                 "dim %d" % sub.dim)
-        prev = cert.chain[j - 1].sparse_rows() if j else []
-        # coordinates in member j of member j - 1's rows, None for a row
-        # outside it; the quotient is formed only when no row is outside
-        coords = [sub._coords(row) for row in prev]
-        asc = all(c is not None for c in coords)
+        prev = cert.chain[j - 1] if j else SubmoduleBasis(mod)
+        # the quotient is formed only when member j - 1 lies in member j
+        asc = not any(sub._reduce(row) for row in prev.sparse_rows())
         if j:
             rep.add("member %d contains member %d" % (j, j - 1), asc)
         what = "quotient %d is %s(%s,%d)" % (j, kind, w, deg)
@@ -805,17 +806,10 @@ def verify_filtration_certificate(cert):
             continue
         if not asc:
             continue
-        # member 0 is its own quotient; homogeneous rows, homogeneous coords
-        big = submodule_to_module(sub)
-        inner = SubmoduleBasis(big)
-        for c in coords:
-            inner._insert(c)
-        quot = quotient_module(big, inner) if j else big
-        if kind == "verma":
-            good = is_generalized_verma(quot, w, deg)
-        else:
-            good = is_generalized_verma(build_dual(quot), w, deg)
-        rep.add(what, good)
+        quot = _subquotient(mod, prev, sub)[0]
+        if kind != "verma":
+            quot = build_dual(quot)
+        rep.add(what, is_generalized_verma(quot, w, deg))
     return rep.as_dict()
 
 
@@ -856,11 +850,11 @@ def _standard_chain(mod, deg):
     current, lift = mod, dict  # a row of mod lifts to itself
     while len(chain) * block < mod.dim:
         if chain:
-            current, qmap = quotient_with_map(mod, chain[-1])
+            current, qmap = _subquotient(mod, chain[-1])
             lift = qmap.lift
-        for u, w, d in highest_weight_vectors(current):
+        for u, w, d in _hw_rows(current):
             if d == deg:
-                sub = submodule_generated(current, [u])
+                sub = _generated(current, [u])
                 if sub.dim == block:
                     break
         else:
@@ -950,7 +944,7 @@ def extract_costandard_filtration(mod, deg):
 def _socle_seeds(mod):
     """Per weight: degree-0 highest-weight vectors killed by F^{dim L}.
 
-    Returns (seeds, counts) with dense seeds.  On the weight-w block,
+    Returns (seeds, counts) with sparse seeds.  On the weight-w block,
     E v = 0 and (H - w) v = 0 are the kernels of the blocks w -> w+2 of
     E and w -> w of H - w, and F^{dim L(w)} maps the block to w - 2 dim L.
     """
@@ -991,7 +985,7 @@ def _socle_seeds(mod):
                 raise DiagnosticError(
                     "socle vector at weight %s dies before F^%d"
                     % (w, cw - 1))
-            seeds.append(_dense(mod, vec))
+            seeds.append(vec)
             got += 1
         if got:
             counts[w] = got
@@ -1018,7 +1012,7 @@ def jordan_holder(mod):
         seeds, counts = _socle_seeds(current)
         if not seeds:
             raise DiagnosticError("nonzero module with empty socle data")
-        sub = submodule_generated(current, seeds)
+        sub = _generated(current, seeds)
         expected = sum(simple_dim(s, w) * c for w, c in counts.items())
         if sub.dim != expected:
             raise DiagnosticError(

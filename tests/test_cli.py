@@ -258,6 +258,11 @@ def _negative_max_degree(d):
     d["max_degree"] = -1
 
 
+def _label_degree_above_max(d):
+    # dual would write the degree max_degree - 1 = -1 for this label
+    d["labels"][0]["degree"] = 1
+
+
 def _exponent_weight(d):
     # the value 1, in the exponent form that Fraction would expand
     d["labels"][0]["weight"] = "1e0"
@@ -291,6 +296,7 @@ def _huge_tau_exponent(d):
 @pytest.mark.parametrize("edit", [_bad_ell, _extra_row, _zero_denominator,
                                   _extra_column, _extra_zero_column,
                                   _off_lattice_weight, _negative_max_degree,
+                                  _label_degree_above_max,
                                   _exponent_weight, _long_weight,
                                   _long_coefficient, _long_denominator,
                                   _long_zeta_exponent, _long_tau_exponent,

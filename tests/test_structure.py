@@ -124,6 +124,21 @@ def test_submodule_and_quotient_modules_verify(session):
     assert verify_relations(quot)["status"] == "pass"
 
 
+def test_non_closed_basis_rejected(session):
+    """A span that E, F or H leaves is neither a submodule nor a
+    quotient's kernel: the top vector of V(0, 1) alone."""
+    mod = build_generalized_verma(session, Fraction(0), 1)
+    top = SubmoduleBasis(mod)
+    top._insert({0: session.one})
+    assert not top.is_closed()
+    with pytest.raises(RejectedInputError,
+                       match="not closed under the module action"):
+        submodule_to_module(top)
+    with pytest.raises(RejectedInputError,
+                       match="quotient by a non-closed subspace"):
+        quotient_module(mod, top)
+
+
 def test_typical_verma_is_simple(session):
     lam = Fraction(1, 2) if session.ell % 2 == 0 else Fraction(3, 2)
     mod = build_generalized_verma(session, lam, 0)
@@ -352,7 +367,7 @@ def test_is_generalized_verma_raises_when_routes_disagree(s5, monkeypatch,
         monkeypatch.setattr(structure, "_blocks_full_rank",
                             lambda g, pairs: False)
     else:
-        monkeypatch.setattr(structure, "submodule_generated",
+        monkeypatch.setattr(structure, "_generated",
                             lambda mod, seeds: SubmoduleBasis(mod))
     with pytest.raises(DiagnosticError, match="generation and intertwiner "
                        "routes disagree at 2"):
@@ -576,14 +591,14 @@ def test_certificate_members_must_lie_in_its_module(s5, monkeypatch):
     t = build_projective_cover(s5, 1, 1, 2)
     c = structure._standard_chain(p, 1)
     log = {}
-    _count_calls(monkeypatch, structure, "submodule_to_module", log)
+    _count_calls(monkeypatch, structure, "_subquotient", log)
     rep = verify_filtration_certificate(
         FiltrationCertificate(t, "standard", 1, c.chain, c.claims))
     assert rep["status"] == "fail"
     assert [it["check"] for it in rep["items"] if not it["ok"]] == [
         "member 0 closed", "quotient 0 is verma(7,1)",
         "member 1 closed", "quotient 1 is verma(1,1)"]
-    assert log["submodule_to_module"] == []
+    assert log["_subquotient"] == []
 
 
 def _wrong_claim_weight(cert):
@@ -641,6 +656,45 @@ def test_certificate_report_repeats_no_check(session):
         FiltrationCertificate.from_json(data, session))
     assert rep["status"] == "fail"
     _assert_no_repeated_check(rep, len(cert.chain))
+
+
+def _two_step_subquotient(lower, upper):
+    """upper / lower built in two steps: upper as a module of its own,
+    lower re-inserted in upper's coordinates (a vector of upper has its
+    entries at upper's pivots as coordinates), then the quotient."""
+    big = submodule_to_module(upper)
+    if not lower.dim:
+        return big
+    inner = SubmoduleBasis(big)
+    for row in lower.sparse_rows():
+        assert not upper._reduce(row)
+        inner._insert({k: row[p] for k, p in enumerate(upper.pivots)
+                       if p in row})
+    return quotient_module(big, inner)
+
+
+def test_subquotient_matches_two_step_reference(session):
+    """Every S_j / S_{j-1} of both filtrations of P_i^m (x) C(t), for
+    m <= 2 and t in 0, 1, -2, built in one step from the cover, equals
+    the two-step construction in E, F, H, labels and max_degree."""
+    count = 0
+    for i in range(session.r - 1):
+        for m in range(3):
+            for t in (0, 1, -2):
+                p = build_projective_cover(session, i, m, t)
+                for extract in (extract_standard_filtration,
+                                extract_costandard_filtration):
+                    chain = extract(p, m).chain
+                    for j, upper in enumerate(chain):
+                        lower = chain[j - 1] if j else SubmoduleBasis(p)
+                        got = structure._subquotient(p, lower, upper)[0]
+                        ref = _two_step_subquotient(lower, upper)
+                        assert ((got.matE, got.matF, got.matH, got.labels,
+                                 got.max_degree)
+                                == (ref.matE, ref.matF, ref.matH,
+                                    ref.labels, ref.max_degree))
+                        count += 1
+    assert count == 2 * 2 * 3 * 3 * (session.r - 1)
 
 
 # ---------------------------------------------------------------------

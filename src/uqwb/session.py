@@ -258,7 +258,10 @@ class Session:
             den = (self.cyc_one,)
         else:
             den = self._parse_poly(den_s)
-        return Scalar._make(num, den)
+        try:
+            return Scalar._make(num, den)
+        except ZeroDivisionError:
+            raise RejectedInputError("zero denominator in scalar %r" % text)
 
     def _parse_poly(self, text):
         poly = {}

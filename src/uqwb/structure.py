@@ -24,6 +24,12 @@ that basis and a few seeded combinations of it.  One constructor,
 `_subquotient`, builds every submodule, quotient and S_j / S_{j-1}
 straight from the parent's columns, and Verma recognition decides from
 one chain top (`is_generalized_verma`).
+
+Closure is decided once, where a subspace comes from: `_subquotient`
+checks nothing, the public quotient and submodule constructors check a
+subspace from outside, `verify_filtration_certificate` decides each
+member in its "member j closed" verdict, and the search and
+`jordan_holder` build theirs closed (`_generated`, and preimages of it).
 """
 
 from __future__ import annotations
@@ -287,11 +293,6 @@ class SubmoduleBasis:
         bisect.insort(self.pivots, p)
         return v
 
-    def insert(self, vec):
-        """Add vec to the span; returns the reduced new row or None."""
-        v = self._insert(_sparse(vec))
-        return None if v is None else _dense(self.parent, v)
-
     def copy(self):
         out = SubmoduleBasis(self.parent)
         out._rows = {p: dict(r) for p, r in self._rows.items()}
@@ -375,15 +376,13 @@ def _subquotient(mod, lower, upper=None):
     """U / L and its QuotientMap, for SubmoduleBases L = lower inside
     U = upper of mod (U = mod when upper is None).
 
-    The pivots of L are pivots of U, and a vector of U reduced modulo L
-    is the sum of U's rows at the other pivots, its entries there the
-    coefficients.  So the basis is the classes of those rows (unit
-    vectors when U = mod), and column k of g is g applied to row k,
-    reduced modulo L and read at those pivots.  RejectedInputError if L
-    is not closed or g leaves U.
+    The caller establishes that L and U are closed and L lies in U;
+    nothing here checks it.  The pivots of L are pivots of U, and a
+    vector of U reduced modulo L is the sum of U's rows at the other
+    pivots, its entries there the coefficients.  So the basis is the
+    classes of those rows (unit vectors when U = mod), and column k of g
+    is g applied to row k, reduced modulo L and read at those pivots.
     """
-    if not lower.is_closed():
-        raise RejectedInputError("quotient by a non-closed subspace")
     s = mod.session
     low = lower._rows  # by pivot
     if upper is None:
@@ -397,9 +396,6 @@ def _subquotient(mod, lower, upper=None):
         out = SMat(s, len(coords), len(coords))
         for col, j in enumerate(coords):
             img = cols[j] if upper is None else _apply(cols, upper._rows[j])
-            if upper is not None and upper._reduce(img):
-                raise RejectedInputError(
-                    "basis is not closed under the module action")
             for i, x in qmap.push(img).items():
                 out.rows[i][col] = x
         return out
@@ -414,15 +410,23 @@ def _subquotient(mod, lower, upper=None):
 
 
 def quotient_with_map(mod, sub):
+    """mod / sub and its QuotientMap; RejectedInputError if sub is not
+    closed."""
+    if not sub.is_closed():
+        raise RejectedInputError("quotient by a non-closed subspace")
     return _subquotient(mod, sub)
 
 
 def quotient_module(mod, sub):
-    return _subquotient(mod, sub)[0]
+    return quotient_with_map(mod, sub)[0]
 
 
 def submodule_to_module(sub):
-    """The submodule spanned by an echelon basis, as its own ModuleRep."""
+    """The submodule spanned by an echelon basis, as its own ModuleRep;
+    RejectedInputError if the span is not closed."""
+    if not sub.is_closed():
+        raise RejectedInputError("basis is not closed under the module "
+                                 "action")
     return _subquotient(sub.parent, SubmoduleBasis(sub.parent), sub)[0]
 
 
@@ -778,8 +782,8 @@ def verify_filtration_certificate(cert):
 
     Returns {"status", "items"} in the same shape as verify_relations.
     A member is closed only as a submodule of cert.parent: one held in
-    another module fails "member j closed".  A quotient over a member
-    that is not closed fails, unbuilt.
+    another module fails "member j closed", the only closure check: a
+    quotient over a member that is not closed fails, unbuilt.
     """
     mod = cert.parent
     rep = Report()
@@ -944,9 +948,12 @@ def extract_costandard_filtration(mod, deg):
 def _socle_seeds(mod):
     """Per weight: degree-0 highest-weight vectors killed by F^{dim L}.
 
-    Returns (seeds, counts) with sparse seeds.  On the weight-w block,
-    E v = 0 and (H - w) v = 0 are the kernels of the blocks w -> w+2 of
-    E and w -> w of H - w, and F^{dim L(w)} maps the block to w - 2 dim L.
+    Returns (seeds, counts) with sparse seeds.  On the weight-w block the
+    seeds are one kernel, of three stacked blocks: E from w to w+2,
+    H - w on w, and F^{dim L(w)} from w to w - 2 dim L(w), whose columns
+    are F applied dim L(w) times to each basis vector of the block.
+    _generated saturates the seeds into the socle, closed by
+    construction.
     """
     s = mod.session
     blocks = mod.graded_blocks()
@@ -954,30 +961,18 @@ def _socle_seeds(mod):
     seeds = []
     counts = {}
     for w, idx in sorted(blocks.items(), reverse=True):
+        cw = simple_dim(s, w)
+        fpow = [{j: s.one} for j in idx]
+        for _ in range(cw):
+            fpow = [_apply(fcols, z) for z in fpow]
         rows = (mod.matE.block(blocks.get(w + 2, []), idx).to_dense()
                 + _shifted_block(mod.matH, idx,
-                                 s.from_rational(w)).to_dense())
+                                 s.from_rational(w)).to_dense()
+                + [[z.get(i, s.zero) for z in fpow]
+                   for i in blocks.get(w - 2 * cw, [])])
         ker = [_embed(idx, v)
                for v in nullspace(rows, len(idx), s.zero, s.one)]
-        if not ker:
-            continue
-        cw = simple_dim(s, w)
-        # restrict to the subspace killed by F^{dim L(w)}
-        images = []
-        for z in ker:
-            for _ in range(cw):
-                z = _apply(fcols, z)
-            images.append(z)
-        sol = nullspace([[z.get(i, s.zero) for z in images]
-                         for i in blocks.get(w - 2 * cw, [])],
-                        len(ker), s.zero, s.one)
-        got = 0
-        for coeffs in sol:
-            vec = {}
-            for c, z in zip(coeffs, ker):
-                vec = _axpy(vec, c, z)
-            if not vec:
-                continue
+        for vec in ker:
             top = vec
             for _ in range(cw - 1):
                 top = _apply(fcols, top)
@@ -985,10 +980,9 @@ def _socle_seeds(mod):
                 raise DiagnosticError(
                     "socle vector at weight %s dies before F^%d"
                     % (w, cw - 1))
-            seeds.append(vec)
-            got += 1
-        if got:
-            counts[w] = got
+        if ker:
+            seeds += ker
+            counts[w] = len(ker)
     return seeds, counts
 
 
@@ -1021,7 +1015,7 @@ def jordan_holder(mod):
         for w, c in counts.items():
             lab = simple_label(s, w)
             factors[lab] = factors.get(lab, 0) + c
-        current = quotient_module(current, sub)
+        current = _subquotient(current, sub)[0]
     return factors
 
 
@@ -1109,7 +1103,7 @@ def standard_top_surjection(mod, deg):
         raise DiagnosticError("no standard filtration found")
     lam = cert.claims[-1][1]
     if len(cert.chain) > 1:
-        quot, qmap = quotient_with_map(mod, cert.chain[-2])
+        quot, qmap = _subquotient(mod, cert.chain[-2])
         push = qmap.push
     else:
         quot = mod

@@ -239,6 +239,14 @@ def _zero_denominator(d):
     d["E"][0][1] = "(1/0)*t^0"
 
 
+def _zero_polynomial_denominator(d):
+    d["E"][0][1] = "(1) / (0)"
+
+
+def _empty_denominator(d):
+    d["E"][0][1] = "(1)*t^0 /"
+
+
 def _extra_column(d):
     for row in d["E"]:
         row.append("(0)*t^0")
@@ -294,8 +302,9 @@ def _huge_tau_exponent(d):
 
 
 @pytest.mark.parametrize("edit", [_bad_ell, _extra_row, _zero_denominator,
-                                  _extra_column, _extra_zero_column,
-                                  _off_lattice_weight, _negative_max_degree,
+                                  _zero_polynomial_denominator,
+                                  _empty_denominator, _extra_column,
+                                  _extra_zero_column, _off_lattice_weight, _negative_max_degree,
                                   _label_degree_above_max,
                                   _exponent_weight, _long_weight,
                                   _long_coefficient, _long_denominator,
@@ -621,6 +630,10 @@ def _cert_chain_row_not_string(d):
     d["chain"][0][0][0] = 5
 
 
+def _cert_chain_row_empty_denominator(d):
+    d["chain"][0][0][0] = "(1)*t^0 /"
+
+
 def _cert_claim_kind_x(d):
     d["claims"][0]["kind"] = "x"
 
@@ -656,6 +669,7 @@ def verma_certificate():
                                   _cert_chain_int, _cert_claims_int,
                                   _cert_degree_str, _cert_degree_bool,
                                   _cert_chain_row_not_string,
+                                  _cert_chain_row_empty_denominator,
                                   _cert_claim_kind_x, _cert_claim_weight_str,
                                   _cert_claim_weight_bool,
                                   _cert_claim_degree_str,

@@ -134,9 +134,10 @@ def test_non_closed_basis_rejected(session):
     with pytest.raises(RejectedInputError,
                        match="not closed under the module action"):
         submodule_to_module(top)
-    with pytest.raises(RejectedInputError,
-                       match="quotient by a non-closed subspace"):
-        quotient_module(mod, top)
+    for quotient in (quotient_module, quotient_with_map):
+        with pytest.raises(RejectedInputError,
+                           match="quotient by a non-closed subspace"):
+            quotient(mod, top)
 
 
 def test_typical_verma_is_simple(session):
@@ -422,7 +423,7 @@ def _dense_annihilator(mod, dual_rows):
     sub = SubmoduleBasis(mod)
     for v in nullspace(dual_rows, mod.dim, s.zero, s.one):
         for comp in weight_split(mod, v).values():
-            sub.insert(comp)
+            sub._insert(_sparse(comp))
     return sub
 
 
@@ -599,6 +600,23 @@ def test_certificate_members_must_lie_in_its_module(s5, monkeypatch):
         "member 0 closed", "quotient 0 is verma(7,1)",
         "member 1 closed", "quotient 1 is verma(1,1)"]
     assert log["_subquotient"] == []
+
+
+def test_filtration_checks_each_member_closure_once(s5, monkeypatch):
+    """Closure is decided where a subspace enters: verifying P(1,1)'s
+    two-member certificate checks each member once, and the search and
+    jordan_holder, whose subspaces are closed by construction, check
+    none."""
+    p = build_projective_cover(s5, 1, 1)
+    log = {}
+    _count_calls(monkeypatch, SubmoduleBasis, "is_closed", log)
+    cert = structure._standard_chain(p, 1)
+    assert log["is_closed"] == []
+    assert verify_filtration_certificate(cert)["status"] == "pass"
+    assert log["is_closed"] == cert.chain
+    del log["is_closed"][:]
+    jordan_holder(p)
+    assert log["is_closed"] == []
 
 
 def _wrong_claim_weight(cert):
@@ -878,10 +896,12 @@ def _ref_generated(mod, seeds):
         basis = new
 
 
-def _ref_socle_counts(mod):
-    """Full-dimension kernels of E and H - w on the columns of block w,
-    then of F^{dim L(w)} with its full matrix power."""
+def _ref_socle(mod):
+    """(socle vectors, counts): full-dimension kernels of E and H - w on
+    the columns of block w, then of F^{dim L(w)} with its full matrix
+    power, the vectors as combinations of the first kernel's."""
     s = mod.session
+    vecs = []
     counts = {}
     for w, idx in mod.weight_blocks().items():
         shift = s.from_rational(w)
@@ -892,17 +912,21 @@ def _ref_socle_counts(mod):
         if not ker:
             continue
         fc = mod.matF.matpow(simple_dim(s, w))
-        full = []
+        base = []
         for v in ker:
             vec = [s.zero] * mod.dim
             for x, j in zip(v, idx):
                 vec[j] = x
-            full.append(fc.apply(vec))
+            base.append(vec)
+        full = [fc.apply(vec) for vec in base]
         sol = nullspace([[f[i] for f in full] for i in range(mod.dim)],
                         len(full), s.zero, s.one)
+        for coeffs in sol:
+            vecs.append([sum((c * b[i] for c, b in zip(coeffs, base)),
+                             s.zero) for i in range(mod.dim)])
         if sol:
             counts[w] = len(sol)
-    return counts
+    return vecs, counts
 
 
 def _ref_label_degrees(mod):
@@ -931,7 +955,13 @@ def test_graded_highest_weight_vectors_match_dense(graded):
 
 
 def test_graded_socle_counts_match_dense(graded):
-    assert socle_counts(graded) == _ref_socle_counts(graded)
+    """socle_counts, and the socle its seeds generate, equal the dense
+    two-kernel reference."""
+    vecs, counts = _ref_socle(graded)
+    assert socle_counts(graded) == counts
+    seeds = structure._socle_seeds(graded)[0]
+    assert structure._generated(graded, seeds).rows == \
+        _ref_generated(graded, vecs)
 
 
 def test_graded_submodules_and_quotients_match_dense(graded):

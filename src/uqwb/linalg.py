@@ -1,11 +1,15 @@
-"""Sparse matrices and exact row reduction over Q(zeta_M)(tau).
+"""Sparse matrices, and dense exact row reduction over Q(zeta_M)(tau).
 
 The generator matrices of every module here are sparse (a handful of
 entries per row), so matrices are stored as per-row dicts with no zero
-entries.  Row reduction works generically over any field-like element
-type exposing is_zero / inv and the arithmetic operators, which covers
-both Scalar and Cyc.  A frozen matrix (every generator matrix of a
-built module) refuses every write.
+entries.  A frozen matrix (every generator matrix of a built module)
+refuses every write.
+
+The library eliminates only in the sparse echelon of
+`structure.SubmoduleBasis`.  The dense routines below (rref, nullspace,
+invert_dense) work over any field-like element type exposing is_zero /
+inv and the arithmetic operators, Scalar and Cyc alike, and are the
+tests' independent reference for it.
 """
 
 from __future__ import annotations
@@ -263,33 +267,6 @@ def nullspace(rows, ncols, zero, one):
                 v[p] = -b[j]
         out.append(v)
     return out
-
-
-def solve(rows, rhs, zero, one):
-    """One solution x of A x = b for dense rows A, or None.
-
-    rhs may be a single vector or a list of vectors (solved jointly).
-    """
-    single = rhs and not isinstance(rhs[0], list)
-    rhss = [rhs] if single else rhs
-    n = len(rows[0]) if rows else 0
-    aug = [list(r) + [b[i] for b in rhss] for i, r in enumerate(rows)]
-    basis, pivots, tail = rref_augmented(aug, zero, npivot=n)
-    sols = []
-    for k in range(len(rhss)):
-        if any(not t[n + k].is_zero() for t in tail):
-            sols.append(None)
-            continue
-        x = [zero] * n
-        for b, p in zip(basis, pivots):
-            x[p] = b[n + k]
-        sols.append(x)
-    return sols[0] if single else sols
-
-
-def rank(rows, zero):
-    basis, _ = rref(rows, zero)
-    return len(basis)
 
 
 def invert_dense(rows, zero, one):

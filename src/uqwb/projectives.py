@@ -31,7 +31,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConstructionError, DiagnosticError, RejectedInputError
-from .linalg import nullspace
 from .repmod import (
     ModuleRep,
     Report,
@@ -47,9 +46,8 @@ from .repmod import (
 from .structure import (
     _apply,
     _costandard,
-    _embed,
+    _kernel,
     _shifted,
-    _shifted_block,
     extract_standard_filtration,
     SubmoduleBasis,
     iso_test,
@@ -242,16 +240,18 @@ def _generalized_eigenspace(mod, mat, chi):
     sub = SubmoduleBasis(mod)
     for idx in mod.graded_blocks().values():
         n = len(idx)
-        a = _shifted_block(mat, idx, shift)
+        a = mat.block(idx, idx)
+        for k in range(n):
+            a.add_to(k, k, -shift)
         power = a
         prev = -1
         ker = []
         while len(ker) != prev:
             prev = len(ker)
-            ker = nullspace(power.to_dense(), n, s.zero, s.one)
+            ker = _kernel(power.rows, range(n), s.one)
             power = a @ power
         for v in ker:
-            sub._insert(_embed(idx, v))
+            sub._insert({idx[k]: x for k, x in v.items()})
     return sub
 
 

@@ -13,9 +13,11 @@ Vectors are sparse {index: Scalar} dicts without zeros, applied through
 the cached columns of E, F and H (`ModuleRep.columns`).  Submodules are
 SubmoduleBasis objects: sparse reduced echelon bases of homogeneous
 vectors, so reducing a vector touches only the rows of its own weight.
-The public functions take and return dense lists, as before, and since
-a reduced echelon basis is unique their answers are exactly those of a
-dense computation.
+That echelon is the library's one elimination: every kernel (`_kernel`),
+solve and block inverse (`_solve`) is read off one.  A reduced echelon
+basis is unique, so the answers are exactly those of the dense `linalg`
+routines, which only the tests use.  The public functions take and
+return dense lists.
 
 Isomorphism is decided from the Hom space: `_hom_basis` solves the
 equations of an intertwiner, weight block by weight block, in one such
@@ -40,7 +42,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DiagnosticError, RejectedInputError
-from .linalg import SMat, invert_dense, nullspace, rank, solve
+from .linalg import SMat
 from .repmod import (
     ModuleRep,
     Report,
@@ -141,11 +143,6 @@ def _dense(mod, vec):
     return out
 
 
-def _embed(idx, vals):
-    """A sparse vector from its dense values on the coordinates idx."""
-    return {i: x for i, x in zip(idx, vals) if not x.is_zero()}
-
-
 def _apply(cols, vec):
     """A matrix, given by its columns, applied to a sparse vector."""
     acc = {}
@@ -218,10 +215,8 @@ def vec_degree(mod, vec, w):
 # ---------------------------------------------------------------------
 
 def _eliminate(v, p, row):
-    """v -= v[p] * row in place, for a row with a unit pivot at p.
-
-    Returns the coefficient v[p]; column p of v is cleared.
-    """
+    """v -= v[p] * row in place, for a row with a unit pivot at p; column
+    p of v is cleared."""
     c = v.pop(p)
     for j, y in row.items():
         if j != p:
@@ -235,7 +230,6 @@ def _eliminate(v, p, row):
                 del v[j]
             else:
                 v[j] = t
-    return c
 
 
 class SubmoduleBasis:
@@ -264,18 +258,16 @@ class SubmoduleBasis:
     def sparse_rows(self):
         return [self._rows[p] for p in self.pivots]
 
-    def _reduce(self, vec, coeffs=None):
+    def _reduce(self, vec):
         """Remainder of a sparse vector modulo the span, as a new dict.
 
         Pivot columns are cleared in any order: every row is zero on the
-        other rows' pivots.  coeffs, if given, receives {pivot: coeff}.
+        other rows' pivots.
         """
         rows = self._rows
         v = dict(vec)
         for p in [p for p in v if p in rows]:
-            c = _eliminate(v, p, rows[p])
-            if coeffs is not None:
-                coeffs[p] = c
+            _eliminate(v, p, rows[p])
         return v
 
     def _insert(self, vec):
@@ -306,6 +298,49 @@ class SubmoduleBasis:
                 if self._reduce(_apply(cols, row)):
                     return False
         return True
+
+
+def _kernel(rows, unknowns, one):
+    """Basis of the common kernel of sparse rows supported on unknowns.
+
+    The rows, which may come from a generator, go into one sparse echelon
+    and are read only until every unknown is a pivot: the kernel is then
+    0.  Each free unknown f, in the order of unknowns, gives the vector
+    that is 1 at f, minus the pivot rows' entries in column f at their
+    pivots, and 0 on the other free unknowns.  A reduced echelon form is
+    unique, so for increasing unknowns these are the dense `nullspace`'s.
+    """
+    eqs = SubmoduleBasis(None)
+    n = len(unknowns)
+    for row in rows:
+        eqs._insert(row)
+        if eqs.dim == n:
+            return []
+    sols = {f: {f: one} for f in unknowns if f not in eqs._rows}
+    for p, row in eqs._rows.items():
+        for f, x in row.items():
+            if f != p:
+                sols[f][p] = -x
+    return list(sols.values())
+
+
+def _solve(rows, targets, n):
+    """The solution X of A X = B that is 0 on every free unknown, as
+    {column of B: sparse column of X}, or None if there is none.
+
+    rows are A's sparse rows, on columns below n, and targets B's, as
+    {column: entry} dicts.  [A | B], column k of B at n + k, goes into one
+    sparse echelon: A X = B is solvable iff no pivot lies in B, and then
+    X[p, k] is row p's entry at n + k, exactly the dense solve's.
+    """
+    aug = SubmoduleBasis(None)
+    for row, b in zip(rows, targets):
+        aug._insert({**row, **{n + k: x for k, x in b.items()
+                               if not x.is_zero()}})
+    if aug.pivots and aug.pivots[-1] >= n:
+        return None
+    return {k: {p: row[n + k] for p, row in aug._rows.items() if n + k in row}
+            for b in targets for k in b}
 
 
 def submodule_generated(mod, seeds):
@@ -410,8 +445,10 @@ def _subquotient(mod, lower, upper=None):
 
 
 def quotient_with_map(mod, sub):
-    """mod / sub and its QuotientMap; RejectedInputError if sub is not
-    closed."""
+    """mod / sub and its QuotientMap; RejectedInputError if sub is not a
+    closed subspace of mod."""
+    if sub.parent is not mod:
+        raise RejectedInputError("quotient by a subspace of another module")
     if not sub.is_closed():
         raise RejectedInputError("quotient by a non-closed subspace")
     return _subquotient(mod, sub)
@@ -436,14 +473,13 @@ def submodule_to_module(sub):
 
 def _hw_block(mod, w):
     """ker E on the weight-w block, as the sparse echelon rows of a
-    SubmoduleBasis: the kernel of the block of E from w to w + 2."""
-    s = mod.session
+    SubmoduleBasis: the kernel of E's rows of block w + 2, which the
+    grading supports on block w."""
     blocks = mod.graded_blocks()
-    idx = blocks.get(w, [])
-    rows = mod.matE.block(blocks.get(w + 2, []), idx).to_dense()
     ker = SubmoduleBasis(mod)
-    for v in nullspace(rows, len(idx), s.zero, s.one):
-        ker._insert(_embed(idx, v))
+    for v in _kernel((mod.matE.rows[i] for i in blocks.get(w + 2, [])),
+                     blocks.get(w, []), mod.session.one):
+        ker._insert(v)
     return ker.sparse_rows()
 
 
@@ -467,14 +503,6 @@ def _chain_top(mod, lam, deg):
         if _degree(mod, u, lam) == deg:
             return u
     return None
-
-
-def _shifted_block(mat, idx, shift):
-    """The block of mat on idx x idx, minus shift times the identity."""
-    out = mat.block(idx, idx)
-    for a in range(len(idx)):
-        out.add_to(a, a, -shift)
-    return out
 
 
 # ---------------------------------------------------------------------
@@ -505,9 +533,10 @@ def _intertwiner_ok(g, a, b):
 
 
 def _blocks_full_rank(g, pairs):
-    """Whether each (rows, cols) block of g has rank len(cols)."""
-    z = g.session.zero
-    return all(rank(g.block(rows, cols).to_dense(), z) == len(cols)
+    """Whether each (rows, cols) block of g has rank len(cols), that is,
+    kernel 0."""
+    one = g.session.one
+    return all(not _kernel(g.block(rows, cols).rows, range(len(cols)), one)
                for rows, cols in pairs)
 
 
@@ -520,9 +549,8 @@ def _hom_basis(a, b):
     The equations are the entries (i, j) of X M_a - M_b X for M = H, E
     and F, with weight(i) = weight(j) + 0, +2 and -2: (X M_a)[i, j] sums
     X[i, k] M_a[k, j] over k of weight(i), (M_b X)[i, j] sums
-    M_b[i, k] X[k, j] over k of weight(j).  They go into one sparse
-    echelon, and each free unknown gives the basis element that is 1
-    there and 0 on the other free unknowns.
+    M_b[i, k] X[k, j] over k of weight(j).  Their kernel (`_kernel`)
+    gives one basis element per free unknown.
     """
     s = a.session
     blocks_a = a.graded_blocks()
@@ -535,27 +563,24 @@ def _hom_basis(a, b):
         for i in blocks_b[w]:
             for j in jdx:
                 var[i, j] = len(var)
-    eqs = SubmoduleBasis(None)
-    for g, shift in (("H", 0), ("E", 2), ("F", -2)):
-        acols = a.columns(g)
-        brows = b.generator_matrix(g).rows
-        for w, jdx in blocks_a.items():
-            for i in blocks_b.get(w + shift, []):
-                for j in jdx:
-                    eqs._insert(_axpy(
-                        {var[i, k]: x for k, x in acols[j].items()},
-                        -s.one,
-                        {var[k, j]: x for k, x in brows[i].items()}))
-    sols = {f: {f: s.one} for f in range(len(var)) if f not in eqs._rows}
-    for p, row in eqs._rows.items():
-        for f, x in row.items():
-            if f != p:
-                sols[f][p] = -x
+
+    def equations():
+        for g, shift in (("H", 0), ("E", 2), ("F", -2)):
+            acols = a.columns(g)
+            brows = b.generator_matrix(g).rows
+            for w, jdx in blocks_a.items():
+                for i in blocks_b.get(w + shift, []):
+                    for j in jdx:
+                        yield _axpy(
+                            {var[i, k]: x for k, x in acols[j].items()},
+                            -s.one,
+                            {var[k, j]: x for k, x in brows[i].items()})
+
     entries = list(var)
     out = []
-    for f in sorted(sols):
+    for sol in _kernel(equations(), range(len(var)), s.one):
         g = SMat(s, b.dim, a.dim)
-        for v, x in sols[f].items():
+        for v, x in sol.items():
             i, j = entries[v]
             g.rows[i][j] = x
         out.append(g)
@@ -889,12 +914,13 @@ def annihilator_basis(mod, dual_rows):
     of the dual are, so the annihilator is the direct sum of its kernels
     on the weight blocks.  No functionals give all of mod.
     """
-    s = mod.session
+    one = mod.session.one
     sub = SubmoduleBasis(mod)
     for idx in mod.graded_blocks().values():
-        rows = [[row[i] for i in idx] for row in dual_rows]
-        for v in nullspace(rows, len(idx), s.zero, s.one):
-            sub._insert(_embed(idx, v))
+        rows = ({i: row[i] for i in idx if not row[i].is_zero()}
+                for row in dual_rows)
+        for v in _kernel(rows, idx, one):
+            sub._insert(v)
     return sub
 
 
@@ -945,33 +971,42 @@ def extract_costandard_filtration(mod, deg):
 # Jordan-Holder multiplicities via socle recursion
 # ---------------------------------------------------------------------
 
+def _socle_rows(mod, w, cw):
+    """The rows on the weight-w block whose common kernel is its socle
+    seeds, lazily: E's rows of block w + 2, H - w's rows of block w, then
+    the rows of F^cw of block w - 2 cw.  The grading supports each on
+    block w, and F^cw is applied to the block's basis only if the E and
+    H - w rows leave a kernel."""
+    s = mod.session
+    blocks = mod.graded_blocks()
+    idx = blocks[w]
+    yield from (mod.matE.rows[i] for i in blocks.get(w + 2, []))
+    shift = -s.from_rational(w)
+    for j in idx:
+        yield _axpy(mod.matH.rows[j], shift, {j: s.one})
+    fcols = mod.columns("F")
+    fpow = {j: {j: s.one} for j in idx}
+    for _ in range(cw):
+        fpow = {j: _apply(fcols, z) for j, z in fpow.items()}
+    for i in blocks.get(w - 2 * cw, []):
+        yield {j: z[i] for j, z in fpow.items() if i in z}
+
+
 def _socle_seeds(mod):
     """Per weight: degree-0 highest-weight vectors killed by F^{dim L}.
 
     Returns (seeds, counts) with sparse seeds.  On the weight-w block the
-    seeds are one kernel, of three stacked blocks: E from w to w+2,
-    H - w on w, and F^{dim L(w)} from w to w - 2 dim L(w), whose columns
-    are F applied dim L(w) times to each basis vector of the block.
-    _generated saturates the seeds into the socle, closed by
-    construction.
+    seeds are one kernel (`_kernel`) of the rows of E, H - w and
+    F^{dim L(w)} there (`_socle_rows`).  _generated saturates the seeds
+    into the socle, closed by construction.
     """
     s = mod.session
-    blocks = mod.graded_blocks()
     fcols = mod.columns("F")
     seeds = []
     counts = {}
-    for w, idx in sorted(blocks.items(), reverse=True):
+    for w, idx in sorted(mod.graded_blocks().items(), reverse=True):
         cw = simple_dim(s, w)
-        fpow = [{j: s.one} for j in idx]
-        for _ in range(cw):
-            fpow = [_apply(fcols, z) for z in fpow]
-        rows = (mod.matE.block(blocks.get(w + 2, []), idx).to_dense()
-                + _shifted_block(mod.matH, idx,
-                                 s.from_rational(w)).to_dense()
-                + [[z.get(i, s.zero) for z in fpow]
-                   for i in blocks.get(w - 2 * cw, [])])
-        ker = [_embed(idx, v)
-               for v in nullspace(rows, len(idx), s.zero, s.one)]
+        ker = _kernel(_socle_rows(mod, w, cw), idx, s.one)
         for vec in ker:
             top = vec
             for _ in range(cw - 1):
@@ -1066,19 +1101,12 @@ def verma_splitting_section(mod, f, lam, deg):
         for k2 in range(k + 1, deg):
             acc = acc - gamma[k2] * nu[k][k2]
         gamma[k] = acc * nu[k][k].inv()
-    # preimages of the targets, on the chain v^0..v^deg of V: f is
-    # equivariant, so it maps the weight-lam block of mod onto the chain
-    # and every other block away from it, and one block solve suffices
-    targets = []
-    for k in range(n):
-        z = [s.zero] * n
-        z[k] = top if k == deg else gamma[k]
-        targets.append(z)
-    idx = mod.graded_blocks().get(lam, [])
-    sols = solve(f.block(range(n), idx).to_dense(), targets, s.zero, s.one)
-    if any(x is None for x in sols):
+    # preimages u_k of the targets c_k v^k on the chain v^0..v^deg of V:
+    # the rows of f there, one solve with the targets' columns as B
+    us = _solve(f.rows[:n], [{k: top if k == deg else gamma[k]}
+                             for k in range(n)], mod.dim)
+    if us is None:
         raise RejectedInputError("f is not surjective onto the chain")
-    us = [_embed(idx, x) for x in sols]
     diff = us[deg]
     for k in range(deg):
         diff = _axpy(diff, -s.one, us[k])
@@ -1102,14 +1130,10 @@ def standard_top_surjection(mod, deg):
     if cert is None:
         raise DiagnosticError("no standard filtration found")
     lam = cert.claims[-1][1]
+    quot, push = mod, dict
     if len(cert.chain) > 1:
         quot, qmap = _subquotient(mod, cert.chain[-2])
         push = qmap.push
-    else:
-        quot = mod
-
-        def push(vec):
-            return vec
     u = _chain_top(quot, lam, deg)
     if u is None:
         raise DiagnosticError("top quotient has no highest-weight chain "
@@ -1117,22 +1141,20 @@ def standard_top_surjection(mod, deg):
     chain = _chain_from_hw(quot, u, lam, deg)
     g = _verma_map_from_chain(quot, chain, lam, deg)
     # g maps the weight lam-2t columns of V onto the weight lam-2t block
-    # of quot, so g^-1 is the inverse of each of those blocks
+    # of quot, so g^-1 is the inverse of each of those blocks: the
+    # solution of [G | I] on the block's rows of g
     n = deg + 1
     blocks = quot.graded_blocks()
     ginv_cols = {}  # column al of g^-1 as {row: entry}
     for t in range(s.r):
         idx = blocks.get(lam - 2 * t, [])
-        binv = None
+        inv = None
         if len(idx) == n:
-            binv = invert_dense(g.block(idx, range(t * n, (t + 1) * n))
-                                .to_dense(), s.zero, s.one)
-        if binv is None:
+            inv = _solve([g.rows[al] for al in idx],
+                         [{al: s.one} for al in idx], g.ncols)
+        if inv is None:
             raise DiagnosticError("top quotient chain map is singular")
-        for pos, al in enumerate(idx):
-            ginv_cols[al] = {t * n + k: row[pos]
-                             for k, row in enumerate(binv)
-                             if not row[pos].is_zero()}
+        ginv_cols.update(inv)
     if len(ginv_cols) != quot.dim:
         raise DiagnosticError("top quotient chain map is singular")
     f = SMat(s, quot.dim, mod.dim)

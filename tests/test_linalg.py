@@ -1,4 +1,6 @@
-"""Exact sparse linear algebra over the scalar field."""
+"""Exact sparse linear algebra over the scalar field: SMat, the dense
+reference routines, and the sparse kernel and solve of `structure`
+against them."""
 
 import random
 from fractions import Fraction
@@ -7,10 +9,9 @@ from uqwb.linalg import (
     SMat,
     invert_dense,
     nullspace,
-    rank,
     rref,
-    solve,
 )
+from uqwb.structure import _kernel, _solve
 
 
 def rand_mat(session, rng, n, m, density=0.6):
@@ -66,7 +67,7 @@ def test_rank_nullity(s5):
     for n, m in [(4, 6), (5, 3), (4, 4)]:
         a = rand_mat(s5, rng, n, m, density=0.5)
         rows = a.to_dense()
-        rk = rank(rows, s5.zero)
+        rk = len(rref(rows, s5.zero)[0])
         null = nullspace(rows, m, s5.zero, s5.one)
         assert rk + len(null) == m
         for v in null:
@@ -85,25 +86,101 @@ def test_rref_idempotent(s5):
         assert row[p] == s5.one
 
 
-def test_solve_and_invert(s5):
+def _invertible(s5):
+    """A seeded random invertible 4 x 4 matrix and its invert_dense."""
     rng = random.Random(8)
     while True:
         a = rand_mat(s5, rng, 4, 4)
         inv = invert_dense(a.to_dense(), s5.zero, s5.one)
         if inv is not None:
-            break
+            return a, inv
+
+
+def test_invert_dense(s5):
+    a, inv = _invertible(s5)
     prod = [[sum((a.get(i, k) * inv[k][j] for k in range(4)),
                  s5.zero) for j in range(4)] for i in range(4)]
     for i in range(4):
         for j in range(4):
             expect = s5.one if i == j else s5.zero
             assert prod[i][j] == expect
+
+
+def _dense_on(vec, idx, zero):
+    return [vec.get(i, zero) for i in idx]
+
+
+def test_kernel_matches_dense_nullspace(s5):
+    """_kernel gives exactly the vectors of the dense nullspace, in its
+    order: on seeded sparse matrices with a zero row, among them ones of
+    full column rank and of rank one short of it, on unknowns that are
+    not contiguous (a weight block's indices), and on no rows."""
+    rng = random.Random(9)
+    z, one = s5.zero, s5.one
+    mats = []
+    for n, m in [(3, 5), (5, 3), (4, 4), (6, 4), (2, 6), (5, 5)]:
+        a = rand_mat(s5, rng, n, m, density=0.5)
+        a.rows[rng.randrange(n)] = {}
+        mats.append(a)
+    short = rand_mat(s5, rng, 5, 4, density=0.8)  # column 2 zero: rank <= 3
+    short.rows = [{j: x for j, x in r.items() if j != 2} for r in short.rows]
+    mats.append(short)
+    ranks = set()
+    for a in mats:
+        ref = nullspace(a.to_dense(), a.ncols, z, one)
+        ranks.add((a.ncols, a.ncols - len(ref)))
+        got = _kernel(a.rows, range(a.ncols), one)
+        assert [_dense_on(v, range(a.ncols), z) for v in got] == ref
+        idx = sorted(rng.sample(range(3 * a.ncols), a.ncols))
+        rows = [{idx[j]: x for j, x in r.items()} for r in a.rows]
+        got = _kernel(iter(rows), idx, one)
+        assert [_dense_on(v, idx, z) for v in got] == ref
+        assert all(set(v) <= set(idx) for v in got)
+    assert {m - rk for m, rk in ranks} >= {0, 1, 2}  # nullities seen
+    assert _kernel([], [3, 7], one) == [{3: one}, {7: one}]
+    assert _kernel([], [], one) == []
+
+
+def test_kernel_stops_at_full_column_rank(s5):
+    """Once every unknown is a pivot the kernel is 0 and no further row is
+    read, so a lazy row source is not run past that point."""
+    one = s5.one
+
+    def rows():
+        yield {}
+        yield {2: one, 9: one}
+        yield {5: one, 9: one}
+        yield {9: one}
+        raise AssertionError("a row read after full column rank")
+
+    assert _kernel(rows(), [2, 5, 9], one) == []
+
+
+def test_sparse_solve(s5):
+    """_solve reads A X = B off the sparse echelon of [A | B]: the system
+    and assertion of the dense solve it replaced, the same x as
+    invert_dense's inverse times b, that inverse itself, and None for an
+    inconsistent system."""
+    a, inv = _invertible(s5)
+    z, one = s5.zero, s5.one
     rhs = [s5.from_rational(k + 1) for k in range(4)]
-    sols = solve(a.to_dense(), [rhs], s5.zero, s5.one)
-    x = sols[0]
-    assert x is not None
+    x = _solve(a.rows, [{0: b} for b in rhs], 4)[0]
+    x = _dense_on(x, range(4), z)
     img = a.apply(x)
     assert all((u - v).is_zero() for u, v in zip(img, rhs))
+    assert x == [sum((inv[i][k] * rhs[k] for k in range(4)), z)
+                 for i in range(4)]
+    cols = _solve(a.rows, [{k: one} for k in range(4)], 4)
+    assert [_dense_on(cols[k], range(4), z) for k in range(4)] == [
+        [inv[i][k] for i in range(4)] for k in range(4)]
+    # a target of 0 solves to the zero vector
+    assert _solve(a.rows, [{0: z}] * 4, 4) == {0: {}}
+    singular = SMat(s5, 3, 3, [{0: one}, {1: one}, {}])
+    assert _solve(singular.rows, [{k: one} for k in range(3)], 3) is None
+    # consistent with free unknowns: x is 0 on them
+    wide = [{0: one, 1: one}, {2: one}]
+    assert _solve(wide, [{0: one}, {0: s5.from_rational(3)}], 3) == {
+        0: {0: one, 2: s5.from_rational(3)}}
 
 
 def test_singular_matrix_detected(s5):

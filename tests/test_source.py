@@ -168,6 +168,27 @@ def test_one_k_series():
     assert _call_sites("degree_drop_coeff") == ["repmod.derive_K"]
 
 
+def test_one_elimination():
+    """structure.py and projectives.py take nothing from linalg but SMat
+    and make no dense copy of a matrix: every kernel, rank, solve and
+    inverse there is read off the sparse echelon of SubmoduleBasis, and
+    the dense routines of linalg are the tests' reference."""
+    found = []
+    for module in ("structure", "projectives"):
+        path = SRC / (module + ".py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                    "linalg", "uqwb.linalg"):
+                found += ["%s:%d imports %s" % (module, node.lineno, a.name)
+                          for a in node.names if a.name != "SMat"]
+            elif isinstance(node, ast.Import):
+                found += ["%s:%d imports %s" % (module, node.lineno, a.name)
+                          for a in node.names if "linalg" in a.name]
+            elif isinstance(node, ast.Attribute) and node.attr == "to_dense":
+                found.append("%s:%d .to_dense" % (module, node.lineno))
+    assert not found, found
+
+
 def _function(module, name):
     path = SRC / (module + ".py")
     tree = ast.parse(path.read_text(), filename=str(path))

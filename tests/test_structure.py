@@ -140,6 +140,29 @@ def test_non_closed_basis_rejected(session):
             quotient(mod, top)
 
 
+def _generated_by_last(mod):
+    """The submodule of mod that its last basis vector generates."""
+    seed = [mod.session.zero] * mod.dim
+    seed[-1] = mod.session.one
+    return submodule_generated(mod, [seed])
+
+
+def test_quotient_rejects_a_subspace_of_another_module(s5):
+    """A submodule of another module is refused before its closure, which
+    holds in its own parent, is checked.  Read as coordinates of mod, its
+    pivots gave a 2-dimensional quotient of V(0, 1) that fails the
+    relations, and a 1-dimensional quotient of L_1."""
+    v01 = build_generalized_verma(s5, Fraction(0), 1)
+    sub = _generated_by_last(build_generalized_verma(s5, Fraction(1), 1))
+    sub2 = _generated_by_last(v01)
+    assert sub.is_closed() and sub2.is_closed()
+    for mod, other in ((v01, sub), (build_simple(s5, 1), sub2)):
+        for quotient in (quotient_module, quotient_with_map):
+            with pytest.raises(RejectedInputError,
+                               match="subspace of another module"):
+                quotient(mod, other)
+
+
 def test_typical_verma_is_simple(session):
     lam = Fraction(1, 2) if session.ell % 2 == 0 else Fraction(3, 2)
     mod = build_generalized_verma(session, lam, 0)
@@ -777,6 +800,36 @@ def test_splitting_requires_typical(session):
     f, top = standard_top_surjection(big, m)
     with pytest.raises(RejectedInputError):
         verma_splitting_section(big, f, Fraction(1), m)
+
+
+def test_splitting_section_rejects_non_surjective_f(session):
+    """The zero map is equivariant but reaches no chain vector, so the
+    solve for the preimages of the targets is inconsistent."""
+    lam = Fraction(1, 2) if session.ell % 2 == 0 else Fraction(3, 2)
+    m = 1
+    big = build_tensor(build_generalized_verma(session, lam, m),
+                       build_simple(session, 0))
+    zero = SMat(session, (m + 1) * session.r, big.dim)
+    with pytest.raises(RejectedInputError, match="not surjective"):
+        verma_splitting_section(big, zero, lam, m)
+
+
+@pytest.mark.parametrize("chain", ["zero", "repeated top"])
+def test_top_surjection_rejects_singular_chain_map(session, monkeypatch,
+                                                   chain):
+    """A chain map singular on a weight block of the top quotient is
+    refused, not inverted.  The filtration is found first, unpatched,
+    since its verification builds chains of its own."""
+    mod = build_generalized_verma(session, Fraction(1), 1)
+    cert = extract_standard_filtration(mod, 1)
+    monkeypatch.setattr(structure, "extract_standard_filtration",
+                        lambda mod, deg: cert)
+
+    def degenerate(mod, u, w, deg):
+        return [{} if chain == "zero" else u] * (deg + 1)
+    monkeypatch.setattr(structure, "_chain_from_hw", degenerate)
+    with pytest.raises(DiagnosticError, match="chain map is singular"):
+        standard_top_surjection(mod, 1)
 
 
 # ---------------------------------------------------------------------

@@ -15,6 +15,17 @@ GENERATORS = ("E", "F", "K", "Kinv", "H")
 _RANK = {"F": 0, "E": 1, "K": 2, "Kinv": 2, "H": 3}
 
 
+def _add_term(terms, key, c):
+    """Add c to the coefficient of key in a term dict, dropping the key
+    if the sum is zero."""
+    cur = terms.get(key)
+    new = c if cur is None else cur + c
+    if new.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = new
+
+
 class AlgebraElement:
     """Scalar-linear combination of words; immutable in spirit."""
 
@@ -58,12 +69,7 @@ class AlgebraElement:
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
-            cur = out.get(w)
-            new = c if cur is None else cur + c
-            if new.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = new
+            _add_term(out, w, c)
         return AlgebraElement(self.session, out)
 
     def __neg__(self):
@@ -85,14 +91,7 @@ class AlgebraElement:
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                cur = out.get(w)
-                new = c if cur is None else cur + c
-                if new.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = new
+                _add_term(out, w1 + w2, c1 * c2)
         return AlgebraElement(self.session, out)
 
     def is_zero(self):
@@ -178,25 +177,12 @@ def pbw_normal_form(x: AlgebraElement) -> AlgebraElement:
             continue
         i = _first_violation(word, r)
         if i is None:
-            if word.count("E") >= r or word.count("F") >= r:
-                continue
-            cur = result.get(word)
-            new = coeff if cur is None else cur + coeff
-            if new.is_zero():
-                result.pop(word, None)
-            else:
-                result[word] = new
+            if word.count("E") < r and word.count("F") < r:
+                _add_term(result, word, coeff)
             continue
         head, tail = word[:i], word[i + 2:]
         for mid, c in _swap_terms(s, word[i], word[i + 1]).items():
-            w = head + mid + tail
-            add = coeff * c
-            cur = work.get(w)
-            new = add if cur is None else cur + add
-            if new.is_zero():
-                work.pop(w, None)
-            else:
-                work[w] = new
+            _add_term(work, head + mid + tail, coeff * c)
     return AlgebraElement(s, result)
 
 
@@ -221,13 +207,7 @@ def omega_map(x: AlgebraElement) -> AlgebraElement:
     for w, c in x.terms.items():
         nw = tuple(_OMEGA[g] for g in w)
         nH = sum(1 for g in w if g == "H")
-        nc = -c if nH % 2 else c
-        cur = out.get(nw)
-        new = nc if cur is None else cur + nc
-        if new.is_zero():
-            out.pop(nw, None)
-        else:
-            out[nw] = new
+        _add_term(out, nw, -c if nH % 2 else c)
     return AlgebraElement(x.session, out)
 
 
@@ -241,13 +221,7 @@ def antipode_map(x: AlgebraElement) -> AlgebraElement:
             img, sg = _ANTIPODE[g]
             nw += img
             sign *= sg
-        nc = -c if sign < 0 else c
-        cur = out.get(nw)
-        new = nc if cur is None else cur + nc
-        if new.is_zero():
-            out.pop(nw, None)
-        else:
-            out[nw] = new
+        _add_term(out, nw, -c if sign < 0 else c)
     return AlgebraElement(x.session, out)
 
 

@@ -226,7 +226,7 @@ def cmd_typical(args, rep):
 
 def cmd_bgg(args, rep):
     s = make_session(args)
-    if args.weights:
+    if args.weights is not None:
         weights = [parse_rational(w, "weight")
                    for w in args.weights.split(",")]
     else:

@@ -5,6 +5,12 @@ entries per row), so matrices are stored as per-row dicts with no zero
 entries.  A frozen matrix (every generator matrix of a built module)
 refuses every write.
 
+This module owns the sparse row arithmetic: `_apply` (a sum of scaled
+sparse rows) and `_axpy` (one sparse row plus a multiple of another).
+SMat's product, sum and difference are written over them, and so are
+the row-wise relation checks of `repmod` and the vector walks of
+`structure` and `projectives`.
+
 The library eliminates only in the sparse echelon of
 `structure.SubmoduleBasis`.  The dense routines below (rref, nullspace,
 invert_dense) work over any field-like element type exposing is_zero /
@@ -13,6 +19,39 @@ tests' independent reference for it.
 """
 
 from __future__ import annotations
+
+
+def _apply(rows, vec):
+    """Sum of vec[k] * rows[k] over the entries of the sparse vector vec,
+    with no zero entries: row vector vec times the matrix whose rows are
+    `rows`, or equally the matrix whose columns are `rows` applied to
+    the column vector vec."""
+    acc = {}
+    for k, x in vec.items():
+        for j, a in rows[k].items():
+            t = a * x
+            cur = acc.get(j)
+            acc[j] = t if cur is None else cur + t
+    return {j: y for j, y in acc.items() if not y.is_zero()}
+
+
+def _axpy(vec, c, other):
+    """vec + c * other for sparse vectors, as a new dict."""
+    out = dict(vec)
+    if c.is_zero():
+        return out
+    for j, y in other.items():
+        t = c * y
+        cur = out.get(j)
+        if cur is None:
+            out[j] = t
+            continue
+        t = cur + t
+        if t.is_zero():
+            del out[j]
+        else:
+            out[j] = t
+    return out
 
 
 def _refuse(self, *args, **kwargs):
@@ -92,18 +131,16 @@ class SMat:
         )
 
     def __add__(self, other):
-        out = self.copy()
-        for i, r in enumerate(other.rows):
-            for j, v in r.items():
-                out.add_to(i, j, v)
-        return out
+        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        one = self.session.one
+        return SMat(self.session, self.nrows, self.ncols,
+                    [_axpy(a, one, b) for a, b in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        out = self.copy()
-        for i, r in enumerate(other.rows):
-            for j, v in r.items():
-                out.add_to(i, j, -v)
-        return out
+        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        c = -self.session.one
+        return SMat(self.session, self.nrows, self.ncols,
+                    [_axpy(a, c, b) for a, b in zip(self.rows, other.rows)])
 
     def __neg__(self):
         return SMat(self.session, self.nrows, self.ncols,
@@ -117,16 +154,8 @@ class SMat:
 
     def __matmul__(self, other):
         assert self.ncols == other.nrows
-        out = SMat(self.session, self.nrows, other.ncols)
-        orows = other.rows
-        for i, r in enumerate(self.rows):
-            acc = {}
-            for k, a in r.items():
-                for j, b in orows[k].items():
-                    cur = acc.get(j)
-                    acc[j] = a * b if cur is None else cur + a * b
-            out.rows[i] = {j: v for j, v in acc.items() if not v.is_zero()}
-        return out
+        return SMat(self.session, self.nrows, other.ncols,
+                    [_apply(other.rows, r) for r in self.rows])
 
     def matpow(self, e):
         assert self.nrows == self.ncols

@@ -31,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConstructionError, DiagnosticError, RejectedInputError
+from .linalg import _apply
 from .repmod import (
     ModuleRep,
     Report,
@@ -44,7 +45,6 @@ from .repmod import (
     verify_relations,
 )
 from .structure import (
-    _apply,
     _costandard,
     _kernel,
     _shifted,

@@ -30,7 +30,7 @@ from .errors import (
     ModuleInvalidError,
     RejectedInputError,
 )
-from .linalg import SMat
+from .linalg import SMat, _apply, _axpy
 from .session import MODE_PAPER_LITERAL, Session
 
 WeightLabel = namedtuple("WeightLabel", ["weight", "degree", "tag"])
@@ -254,28 +254,6 @@ class Report:
         return {"status": self.status, "items": self.items}
 
 
-def _row(*terms):
-    """A row of a sum of matrix products, as a {column: entry} dict with
-    no zero entries.
-
-    Each term (c, a, B) is the row dict a times the matrix whose row
-    dicts are B (a itself when B is None), scaled by c (None for 1).
-    """
-    acc = {}
-    for c, a, B in terms:
-        for k, x in a.items():
-            if c is not None:
-                x = c * x
-            if B is None:
-                cur = acc.get(k)
-                acc[k] = x if cur is None else cur + x
-                continue
-            for j, y in B[k].items():
-                cur = acc.get(j)
-                acc[j] = x * y if cur is None else cur + x * y
-    return {j: v for j, v in acc.items() if not v.is_zero()}
-
-
 def _row_witness(s, i, lhs, rhs):
     """None if the rows lhs and rhs are equal, else the first nonzero
     entry of row i of lhs - rhs, as "entry (i,j) = <scalar>"."""
@@ -334,6 +312,7 @@ def verify_relations(mod):
         return rep.as_dict()
 
     E, F, H = mod.matE.rows, mod.matF.rows, mod.matH.rows
+    one = s.one
     two = s.from_rational(2)
     q2 = s.from_cyc(s.q_power(2))
     qm2 = s.from_cyc(s.q_power(-2))
@@ -344,14 +323,12 @@ def verify_relations(mod):
         for _ in range(1, s.r):  # row i of X^r from row i of X
             if not row:
                 break
-            row = _row((None, row, X))
+            row = _apply(X, row)
         return row
 
     def ef_rhs(i):
         # row i of F*E + (K - Kinv)/(q - q^-1), scaling K - Kinv once
-        neg_kinv = {j: -v for j, v in Kinv[i].items()}
-        k_minus_kinv = _row((None, K[i], None), (None, neg_kinv, None))
-        return _row((None, F[i], E), (dqi, k_minus_kinv, None))
+        return _axpy(_apply(E, F[i]), dqi, _axpy(K[i], -one, Kinv[i]))
 
     def witness(lhs, rhs):
         for i in range(mod.dim):
@@ -360,10 +337,10 @@ def verify_relations(mod):
                 return w
         return None
 
-    he = witness(lambda i: _row((None, H[i], E)),
-                 lambda i: _row((None, E[i], H), (two, E[i], None)))
-    hf = witness(lambda i: _row((None, H[i], F), (two, F[i], None)),
-                 lambda i: _row((None, F[i], H)))
+    he = witness(lambda i: _apply(E, H[i]),
+                 lambda i: _axpy(_apply(H, E[i]), two, E[i]))
+    hf = witness(lambda i: _axpy(_apply(F, H[i]), two, F[i]),
+                 lambda i: _apply(H, F[i]))
     premised = he is None and hf is None
 
     def k_item(lhs, rhs):
@@ -372,13 +349,13 @@ def verify_relations(mod):
     items = (
         ("K*Kinv = I", None),
         ("K*E = q^2 E*K",
-         k_item(lambda i: _row((None, K[i], E)),
-                lambda i: _row((q2, E[i], K)))),
+         k_item(lambda i: _apply(E, K[i]),
+                lambda i: _axpy({}, q2, _apply(K, E[i])))),
         ("K*F = q^-2 F*K",
-         k_item(lambda i: _row((None, K[i], F)),
-                lambda i: _row((qm2, F[i], K)))),
+         k_item(lambda i: _apply(F, K[i]),
+                lambda i: _axpy({}, qm2, _apply(K, F[i])))),
         ("[E,F] = (K-Kinv)/(q-q^-1)",
-         witness(lambda i: _row((None, E[i], F)), ef_rhs)),
+         witness(lambda i: _apply(F, E[i]), ef_rhs)),
         ("H*K = K*H", None),
         ("[H,E] = 2E", he),
         ("[H,F] = -2F", hf),

@@ -10,7 +10,8 @@ inverses and ranks are those of the blocks, each at most a weight space
 wide, instead of full-dimension ones.
 
 Vectors are sparse {index: Scalar} dicts without zeros, applied through
-the cached columns of E, F and H (`ModuleRep.columns`).  Submodules are
+the cached columns of E, F and H (`ModuleRep.columns`) with linalg's
+sparse row arithmetic (`_apply`, `_axpy`).  Submodules are
 SubmoduleBasis objects: sparse reduced echelon bases of homogeneous
 vectors, so reducing a vector touches only the rows of its own weight.
 That echelon is the library's one elimination: every kernel (`_kernel`),
@@ -42,7 +43,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DiagnosticError, RejectedInputError
-from .linalg import SMat
+from .linalg import SMat, _apply, _axpy
 from .repmod import (
     ModuleRep,
     Report,
@@ -140,36 +141,6 @@ def _dense(mod, vec):
     out = [mod.session.zero] * mod.dim
     for i, x in vec.items():
         out[i] = x
-    return out
-
-
-def _apply(cols, vec):
-    """A matrix, given by its columns, applied to a sparse vector."""
-    acc = {}
-    for j, x in vec.items():
-        for i, a in cols[j].items():
-            t = a * x
-            cur = acc.get(i)
-            acc[i] = t if cur is None else cur + t
-    return {i: y for i, y in acc.items() if not y.is_zero()}
-
-
-def _axpy(vec, c, other):
-    """vec + c * other for sparse vectors, as a new dict."""
-    out = dict(vec)
-    if c.is_zero():
-        return out
-    for i, y in other.items():
-        t = c * y
-        cur = out.get(i)
-        if cur is None:
-            out[i] = t
-            continue
-        t = cur + t
-        if t.is_zero():
-            del out[i]
-        else:
-            out[i] = t
     return out
 
 
@@ -519,10 +490,7 @@ def _intertwiner_ok(g, a, b):
     """
     if g.nrows != b.dim or g.ncols != a.dim:
         return False
-    gcols = [{} for _ in range(g.ncols)]
-    for i, row in enumerate(g.rows):
-        for j, x in row.items():
-            gcols[j][i] = x
+    gcols = g.transpose().rows
     for name in ("E", "F", "H"):
         acols = a.columns(name)
         bcols = b.columns(name)

@@ -602,6 +602,19 @@ def test_negative_fraction_weight_as_separate_token(tmp_path, capsys):
     assert "cell (-3/2, 1/2)" in text
 
 
+def test_bgg_empty_weights_exit_2(capsys, monkeypatch):
+    """An empty --weights list is a bad weight, not the default window."""
+    import uqwb.cli as cli
+
+    tables = []
+    monkeypatch.setattr(cli, "bgg_table",
+                        lambda *args, **kwargs: tables.append(args) or [])
+    code = main(["--ell", "5", "bgg", "--weights", ""])
+    captured = capsys.readouterr()
+    assert (code, tables) == (2, [])
+    assert "bad weight ''" in captured.out + captured.err
+
+
 def _cert_kind_x(d):
     d["kind"] = "x"
 

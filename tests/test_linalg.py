@@ -1,12 +1,14 @@
-"""Exact sparse linear algebra over the scalar field: SMat, the dense
-reference routines, and the sparse kernel and solve of `structure`
-against them."""
+"""Exact sparse linear algebra over the scalar field: SMat, the sparse
+row arithmetic it is written over, the dense reference routines, and the
+sparse kernel and solve of `structure` against them."""
 
 import random
 from fractions import Fraction
 
 from uqwb.linalg import (
     SMat,
+    _apply,
+    _axpy,
     invert_dense,
     nullspace,
     rref,
@@ -60,6 +62,78 @@ def test_transpose_antihomomorphism(s5):
     a = rand_mat(s5, rng, 3, 3)
     b = rand_mat(s5, rng, 3, 3)
     assert (a @ b).transpose() == b.transpose() @ a.transpose()
+
+
+def _sparse(vec):
+    return {j: x for j, x in enumerate(vec) if not x.is_zero()}
+
+
+def _no_zero_stored(*vecs):
+    return all(not x.is_zero() for v in vecs for x in v.values())
+
+
+def test_sparse_row_arithmetic(s5):
+    """_apply and _axpy against the dense SMat.apply and entrywise sums,
+    with no zero entry stored where terms cancel, on empty vectors, and
+    SMat's @, + and - (written over them) against dense loops."""
+    rng = random.Random(11)
+    z, one = s5.zero, s5.one
+    q = s5.from_cyc(s5.q_power(1))
+
+    def rand_vec(n):
+        return [q * s5.from_rational(Fraction(rng.randint(-3, 3),
+                                              rng.randint(1, 2)))
+                if rng.random() < 0.5 else z for _ in range(n)]
+
+    a = rand_mat(s5, rng, 5, 4).freeze()
+    cols = a.transpose().rows
+    for _ in range(8):
+        v, u, w = rand_vec(4), rand_vec(5), rand_vec(5)
+        got = _apply(cols, _sparse(v))
+        assert got == _sparse(a.apply(v)) and _no_zero_stored(got)
+        c = s5.from_rational(Fraction(rng.randint(-2, 2), 3))
+        got = _axpy(_sparse(u), c, _sparse(w))
+        assert got == _sparse([x + c * y for x, y in zip(u, w)])
+        assert _no_zero_stored(got)
+        sv = _sparse(u)
+        assert _axpy(sv, -one, sv) == {}
+        assert _axpy(sv, z, _sparse(w)) == sv
+
+    # cancellation: one entry, then every entry
+    x, y = q, s5.from_rational(3)
+    rows = [{0: x, 1: y}, {0: x, 1: one}, {0: -x}]
+    assert _apply(rows, {0: one, 1: -one}) == {1: y - one}
+    assert _apply(rows, {0: one, 2: one}) == {1: y}
+    assert _apply(rows, {1: one, 2: one}) == {1: one}
+    assert _apply(rows[:1], {0: one}) == rows[0]
+    assert _apply([rows[0], rows[0]], {0: one, 1: -one}) == {}
+    assert _axpy({0: x, 1: y}, -one, {0: x, 2: y}) == {1: y, 2: -y}
+
+    # empty vectors; the result is always a new dict
+    assert _apply(rows, {}) == {} and _apply([], {}) == {}
+    assert _axpy({}, q, {}) == {} and _axpy({}, q, {0: y}) == {0: q * y}
+    src = {0: x}
+    out = _axpy(src, q, {})
+    assert out == src and out is not src
+
+    # @, + and - against dense loops, cancellation to an empty row too
+    b = rand_mat(s5, rng, 4, 3)
+    c = rand_mat(s5, rng, 5, 4)
+    da, db, dc = a.to_dense(), b.to_dense(), c.to_dense()
+    prod = a @ b
+    assert prod.to_dense() == [
+        [sum((da[i][k] * db[k][j] for k in range(4)), z) for j in range(3)]
+        for i in range(5)]
+    assert (a + c).to_dense() == [[da[i][j] + dc[i][j] for j in range(4)]
+                                  for i in range(5)]
+    assert (a - c).to_dense() == [[da[i][j] - dc[i][j] for j in range(4)]
+                                  for i in range(5)]
+    for m in (prod, a + c, a - c):
+        assert _no_zero_stored(*m.rows)
+    assert (a - a).rows == [{}] * 5 and (a + (-a)).nnz() == 0
+    m = SMat(s5, 1, 2, [{0: one, 1: one}])
+    n = SMat(s5, 2, 1, [{0: x}, {0: -x}])
+    assert (m @ n).rows == [{}]
 
 
 def test_rank_nullity(s5):

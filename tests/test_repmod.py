@@ -637,25 +637,25 @@ def test_verify_relations_premise_route(session, mode):
 
 
 def _count_k_rows(monkeypatch, mod):
-    """Count the _row calls that build a row of one of the four K items
-    (a product with K or Kinv on the right, or with a row of K on the
-    left) while verify_relations(mod) runs; return (count, report)."""
+    """Count the _apply calls that build a row of one of the four K items
+    (a product with K or Kinv on the right, or with a row of K or Kinv
+    on the left) while verify_relations(mod) runs; return (count,
+    report)."""
     import uqwb.repmod as repmod
 
     K, Kinv = mod.K.rows, mod.Kinv.rows
-    real = repmod._row
+    real = repmod._apply
     n = [0]
 
-    def counting(*terms):
-        if any(B is K or B is Kinv
-               or (B is not None and any(a is row for row in K))
-               for _, a, B in terms):
+    def counting(rows, vec):
+        if (rows is K or rows is Kinv
+                or any(vec is row for row in K + Kinv)):
             n[0] += 1
-        return real(*terms)
+        return real(rows, vec)
 
-    monkeypatch.setattr(repmod, "_row", counting)
+    monkeypatch.setattr(repmod, "_apply", counting)
     rep = verify_relations(mod)
-    monkeypatch.setattr(repmod, "_row", real)
+    monkeypatch.setattr(repmod, "_apply", real)
     return n[0], rep
 
 

@@ -170,9 +170,11 @@ def test_one_k_series():
 
 def test_one_elimination():
     """structure.py and projectives.py take nothing from linalg but SMat
-    and make no dense copy of a matrix: every kernel, rank, solve and
-    inverse there is read off the sparse echelon of SubmoduleBasis, and
-    the dense routines of linalg are the tests' reference."""
+    and the sparse row arithmetic (_apply, _axpy), and make no dense copy
+    of a matrix: every kernel, rank, solve and inverse there is read off
+    the sparse echelon of SubmoduleBasis, and the dense routines of
+    linalg are the tests' reference."""
+    allowed = {"SMat", "_apply", "_axpy"}
     found = []
     for module in ("structure", "projectives"):
         path = SRC / (module + ".py")
@@ -180,12 +182,35 @@ def test_one_elimination():
             if isinstance(node, ast.ImportFrom) and node.module in (
                     "linalg", "uqwb.linalg"):
                 found += ["%s:%d imports %s" % (module, node.lineno, a.name)
-                          for a in node.names if a.name != "SMat"]
+                          for a in node.names if a.name not in allowed]
             elif isinstance(node, ast.Import):
                 found += ["%s:%d imports %s" % (module, node.lineno, a.name)
                           for a in node.names if "linalg" in a.name]
             elif isinstance(node, ast.Attribute) and node.attr == "to_dense":
                 found.append("%s:%d .to_dense" % (module, node.lineno))
+    assert not found, found
+
+
+def test_one_sparse_row_arithmetic():
+    """The sum of scaled sparse rows is written once: _apply and _axpy
+    are defined in linalg.py alone, repmod has no _row of its own, and
+    the modules that walk sparse rows use linalg's two helpers."""
+    linalg = importlib.import_module("uqwb.linalg")
+    users = {"structure": ("_apply", "_axpy"), "repmod": ("_apply", "_axpy"),
+             "projectives": ("_apply",)}
+    for module, names in users.items():
+        mod = importlib.import_module("uqwb." + module)
+        for name in names:
+            assert getattr(mod, name) is getattr(linalg, name), (module, name)
+    assert not hasattr(importlib.import_module("uqwb.repmod"), "_row")
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name in ("_apply", "_axpy", "_row")
+                    and path.name != "linalg.py"):
+                found.append("%s:%d def %s"
+                             % (path.name, node.lineno, node.name))
     assert not found, found
 
 

@@ -24,6 +24,10 @@ classical table; for m >= 1 the boundary values E w^S_{i,s} and
 F w^R_{j+r,s} acquire forced lower-degree tails (the commutator with
 K - K^{-1} on a degree-s vector is never zero), which is why the cover
 cannot be populated from a degree-0-shaped table.
+
+The independent construction splits the cover off a projective tensor
+as the Casimir's generalized eigenspace: one kernel of (Omega - chi)^n
+per weight block of size n.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .repmod import (
 )
 from .structure import (
     _costandard,
+    _intertwiner_ok,
     _kernel,
     _shifted,
     extract_standard_filtration,
@@ -214,10 +219,8 @@ def casimir_matrix(mod):
     omega = (mod.matF @ mod.matE
              + mod.K.scale(s.from_cyc(q1 / den2))
              + mod.Kinv.scale(s.from_cyc(qm1 / den2)))
-    for g in ("E", "F", "H"):
-        gm = mod.generator_matrix(g)
-        if not (omega @ gm - gm @ omega).is_zero():
-            raise DiagnosticError("Casimir fails to commute with %s" % g)
+    if not _intertwiner_ok(omega, mod, mod):
+        raise DiagnosticError("Casimir fails to commute with E, F and H")
     return omega
 
 
@@ -230,10 +233,10 @@ def casimir_eigenvalue(session, lam):
 
 
 def _generalized_eigenspace(mod, mat, chi):
-    """Stabilized kernel of (mat - chi)^k as a SubmoduleBasis.
+    """The generalized eigenspace of mat at chi as a SubmoduleBasis.
 
-    mat commutes with H (casimir_matrix checks it), so it preserves every
-    weight block, and the kernel is stabilized one block at a time.
+    mat commutes with H (casimir_matrix checks it), so it keeps each weight
+    block; on one of size n it is the kernel of (mat - chi)^n (Fitting).
     """
     s = mod.session
     shift = s.from_cyc(chi)
@@ -243,14 +246,7 @@ def _generalized_eigenspace(mod, mat, chi):
         a = mat.block(idx, idx)
         for k in range(n):
             a.add_to(k, k, -shift)
-        power = a
-        prev = -1
-        ker = []
-        while len(ker) != prev:
-            prev = len(ker)
-            ker = _kernel(power.rows, range(n), s.one)
-            power = a @ power
-        for v in ker:
+        for v in _kernel(a.matpow(n).rows, range(n), s.one):
             sub._insert({idx[k]: x for k, x in v.items()})
     return sub
 

@@ -176,13 +176,10 @@ def _h_nilpotent_blocks(session, weights, matH):
                 )
     out = []
     for w, idx in blocks.items():
-        pos = {g: p for p, g in enumerate(idx)}
         n = len(idx)
-        nil = SMat(s, n, n)
-        for j in idx:
-            for i, v in matH.rows[j].items():
-                nil.rows[pos[j]][pos[i]] = v
-            nil.add_to(pos[j], pos[j], -s.from_rational(w))
+        nil = matH.block(idx, idx)
+        for p in range(n):
+            nil.add_to(p, p, -s.from_rational(w))
         powers = [SMat.identity(s, n)]
         cur = nil
         while not cur.is_zero():

@@ -14,16 +14,17 @@ the cached columns of E, F and H (`ModuleRep.columns`) with linalg's
 sparse row arithmetic (`_apply`, `_axpy`).  Submodules are
 SubmoduleBasis objects: sparse reduced echelon bases of homogeneous
 vectors, so reducing a vector touches only the rows of its own weight.
-That echelon is the library's one elimination: every kernel (`_kernel`),
-solve and block inverse (`_solve`) is read off one.  A reduced echelon
-basis is unique, so the answers are exactly those of the dense `linalg`
-routines, which only the tests use.  The public functions take and
-return dense lists.
+That echelon is the library's one elimination: every kernel (`_kernel`)
+and solve (`_solve`), the splitting section's and the top surjection's
+among them, is read off one, and a scalar is inverted only to make a
+pivot a unit.  A reduced echelon basis is unique, so the answers are
+exactly those of the dense `linalg` routines, which only the tests use.
+The public functions take and return dense lists.
 
-Isomorphism is decided from the Hom space: `_hom_basis` solves the
-equations of an intertwiner, weight block by weight block, in one such
-sparse echelon, and `iso_test` looks for an invertible element among
-that basis and a few seeded combinations of it.  One constructor,
+`_hom_basis` solves Hom_U(a, b) for any two modules over one field, weight
+block by weight block, in one such sparse echelon; `iso_test`, once the
+weight blocks match, looks for an invertible element among that basis
+and a few seeded combinations of it.  One constructor,
 `_subquotient`, builds every submodule, quotient and S_j / S_{j-1}
 straight from the parent's columns, and Verma recognition decides from
 one chain top (`is_generalized_verma`).
@@ -508,27 +509,33 @@ def _blocks_full_rank(g, pairs):
                for rows, cols in pairs)
 
 
+def _same_field(a, b):
+    """Refuse modules over two fields, each set by (ell, N) as for a dump."""
+    fields = [(m.session.ell, m.session.N) for m in (a, b)]
+    if fields[0] != fields[1]:
+        raise RejectedInputError("modules over different fields: (ell, N) "
+                                 "= %s and %s" % tuple(fields))
+
+
 def _hom_basis(a, b):
-    """A basis of Hom_U(a, b) as SMats, or None if the weight blocks of
-    a and b differ in size.
+    """A basis of Hom_U(a, b) as SMats, for any a and b over one field.
 
     An H-equivariant X maps block w of a to block w of b, so the
-    unknowns are X[i, j] with i in block w of b and j in block w of a.
-    The equations are the entries (i, j) of X M_a - M_b X for M = H, E
-    and F, with weight(i) = weight(j) + 0, +2 and -2: (X M_a)[i, j] sums
-    X[i, k] M_a[k, j] over k of weight(i), (M_b X)[i, j] sums
-    M_b[i, k] X[k, j] over k of weight(j).  Their kernel (`_kernel`)
-    gives one basis element per free unknown.
+    unknowns are X[i, j] with i in block w of b and j in block w of a,
+    for every weight w the two modules share.  The equations are the
+    entries (i, j) of X M_a - M_b X for M = H, E and F, with weight(i) =
+    weight(j) + 0, +2 and -2: (X M_a)[i, j] sums X[i, k] M_a[k, j] over k
+    of weight(i), (M_b X)[i, j] sums M_b[i, k] X[k, j] over k of
+    weight(j), and every such X[i, k] and X[k, j] is an unknown.  Their
+    kernel (`_kernel`) gives one basis element per free unknown.
     """
+    _same_field(a, b)
     s = a.session
     blocks_a = a.graded_blocks()
     blocks_b = b.graded_blocks()
-    if ({w: len(idx) for w, idx in blocks_a.items()}
-            != {w: len(idx) for w, idx in blocks_b.items()}):
-        return None
     var = {}  # (i, j) -> unknown number
     for w, jdx in blocks_a.items():
-        for i in blocks_b[w]:
+        for i in blocks_b.get(w, ()):
             for j in jdx:
                 var[i, j] = len(var)
 
@@ -577,13 +584,15 @@ def iso_test(a, b, seed=0):
     Associative Algebras, I.4), its non-units a proper subspace, and so
     some element of every basis of Hom_U(a, b) invertible.
     """
-    if a.dim != b.dim:
-        return None
+    _same_field(a, b)
     if a.matE == b.matE and a.matF == b.matF and a.matH == b.matH:
         return SMat.identity(a.session, a.dim)
-    basis = _hom_basis(a, b)
-    if basis is None:
+    blocks_a = a.graded_blocks()
+    blocks_b = b.graded_blocks()
+    if ({w: len(idx) for w, idx in blocks_a.items()}
+            != {w: len(idx) for w, idx in blocks_b.items()}):
         return None
+    basis = _hom_basis(a, b)
     s = a.session
 
     def candidates():
@@ -595,8 +604,7 @@ def iso_test(a, b, seed=0):
                 mix = mix + h.scale(s.from_rational(rng.randint(1, 7)))
             yield mix
 
-    blocks_b = b.graded_blocks()
-    pairs = [(blocks_b[w], idx) for w, idx in a.graded_blocks().items()]
+    pairs = [(blocks_b[w], idx) for w, idx in blocks_a.items()]
     for g in candidates():
         if _blocks_full_rank(g, pairs):
             if not _intertwiner_ok(g, a, b):
@@ -1033,7 +1041,8 @@ def verma_splitting_section(mod, f, lam, deg):
     on the extremal operators X+ = E^{r-1}, X- = F^{r-1}: the diagonal
     coefficients of X+X- on the highest-weight chain are invertible
     exactly when lam is typical.  X+X- is applied only to the vectors
-    that need it, one F or E step at a time.
+    that need it, one F or E step at a time, and both solves, on X+X- and
+    on f, are `_solve`'s.
     """
     s = mod.session
     lam = s.check_weight(lam)
@@ -1053,32 +1062,22 @@ def verma_splitting_section(mod, f, lam, deg):
                 vec = _apply(cols, vec)
         return vec
 
-    # nu[k2][k] = coefficient of v^{k2} in X+X- v^k (chain indices t=0)
+    # X+X- v^k is column k of nu, on the chain v^0..v^deg (t = 0); nu is
+    # triangular, and c solves nu c = e_deg
     images = [xpxm(verma, {k: s.one}) for k in range(n)]
-    nu = [[images[k].get(k2, s.zero) for k in range(n)]
-          for k2 in range(n)]
     for k in range(n):
-        if nu[k][k].is_zero():
+        if k not in images[k]:
             raise DiagnosticError(
                 "diagonal coefficient nu_%d vanishes at typical %s"
                 % (k, lam))
-    gamma = [None] * n
-    top = nu[deg][deg].inv()
-    for k in range(deg - 1, -1, -1):
-        acc = nu[k][deg] * top
-        for k2 in range(k + 1, deg):
-            acc = acc - gamma[k2] * nu[k][k2]
-        gamma[k] = acc * nu[k][k].inv()
-    # preimages u_k of the targets c_k v^k on the chain v^0..v^deg of V:
-    # the rows of f there, one solve with the targets' columns as B
-    us = _solve(f.rows[:n], [{k: top if k == deg else gamma[k]}
-                             for k in range(n)], mod.dim)
-    if us is None:
+    nu = SMat(s, n, n, images).transpose()
+    c = _solve(nu.rows, [{}] * deg + [{0: s.one}], n)[0]
+    # a preimage u of sum c_k v^k under f's rows on the chain of V
+    u = _solve(f.rows[:n], [{0: c.get(k, s.zero)} for k in range(n)],
+               mod.dim)
+    if u is None:
         raise RejectedInputError("f is not surjective onto the chain")
-    diff = us[deg]
-    for k in range(deg):
-        diff = _axpy(diff, -s.one, us[k])
-    chain = _chain_from_hw(mod, xpxm(mod, diff), lam, deg)
+    chain = _chain_from_hw(mod, xpxm(mod, u[0]), lam, deg)
     g = _verma_map_from_chain(mod, chain, lam, deg)
     if not (f @ g - SMat.identity(s, verma.dim)).is_zero():
         raise DiagnosticError("section fails f*g = id")
@@ -1108,27 +1107,17 @@ def standard_top_surjection(mod, deg):
                               "at %s" % (lam,))
     chain = _chain_from_hw(quot, u, lam, deg)
     g = _verma_map_from_chain(quot, chain, lam, deg)
-    # g maps the weight lam-2t columns of V onto the weight lam-2t block
-    # of quot, so g^-1 is the inverse of each of those blocks: the
-    # solution of [G | I] on the block's rows of g
-    n = deg + 1
-    blocks = quot.graded_blocks()
-    ginv_cols = {}  # column al of g^-1 as {row: entry}
-    for t in range(s.r):
-        idx = blocks.get(lam - 2 * t, [])
-        inv = None
-        if len(idx) == n:
-            inv = _solve([g.rows[al] for al in idx],
-                         [{al: s.one} for al in idx], g.ncols)
-        if inv is None:
-            raise DiagnosticError("top quotient chain map is singular")
-        ginv_cols.update(inv)
-    if len(ginv_cols) != quot.dim:
+    # f = g^-1 push: column col of f solves g x = push(e_col), so row al
+    # of B is {col: push(e_col)[al]}.  g is square, as the verified
+    # certificate makes quot a V(lam, deg), and push is onto quot, so a
+    # singular g leaves some column unsolved.
+    pushed = SMat(s, mod.dim, quot.dim,
+                  [push({col: s.one}) for col in range(mod.dim)]).transpose()
+    cols = _solve(g.rows, pushed.rows, g.ncols)
+    if cols is None:
         raise DiagnosticError("top quotient chain map is singular")
-    f = SMat(s, quot.dim, mod.dim)
-    for col in range(mod.dim):
-        for i, x in _apply(ginv_cols, push({col: s.one})).items():
-            f.rows[i][col] = x
+    f = SMat(s, mod.dim, quot.dim,
+             [cols.get(col, {}) for col in range(mod.dim)]).transpose()
     return f, lam
 
 

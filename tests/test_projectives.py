@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from uqwb import (
+    DiagnosticError,
     RejectedInputError,
     Session,
     build_dual,
@@ -28,6 +29,7 @@ from uqwb import (
     verify_dominant_generation,
     verify_relations,
 )
+from uqwb.repmod import ModuleRep
 
 
 def test_proj_index_is_a_bijection(session):
@@ -243,6 +245,21 @@ def test_casimir_is_central_and_constant_on_verma(session):
     v[0] = session.one
     img = omega.apply(v)
     assert img[0] == chi
+
+
+def test_casimir_refuses_a_non_central_matrix(session):
+    """With one E entry of V(1, 0) doubled, F E no longer acts on the
+    first two chain vectors by one scalar, so the Casimir built from it
+    fails to commute with F and is refused."""
+    v = build_generalized_verma(session, Fraction(1), 0)
+    matE = v.matE.copy()
+    i = next(i for i, row in enumerate(matE.rows) if row)
+    j, x = next(iter(matE.rows[i].items()))
+    matE.rows[i][j] = x + x
+    bad = ModuleRep(session, v.labels, matE, v.matF.copy(), v.matH.copy(),
+                    v.max_degree, name="V(1,0) with one E entry doubled")
+    with pytest.raises(DiagnosticError, match="Casimir"):
+        casimir_matrix(bad)
 
 
 def test_casimir_eigenvalue_pairs(session):

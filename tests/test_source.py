@@ -168,6 +168,16 @@ def test_one_k_series():
     assert _call_sites("degree_drop_coeff") == ["repmod.derive_K"]
 
 
+def test_one_scalar_inverse():
+    """structure.py and projectives.py invert a scalar only where the
+    sparse echelon scales a new row to a unit pivot
+    (SubmoduleBasis._insert): every other solve and inverse there goes
+    through _kernel or _solve."""
+    sites = [site for site in _call_sites("inv")
+             if site.split(".")[0] in ("structure", "projectives")]
+    assert sites == ["structure._insert"]
+
+
 def test_one_elimination():
     """structure.py and projectives.py take nothing from linalg but SMat
     and the sparse row arithmetic (_apply, _axpy), and make no dense copy

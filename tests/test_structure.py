@@ -15,6 +15,7 @@ from uqwb import (
     FiltrationCertificate,
     ModuleInvalidError,
     RejectedInputError,
+    Session,
     atypical_decompose,
     bgg_table,
     build_dual,
@@ -267,6 +268,19 @@ def test_iso_test_rechecks_the_solved_map(session, monkeypatch):
         iso_test(v, dual)
 
 
+def test_modules_over_different_fields_rejected(s5):
+    """iso_test and _hom_basis refuse two modules whose sessions differ
+    in (ell, N), as load_module refuses a dump of another field, instead
+    of combining scalars of two fields.  V(1, 0) has the same dimension
+    and weights at ell 5 and ell 10."""
+    a = build_generalized_verma(s5, Fraction(1), 0)
+    b = build_generalized_verma(Session(10), Fraction(1), 0)
+    assert a.dim == b.dim
+    for check in (iso_test, structure._hom_basis):
+        with pytest.raises(RejectedInputError, match="different fields"):
+            check(a, b)
+
+
 def _ref_hom_basis(a, b):
     """Hom_U(a, b) from the full Kronecker system, with no use of the
     weights: X[i, j] is unknown i * a.dim + j, and each entry (i, j) of
@@ -312,6 +326,13 @@ def _hom_pairs(s):
         "V(3/2,1)": (build_generalized_verma(s, Fraction(3, 2), 1),) * 2,
         "dual P(1,0) to P(1,0)": (build_dual(p10), p10),
         "Jordan block of H": (_jordan_triple(s),) * 2,
+        # unequal weight blocks
+        "V(1,0) to L1": (v10, build_simple(s, 1)),
+        "L1 to V(1,0)": (build_simple(s, 1), v10),
+        "dual V(1,0) to L1": (build_dual(v10), build_simple(s, 1)),
+        "V(1,1) to V(1,0)": (v11, v10),
+        "V(-3,0) to V(1,0)": (build_generalized_verma(s, Fraction(-3), 0),
+                              v10),
     }
 
 
@@ -320,7 +341,9 @@ def _hom_pairs(s):
                                   "dual(L1+L2) to L1+L2",
                                   "V(1,1) to its tau-conjugate",
                                   "V(3/2,1)", "dual P(1,0) to P(1,0)",
-                                  "Jordan block of H"])
+                                  "Jordan block of H", "V(1,0) to L1",
+                                  "L1 to V(1,0)", "dual V(1,0) to L1",
+                                  "V(1,1) to V(1,0)", "V(-3,0) to V(1,0)"])
 def test_hom_basis_matches_dense_kronecker(s5, name):
     a, b = _hom_pairs(s5)[name]
     basis = structure._hom_basis(a, b)

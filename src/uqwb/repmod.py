@@ -210,11 +210,12 @@ def derive_K(mod):
         qwi = s.from_cyc(s.q_power(-w))
         for p, nil_p in enumerate(powers):
             c = s.degree_drop_coeff(p)
-            cm = c if p % 2 == 0 else -c
+            kc = qw * c
+            kic = qwi * c if p % 2 == 0 else qwi * -c
             for a, row in enumerate(nil_p.rows):
                 for b, v in row.items():
-                    K.add_to(idx[a], idx[b], qw * c * v)
-                    Kinv.add_to(idx[a], idx[b], qwi * cm * v)
+                    K.add_to(idx[a], idx[b], kc * v)
+                    Kinv.add_to(idx[a], idx[b], kic * v)
     return K, Kinv
 
 
@@ -263,6 +264,52 @@ def _row_witness(s, i, lhs, rhs):
             return "entry (%d,%d) = %s" % (i, j, s.format_scalar(d))
 
 
+def _series_coeffs(mod, chains):
+    """[c_0, ..., c_{n-1}] with K = q^w sum_p c_p N^p on every weight-w
+    block (N = H - w), read back off mod.K, so that derive_K stays the
+    one reader of the series.
+
+    chains[i] lists the nonzero rows N[i], N^2[i], ...  On a row i with
+    the longest chain, n is one more than its length and some
+    mu = N^(n-1)[i][j] is nonzero.  K is q^w times a polynomial in N on
+    the block, so (N^t K)[i][j] = sum_p a_p N^(p+t)[i][j] with
+    a_p = q^w c_p: for t = n-1, n-2, ..., 0 this is triangular in
+    a_0, a_1, ..., with mu on the diagonal.  c_p does not depend on the
+    block, and no block of the module has a higher nilpotency index, so
+    this one row gives every coefficient the module needs.
+    """
+    s = mod.session
+    K = mod.K.rows
+    top = max(range(mod.dim), key=lambda i: len(chains[i]))
+    rows = [{top: s.one}] + chains[top]
+    n = len(rows)
+    j = min(rows[-1])
+    mu = [row.get(j, s.zero) for row in rows]
+    a = []
+    for p in range(n):
+        x = s.zero
+        for k, v in rows[n - 1 - p].items():
+            kj = K[k].get(j)
+            if kj is not None:
+                x = x + v * kj
+        for pp in range(p):
+            x = x - a[pp] * mu[pp + n - 1 - p]
+        a.append(x / mu[-1])
+    qwi = s.from_cyc(s.q_power(-mod.labels[top].weight))
+    return [x * qwi for x in a]
+
+
+def _ef_coeffs(s, series, w, dqi):
+    """[d_{w,0}, d_{w,1}, ...], the coefficients of N^p in
+    (K - Kinv)/(q - q^-1) on the weight-w block, for the c_p in series:
+    d_{w,p} = c_p (q^w - (-1)^p q^-w) / (q - q^-1), which is c_p [w]_q
+    for even p.  dqi is the Cyc 1/(q - q^-1)."""
+    even = s.from_cyc(s.quantum_integer(w))
+    odd = (s.from_cyc((s.q_power(w) + s.q_power(-w)) * dqi)
+           if len(series) > 1 else None)
+    return [c * (odd if p % 2 else even) for p, c in enumerate(series)]
+
+
 def verify_relations(mod):
     """Check the defining relations as exact matrix identities.
 
@@ -270,39 +317,58 @@ def verify_relations(mod):
     {"check": name, "ok": bool, "witness": str or None}.  The H weight
     blocks are checked first: the item passes when mod.K is derived,
     since derive_K raises on an H that connects two weight blocks or is
-    not w plus a nilpotent on one.  Then each relation LHS = RHS is
-    checked one row at a time: row i of each side is built from the
-    sparse rows (row i of K*E is K's row i times the rows of E, row i of
-    E^r is r-1 such steps), and the two rows are compared as dicts.  The
-    witness of a failing relation is the first nonzero entry (i, j) of
-    LHS - RHS in row-major order.
+    not w plus a nilpotent on one.  A relation LHS = RHS is then either
+    decided from checked premises, or checked one row at a time: row i
+    of each side is built from the sparse rows (row i of K*E is K's row
+    i times the rows of E, row i of E^r is r-1 such steps), and the two
+    rows are compared as dicts.  The witness of a failing relation is
+    the first nonzero entry (i, j) of LHS - RHS in row-major order; a
+    premise decides only a passing verdict, so every witness is the row
+    check's.
 
-    K*Kinv = I, K*E = q^2 E*K, K*F = q^-2 F*K and H*K = K*H follow from
-    three premises: the H weight-block check, [H,E] = 2E and [H,F] = -2F
-    (row-checked before them), and K and Kinv being derive_K's series of
-    H, which holds by construction since a module never changes.  On the
-    weight-w block, K = q^w U(N) and Kinv = q^-w U(-N) with N = H - w
-    nilpotent and U the series of Session.degree_drop_coeff.  Then:
+    Let w_i be the label weight of basis vector i and N = H - diag(w_i).
+    The block check makes N nilpotent on each weight block, and K and
+    Kinv are derive_K's series of H, which holds by construction since a
+    module never changes: on the weight-w block K = q^w U(N) and
+    Kinv = q^-w U(-N), with U the series of Session.degree_drop_coeff.
 
-    - [H,E] = 2E gives (H - w - 2)^n E = E (H - w)^n, so E maps the
+    - [H,E] = 2E.  Entrywise, (HE - EH - 2E)[i,j] is
+      (w_i - w_j - 2) E[i,j] + (NE - EN)[i,j].  So the relation holds
+      when E is graded (E[i,j] != 0 only if w_i = w_j + 2, checked by
+      graded_blocks) and NE = EN, which is row-checked only when N != 0;
+      on a module with N = 0, such as every degree-0 module, no row is
+      built.  [H,F] = -2F is the same with -2.  If a premise fails, the
+      relation is row-checked.
+    - E^r = 0 and F^r = 0.  [H,E] = 2E, by either route, makes E map the
       generalized w-eigenspace of H, which the block check makes the
-      span of the weight-w basis vectors, into the (w+2)-eigenspace:
-      the grading needs no separate pass.  On block w it reads
-      N_{w+2} E = E N_w, hence U(N_{w+2}) E = E U(N_w) and K*E = q^2 E*K.
-      The same argument with [H,F] = -2F gives K*F = q^-2 F*K.
-    - H*K = K*H, since K is a polynomial in H on each block.
-    - K*Kinv = I is exp(tau N) exp(-tau N) = 1 in the exponential mode.
-      In the paper-literal mode it is (1 + tau N)(1 - tau N) = 1, since
-      derive_K refuses a block with N^2 != 0 there.
-
-    So K*Kinv = I and H*K = K*H pass with no row built.  If [H,E] or
-    [H,F] fails, K*E and K*F are row-checked like the other five, so
-    every verdict and witness is that of the row check.
+      span of the weight-w basis vectors, into the (w+2)-eigenspace.  So
+      row i of E^r is zero unless w_i is in {w + 2r : w a weight}, and
+      only those rows are built; on a generalized Verma module there are
+      none.  F^r is the same with -2r and [H,F].  If [H,E] (or [H,F])
+      fails, every row of E^r (or F^r) is built.
+    - [E,F].  The right side (K - Kinv)/(q - q^-1) is, on block w,
+      sum_p d_{w,p} N^p with d_{w,p} = c_p (q^w - (-1)^p q^-w)/(q - q^-1),
+      which is [w]_q I when N = 0 there.  Row i of it is built from the
+      rows N^p[i], with the c_p read off K (`_series_coeffs`) and
+      d_{w,p} taken once per block (`_ef_coeffs`); plus row i of F*E, it
+      is compared with row i of E*F.
+    - K*Kinv = I, K*E = q^2 E*K, K*F = q^-2 F*K and H*K = K*H follow from
+      the block check, [H,E] = 2E and [H,F] = -2F, and K, Kinv being
+      derive_K's series.  [H,E] = 2E makes E graded (see E^r above), and
+      then the identity of the first item gives N_{w+2} E = E N_w on
+      block w; hence U(N_{w+2}) E = E U(N_w) and K*E = q^2 E*K.  The
+      same argument with [H,F] = -2F gives K*F = q^-2 F*K.  H*K = K*H,
+      since K is a polynomial in H on each block.  K*Kinv = I is
+      exp(tau N) exp(-tau N) = 1 in the exponential mode; in the
+      paper-literal mode it is (1 + tau N)(1 - tau N) = 1, since derive_K
+      refuses a block with N^2 != 0 there.  So K*Kinv = I and H*K = K*H
+      pass with no row built, and if [H,E] or [H,F] fails, K*E and K*F
+      are row-checked.
     """
     s = mod.session
     rep = Report()
     try:
-        K, Kinv = mod.K.rows, mod.Kinv.rows
+        K = mod.K.rows
         rep.add("H weight-block structure", True)
     except ModuleInvalidError as e:
         rep.add("H weight-block structure", False, str(e))
@@ -313,7 +379,33 @@ def verify_relations(mod):
     two = s.from_rational(2)
     q2 = s.from_cyc(s.q_power(2))
     qm2 = s.from_cyc(s.q_power(-2))
-    dqi = s.from_cyc((s.q_power(1) - s.q_power(-1)).inv())
+    dqi = (s.q_power(1) - s.q_power(-1)).inv()
+    try:
+        blocks = mod.graded_blocks()
+        graded = True
+    except ModuleInvalidError:
+        blocks = mod.weight_blocks()
+        graded = False
+    N = [None] * mod.dim  # N = H - diag(w_i), row by row
+    for w, idx in blocks.items():
+        shift = -s.from_rational(w)
+        for i in idx:
+            N[i] = _axpy(H[i], shift, {i: one})
+    chains = []  # chains[i]: the nonzero rows N[i], N^2[i], ...
+    for row in N:
+        chain = []
+        while row:
+            chain.append(row)
+            row = _apply(N, row)
+        chains.append(chain)
+    flat = not any(chains)
+    series = _series_coeffs(mod, chains) if mod.dim else []
+    coeffs = [None] * mod.dim  # coeffs[i]: d_{w,0}, d_{w,1}, ... at w_i
+    for w, idx in blocks.items():
+        n = 1 + max(len(chains[i]) for i in idx)
+        d = _ef_coeffs(s, series[:n], w, dqi)
+        for i in idx:
+            coeffs[i] = d
 
     def power(X, i):
         row = X[i]
@@ -324,20 +416,41 @@ def verify_relations(mod):
         return row
 
     def ef_rhs(i):
-        # row i of F*E + (K - Kinv)/(q - q^-1), scaling K - Kinv once
-        return _axpy(_apply(E, F[i]), dqi, _axpy(K[i], -one, Kinv[i]))
+        # row i of F*E + sum_p d_{w,p} N^p, w the weight of i
+        d = coeffs[i]
+        row = _axpy(_apply(E, F[i]), d[0], {i: one})
+        for p, nil in enumerate(chains[i], 1):
+            row = _axpy(row, d[p], nil)
+        return row
 
-    def witness(lhs, rhs):
-        for i in range(mod.dim):
+    def witness(lhs, rhs, rows=None):
+        for i in range(mod.dim) if rows is None else rows:
             w = _row_witness(s, i, lhs(i), rhs(i))
             if w is not None:
                 return w
         return None
 
-    he = witness(lambda i: _apply(E, H[i]),
-                 lambda i: _axpy(_apply(H, E[i]), two, E[i]))
-    hf = witness(lambda i: _axpy(_apply(F, H[i]), two, F[i]),
-                 lambda i: _apply(H, F[i]))
+    def commutes(X):
+        # N*X = X*N, row by row, unless N = 0
+        return flat or all(_apply(X, N[i]) == _apply(N, X[i])
+                           for i in range(mod.dim))
+
+    def power_witness(X, decided, step):
+        # rows of X^r that the grading leaves possibly nonzero, once the
+        # [H,X] premise holds; otherwise every row
+        rows = None
+        if decided is None:
+            targets = {w + step for w in blocks}
+            rows = sorted(i for w, idx in blocks.items() if w in targets
+                          for i in idx)
+        return witness(lambda i: power(X, i), lambda i: {}, rows)
+
+    he = None if graded and commutes(E) else witness(
+        lambda i: _apply(E, H[i]),
+        lambda i: _axpy(_apply(H, E[i]), two, E[i]))
+    hf = None if graded and commutes(F) else witness(
+        lambda i: _axpy(_apply(F, H[i]), two, F[i]),
+        lambda i: _apply(H, F[i]))
     premised = he is None and hf is None
 
     def k_item(lhs, rhs):
@@ -356,8 +469,8 @@ def verify_relations(mod):
         ("H*K = K*H", None),
         ("[H,E] = 2E", he),
         ("[H,F] = -2F", hf),
-        ("E^r = 0", witness(lambda i: power(E, i), lambda i: {})),
-        ("F^r = 0", witness(lambda i: power(F, i), lambda i: {})),
+        ("E^r = 0", power_witness(E, he, 2 * s.r)),
+        ("F^r = 0", power_witness(F, hf, -2 * s.r)),
     )
     for name, w in items:
         rep.add(name, w is None, w)

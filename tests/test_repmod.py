@@ -28,7 +28,7 @@ from uqwb import (
     weight_decomposition,
 )
 from uqwb.linalg import SMat
-from uqwb.repmod import ModuleRep, Report
+from uqwb.repmod import ModuleRep, Report, WeightLabel
 
 
 def assert_pass(mod):
@@ -704,6 +704,190 @@ def test_k_items_decided_once(session, monkeypatch):
     assert rep == reference_relations(broken)
     bad = {it["check"] for it in rep["items"] if not it["ok"]}
     assert bad & K_ITEMS, bad
+
+
+# ---------------------------------------------------------------------
+# [H,E], [H,F], E^r and F^r decided from checked premises; the right
+# side of [E,F] from the powers of N = H - w
+# ---------------------------------------------------------------------
+
+def _degree_two_bases(s):
+    """Modules with N^2 != 0 on some weight block, so that the
+    coefficients of N^2 in K and in (K - Kinv)/(q - q^-1) are read."""
+    return [build_generalized_verma(s, Fraction(1), 2),
+            build_projective_cover(s, 1, 2),
+            build_projective_cover(s, 1, 2, 1),
+            build_dual(build_generalized_verma(s, Fraction(1, 2), 2))]
+
+
+def _max_degree(mod):
+    return max(deg for _, deg, _ in weight_decomposition(mod))
+
+
+def test_verify_relations_matches_reference_on_degree_two_bases(session):
+    """On bases with N^2 != 0, and on copies with one changed entry of
+    E, F or H, the report is the whole-matrix reference's, witnesses
+    included."""
+    failed = set()
+    for mod in _degree_two_bases(session):
+        assert _max_degree(mod) == 2, mod.name
+        rep = verify_relations(mod)
+        assert rep["status"] == "pass", mod.name
+        assert rep == reference_relations(mod), mod.name
+        last = mod.dim - 1
+        for g in "EFH":
+            for i, j, v in _entries(mod.generator_matrix(g), last):
+                bad = _with_entry(mod, g, i, j, v)
+                rep = verify_relations(bad)
+                assert rep == reference_relations(bad), (bad.name, g, i, j)
+                failed |= {it["check"] for it in rep["items"]
+                           if not it["ok"]}
+    assert set(RELATION_NAMES) - K_ALWAYS <= failed, \
+        set(RELATION_NAMES) - K_ALWAYS - failed
+
+
+def _grading_copies(mod):
+    """Copies with one E entry from weight w to w + 4, or one F entry
+    from w to w - 4: E or F leaves the grading, H does not change."""
+    weights = [lab.weight for lab in mod.labels]
+    out = []
+    for g, shift in (("E", 4), ("F", -4)):
+        ij = next(((i, j) for i, wi in enumerate(weights)
+                   for j, wj in enumerate(weights) if wi == wj + shift),
+                  None)
+        if ij is not None:
+            out.append(_with_entry(mod, g, ij[0], ij[1], mod.session.one))
+    return out
+
+
+def _commuting_copies(mod):
+    """Copies with one more H entry inside a weight block: E and F stay
+    graded, and N = H - w changes, so NE = EN or NF = FN may fail."""
+    ij = _in_block_entry(mod)
+    if ij is None:
+        return []
+    i, j = ij
+    s = mod.session
+    return [_with_entry(mod, "H", i, j, mod.matH.get(i, j) + s.one),
+            _with_entry(mod, "H", j, i, s.one)]
+
+
+def _chain_module(s, g):
+    """r + 1 basis vectors of weights 0, 2, ..., 2r with E (g = "E") or F
+    (g = "F") the chain between neighbours and H diagonal: both
+    gradings and [H,E] = 2E, [H,F] = -2F hold, but g^r != 0."""
+    n = s.r + 1
+    labels = [WeightLabel(Fraction(2 * k), 0, "c%d" % k) for k in range(n)]
+    mats = {x: SMat(s, n, n) for x in "EFH"}
+    for k in range(n):
+        mats["H"].set(k, k, s.from_rational(2 * k))
+        if k + 1 < n:
+            if g == "E":
+                mats["E"].set(k + 1, k, s.one)
+            else:
+                mats["F"].set(k, k + 1, s.one)
+    return ModuleRep(s, labels, mats["E"], mats["F"], mats["H"], 0,
+                     name="chain(%s)" % g)
+
+
+@pytest.mark.parametrize("mode", ["exponential", "paper-literal"])
+def test_verify_relations_premise_copies(session, mode):
+    """Copies that break only the grading of E or F, copies that keep it
+    but break NE = EN or NF = FN, and the E and F chains whose r-th
+    power is not zero under [H,E] = 2E and [H,F] = -2F: each report is
+    the whole-matrix reference's.  The paper-literal mode takes the
+    bases of degree at most 1."""
+    s = session if mode == "exponential" else Session(session.ell, mode=mode)
+    bases = _broken_bases(s)
+    if mode == "exponential":
+        bases += _degree_two_bases(s)
+    n_graded = n_commuting = 0
+    failed = set()
+    for mod in bases:
+        for bad in _grading_copies(mod):
+            with pytest.raises(ModuleInvalidError):
+                bad.graded_blocks()
+            rep = verify_relations(bad)
+            assert rep == reference_relations(bad), bad.name
+            n_graded += 1
+        for bad in _commuting_copies(mod):
+            try:
+                bad.K
+            except ModuleInvalidError:
+                continue  # not nilpotent on the block: the H check fails
+            except ModeUnsupportedError:
+                continue  # N^2 != 0 in the paper-literal mode
+            bad.graded_blocks()
+            rep = verify_relations(bad)
+            assert rep == reference_relations(bad), bad.name
+            failed |= {it["check"] for it in rep["items"] if not it["ok"]}
+            n_commuting += 1
+    assert n_graded >= 8 and n_commuting >= 3, (n_graded, n_commuting)
+    assert {"[H,E] = 2E", "[H,F] = -2F"} <= failed, failed
+    for g in "EF":
+        chain = _chain_module(s, g)
+        rep = verify_relations(chain)
+        assert rep == reference_relations(chain)
+        ok = {it["check"]: it["ok"] for it in rep["items"]}
+        assert ok["[H,E] = 2E"] and ok["[H,F] = -2F"]
+        assert not ok["%s^r = 0" % g]
+
+
+def _count_premise_rows(monkeypatch, mod):
+    """While verify_relations(mod) runs, count the _apply calls that
+    build a row of [H,E] or [H,F] (a product with H or with a row of H,
+    or verify_relations' own N times a row of E or F), and the rows of
+    E^r and F^r built (E times one of its own rows, or F times one of
+    its own rows: the first step of each); return (h_rows, power_rows,
+    report)."""
+    import uqwb.repmod as repmod
+
+    E, F, H = mod.matE.rows, mod.matF.rows, mod.matH.rows
+    mats = (E, F, H, mod.K.rows, mod.Kinv.rows)
+    real = repmod._apply
+    n = {"h": 0, "power": 0}
+
+    def counting(rows, vec):
+        if (rows is H or any(vec is row for row in H)
+                or (not any(rows is m for m in mats)
+                    and any(vec is row for row in E + F))):
+            n["h"] += 1
+        if ((rows is E and any(vec is row for row in E))
+                or (rows is F and any(vec is row for row in F))):
+            n["power"] += 1
+        return real(rows, vec)
+
+    monkeypatch.setattr(repmod, "_apply", counting)
+    rep = verify_relations(mod)
+    monkeypatch.setattr(repmod, "_apply", real)
+    return n["h"], n["power"], rep
+
+
+def test_premise_rows_not_built(session, monkeypatch):
+    """On every passing module with N = 0 no row of [H,E] or [H,F] is
+    built, and on every Verma module no row of E^r or F^r.  On a copy of
+    a Verma module whose E leaves the grading, [H,E] and E^r are
+    row-checked, and the report is the reference's."""
+    flat = 0
+    for mod in _passing_modules(session):
+        h_rows, _, rep = _count_premise_rows(monkeypatch, mod)
+        assert rep["status"] == "pass", mod.name
+        if _max_degree(mod) == 0:
+            assert h_rows == 0, mod.name
+            flat += 1
+    assert flat >= session.r + 3
+    r = session.r
+    for lam in (1, Fraction(-3, 2), 2 * r - 3):
+        for m in (0, 1, 2):
+            verma = build_generalized_verma(session, Fraction(lam), m)
+            _, power_rows, rep = _count_premise_rows(monkeypatch, verma)
+            assert (power_rows, rep["status"]) == (0, "pass"), verma.name
+    verma = build_generalized_verma(session, Fraction(1), 1)
+    bad = _grading_copies(verma)[0]
+    h_rows, power_rows, rep = _count_premise_rows(monkeypatch, bad)
+    assert h_rows > 0 and power_rows > 0
+    assert rep == reference_relations(bad)
+    assert not {it["check"]: it["ok"] for it in rep["items"]}["[H,E] = 2E"]
 
 
 # ---------------------------------------------------------------------

@@ -3,10 +3,12 @@
 A ModuleRep stores the three generator matrices E, F and H over Scalar
 together with one WeightLabel per basis vector.  A built module never
 changes: its constructor freezes E, F and H and keeps the labels as a
-tuple, so what is derived from it (K, the graded blocks, the columns)
-is computed once, read-only, and cannot go stale.  K and Kinv are never
-serialized; they are derived from H blockwise once the weight blocks
-and nilpotency claimed by the labels are re-checked from H.
+tuple, so what is derived from it (K, the chains of N = H - w, the
+graded blocks, the columns) is computed once, read-only, and cannot go
+stale.  N is formed in one place, `_nilpotent_chains`, which checks that
+H keeps the label weight blocks and is w plus a nilpotent on each; K,
+the relation check, the label degrees of a subquotient and the socle
+read the module's cached chains.  K and Kinv are never serialized.
 
 derive_K is the only K = q^H series.  The generalized Verma constructor
 needs K on its highest-weight chain too: it wraps the chain's block of H
@@ -30,7 +32,7 @@ from .errors import (
     ModuleInvalidError,
     RejectedInputError,
 )
-from .linalg import SMat, _apply, _axpy
+from .linalg import FrozenRow, SMat, _apply, _axpy
 from .session import MODE_PAPER_LITERAL, Session
 
 WeightLabel = namedtuple("WeightLabel", ["weight", "degree", "tag"])
@@ -44,7 +46,8 @@ class ModuleRep:
     """
 
     __slots__ = ("session", "dim", "labels", "matE", "matF", "matH",
-                 "max_degree", "name", "_K", "_Kinv", "_cols", "_graded")
+                 "max_degree", "name", "_K", "_Kinv", "_chains", "_cols",
+                 "_graded")
 
     def __init__(self, session, labels, matE, matF, matH, max_degree,
                  name=""):
@@ -60,6 +63,7 @@ class ModuleRep:
         init(self, "name", name)
         init(self, "_K", None)
         init(self, "_Kinv", None)
+        init(self, "_chains", None)
         init(self, "_cols", {})
         init(self, "_graded", None)
 
@@ -87,6 +91,14 @@ class ModuleRep:
         K, Kinv = derive_K(self)
         self._K = K.freeze()
         self._Kinv = Kinv.freeze()
+
+    def nilpotent_chains(self):
+        """The rows of the powers of N = H - w, cached: chains[i] is
+        (N[i], N^2[i], ...), see `_nilpotent_chains`."""
+        if self._chains is None:
+            self._chains = _nilpotent_chains(
+                self.session, [lab.weight for lab in self.labels], self.matH)
+        return self._chains
 
     def generator_matrix(self, g):
         if g == "E":
@@ -157,66 +169,62 @@ def _weight_blocks(weights):
     return blocks
 
 
-def _h_nilpotent_blocks(session, weights, matH):
-    """Validated (weight, indices, nilpotent powers of H - w) per block
-    of the basis weights.
+def _nilpotent_chains(session, weights, matH):
+    """chains[i] = (N[i], N^2[i], ...), the nonzero rows of the powers of
+    N = H - diag(weights), as read-only rows.
 
-    Checks that matH never connects distinct weight blocks and that
-    H - w is nilpotent on each block; both are required for K = q^H
-    to make sense.
+    Checks that matH never connects distinct weight blocks and that N is
+    nilpotent on each block (N^n = 0 on a block of size n); both are
+    required for K = q^H to make sense.
     """
-    s = session
-    blocks = _weight_blocks(weights)
-    for j, row in enumerate(matH.rows):
+    H = matH.rows
+    for j, row in enumerate(H):
         for i in row:
             if weights[i] != weights[j]:
                 raise ModuleInvalidError(
                     "matH connects weight %s to weight %s (entry %d,%d)"
-                    % (weights[j], weights[i], j, i)
-                )
-    out = []
-    for w, idx in blocks.items():
-        n = len(idx)
-        nil = matH.block(idx, idx)
-        for p in range(n):
-            nil.add_to(p, p, -s.from_rational(w))
-        powers = [SMat.identity(s, n)]
-        cur = nil
-        while not cur.is_zero():
-            powers.append(cur)
-            if len(powers) > n:
-                raise ModuleInvalidError(
-                    "matH - %s*I is not nilpotent on its weight block" % (w,)
-                )
-            cur = cur @ nil
-        out.append((w, idx, powers))
-    return out
+                    % (weights[j], weights[i], j, i))
+    N, chains = [None] * len(weights), [None] * len(weights)
+    for w, idx in _weight_blocks(weights).items():
+        shift = -session.from_rational(w)
+        for i in idx:
+            N[i] = FrozenRow(_axpy(H[i], shift, {i: session.one}))
+        for i in idx:
+            chain, row = [], N[i]
+            while row:
+                chain.append(row)
+                if len(chain) == len(idx):
+                    raise ModuleInvalidError("matH - %s*I is not nilpotent "
+                                             "on its weight block" % (w,))
+                row = FrozenRow(_apply(N, row))
+            chains[i] = tuple(chain)
+    return tuple(chains)
 
 
 def derive_K(mod):
-    """(K, Kinv) with K = q^w * sum_s c_s (H - w)^s on each weight block."""
+    """(K, Kinv): row i of weight w is q^w sum_p c_p N^p[i] in K and
+    q^-w sum_p (-1)^p c_p N^p[i] in Kinv, read off the cached chains."""
     s = mod.session
-    K = SMat(s, mod.dim, mod.dim)
-    Kinv = SMat(s, mod.dim, mod.dim)
-    weights = [lab.weight for lab in mod.labels]
-    for w, idx, powers in _h_nilpotent_blocks(s, weights, mod.matH):
-        if s.mode == MODE_PAPER_LITERAL and len(powers) > 2:
+    chains = mod.nilpotent_chains()
+    K, Kinv = [None] * mod.dim, [None] * mod.dim
+    for w, idx in mod.weight_blocks().items():
+        n = 1 + max(len(chains[i]) for i in idx)
+        if s.mode == MODE_PAPER_LITERAL and n > 2:
             raise ModeUnsupportedError(
                 "paper-literal coefficients give K*Kinv != I on a block "
                 "with nilpotency index %d > 2 (weight %s); use the "
-                "exponential mode" % (len(powers), w)
-            )
+                "exponential mode" % (n, w))
         qw = s.from_cyc(s.q_power(w))
         qwi = s.from_cyc(s.q_power(-w))
-        for p, nil_p in enumerate(powers):
-            c = s.degree_drop_coeff(p)
-            kc = qw * c
-            kic = qwi * c if p % 2 == 0 else qwi * -c
-            for a, row in enumerate(nil_p.rows):
-                for b, v in row.items():
-                    K.add_to(idx[a], idx[b], kc * v)
-                    Kinv.add_to(idx[a], idx[b], kic * v)
-    return K, Kinv
+        cs = [s.degree_drop_coeff(p) for p in range(n)]
+        kc = [qw * c for c in cs]
+        kic = [qwi * c if p % 2 == 0 else qwi * -c for p, c in enumerate(cs)]
+        for i in idx:
+            K[i], Kinv[i] = {i: kc[0]}, {i: kic[0]}
+            for p, row in enumerate(chains[i], 1):
+                K[i] = _axpy(K[i], kc[p], row)
+                Kinv[i] = _axpy(Kinv[i], kic[p], row)
+    return SMat(s, mod.dim, mod.dim, K), SMat(s, mod.dim, mod.dim, Kinv)
 
 
 # ---------------------------------------------------------------------
@@ -264,14 +272,14 @@ def _row_witness(s, i, lhs, rhs):
             return "entry (%d,%d) = %s" % (i, j, s.format_scalar(d))
 
 
-def _series_coeffs(mod, chains):
+def _series_coeffs(mod):
     """[c_0, ..., c_{n-1}] with K = q^w sum_p c_p N^p on every weight-w
     block (N = H - w), read back off mod.K, so that derive_K stays the
     one reader of the series.
 
-    chains[i] lists the nonzero rows N[i], N^2[i], ...  On a row i with
-    the longest chain, n is one more than its length and some
-    mu = N^(n-1)[i][j] is nonzero.  K is q^w times a polynomial in N on
+    The module's cached chains[i] list the nonzero rows N[i], N^2[i], ...
+    On a row i with the longest chain, n is one more than its length and
+    some mu = N^(n-1)[i][j] is nonzero.  K is q^w times a polynomial in N on
     the block, so (N^t K)[i][j] = sum_p a_p N^(p+t)[i][j] with
     a_p = q^w c_p: for t = n-1, n-2, ..., 0 this is triangular in
     a_0, a_1, ..., with mu on the diagonal.  c_p does not depend on the
@@ -280,8 +288,9 @@ def _series_coeffs(mod, chains):
     """
     s = mod.session
     K = mod.K.rows
+    chains = mod.nilpotent_chains()
     top = max(range(mod.dim), key=lambda i: len(chains[i]))
-    rows = [{top: s.one}] + chains[top]
+    rows = [{top: s.one}, *chains[top]]
     n = len(rows)
     j = min(rows[-1])
     mu = [row.get(j, s.zero) for row in rows]
@@ -386,20 +395,10 @@ def verify_relations(mod):
     except ModuleInvalidError:
         blocks = mod.weight_blocks()
         graded = False
-    N = [None] * mod.dim  # N = H - diag(w_i), row by row
-    for w, idx in blocks.items():
-        shift = -s.from_rational(w)
-        for i in idx:
-            N[i] = _axpy(H[i], shift, {i: one})
-    chains = []  # chains[i]: the nonzero rows N[i], N^2[i], ...
-    for row in N:
-        chain = []
-        while row:
-            chain.append(row)
-            row = _apply(N, row)
-        chains.append(chain)
+    chains = mod.nilpotent_chains()  # chains[i]: N[i], N^2[i], ...
+    N = [chain[0] if chain else {} for chain in chains]
     flat = not any(chains)
-    series = _series_coeffs(mod, chains) if mod.dim else []
+    series = _series_coeffs(mod) if mod.dim else []
     coeffs = [None] * mod.dim  # coeffs[i]: d_{w,0}, d_{w,1}, ... at w_i
     for w, idx in blocks.items():
         n = 1 + max(len(chains[i]) for i in idx)
@@ -485,10 +484,9 @@ def weight_decomposition(mod):
     H - w on the block (may be below the declared max_degree).
     """
     out = []
-    weights = [lab.weight for lab in mod.labels]
-    for w, idx, powers in _h_nilpotent_blocks(mod.session, weights,
-                                              mod.matH):
-        deg = len(powers) - 1
+    chains = mod.nilpotent_chains()
+    for w, idx in mod.weight_blocks().items():
+        deg = max(len(chains[i]) for i in idx)
         if deg > mod.max_degree:
             raise ModuleInvalidError(
                 "weight %s has nilpotency degree %d > declared max %d"
@@ -632,7 +630,8 @@ def build_dual(mod):
 
 def build_tensor(a, b):
     """a (x) b with the action given by the coproduct."""
-    assert a.session is b.session
+    if a.session is not b.session:
+        raise RejectedInputError("a tensor of modules of two sessions")
     s = a.session
     nb = b.dim
     labels = []
@@ -661,7 +660,8 @@ def _block_sum(x, y):
 
 
 def direct_sum(a, b):
-    assert a.session is b.session
+    if a.session is not b.session:
+        raise RejectedInputError("a direct sum of modules of two sessions")
     return ModuleRep(a.session, a.labels + b.labels,
                      _block_sum(a.matE, b.matE), _block_sum(a.matF, b.matF),
                      _block_sum(a.matH, b.matH),

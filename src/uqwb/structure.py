@@ -52,7 +52,7 @@ from .repmod import (
     _dump_int,
     _dump_key,
     _dump_weight,
-    _h_nilpotent_blocks,
+    _nilpotent_chains,
     build_dual,
     build_generalized_verma,
     dump_module,
@@ -345,18 +345,19 @@ def _generated(mod, seeds):
 # ---------------------------------------------------------------------
 
 def _make_module(session, weights, tags, matE, matF, matH, name):
-    """A ModuleRep whose label degrees are read off the nilpotent part
-    of H: the degree of a basis vector is the largest p with
-    (H - w)^p nonzero on it."""
+    """A ModuleRep whose label degrees are read off the chains of
+    N = H - w (the degree of basis vector j is the largest p with column j
+    of N^p nonzero), which fill its cache: N is walked once."""
+    chains = _nilpotent_chains(session, weights, matH)
     degs = [0] * len(weights)
-    for _, idx, powers in _h_nilpotent_blocks(session, weights, matH):
-        for p in range(1, len(powers)):
-            for row in powers[p].rows:
-                for c in row:
-                    degs[idx[c]] = p
-    return ModuleRep(session, [WeightLabel(w, d, t)
-                               for w, d, t in zip(weights, degs, tags)],
-                     matE, matF, matH, max(degs, default=0), name=name)
+    for chain in chains:
+        for p, row in enumerate(chain, 1):
+            for c in row:
+                degs[c] = max(degs[c], p)
+    mod = ModuleRep(session, list(map(WeightLabel, weights, degs, tags)),
+                    matE, matF, matH, max(degs, default=0), name=name)
+    mod._chains = chains
+    return mod
 
 
 class QuotientMap:
@@ -949,17 +950,16 @@ def extract_costandard_filtration(mod, deg):
 
 def _socle_rows(mod, w, cw):
     """The rows on the weight-w block whose common kernel is its socle
-    seeds, lazily: E's rows of block w + 2, H - w's rows of block w, then
-    the rows of F^cw of block w - 2 cw.  The grading supports each on
-    block w, and F^cw is applied to the block's basis only if the E and
-    H - w rows leave a kernel."""
+    seeds, lazily: E's rows of block w + 2, the cached rows N[j] of block
+    w (N = H - w), then the rows of F^cw of block w - 2 cw.  The grading
+    supports each on block w, and F^cw is applied to the block's basis
+    only if the E and N rows leave a kernel."""
     s = mod.session
     blocks = mod.graded_blocks()
     idx = blocks[w]
+    chains = mod.nilpotent_chains()
     yield from (mod.matE.rows[i] for i in blocks.get(w + 2, []))
-    shift = -s.from_rational(w)
-    for j in idx:
-        yield _axpy(mod.matH.rows[j], shift, {j: s.one})
+    yield from (chains[j][0] for j in idx if chains[j])
     fcols = mod.columns("F")
     fpow = {j: {j: s.one} for j in idx}
     for _ in range(cw):

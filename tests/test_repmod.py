@@ -85,6 +85,40 @@ def test_weight_decomposition_consistency(session):
     assert weights[0] == Fraction(1)
 
 
+def test_weight_decomposition_refuses_a_degree_above_the_declared_max(
+        session):
+    """A dump of V(1, 2) relabelled to max_degree 1 loads (every label
+    degree is at most 1), but its H has nilpotency degree 2."""
+    data = dump_module(build_generalized_verma(session, Fraction(1), 2))
+    data["max_degree"] = 1
+    for lab in data["labels"]:
+        lab["degree"] = min(lab["degree"], 1)
+    mod = load_module(data, session)
+    with pytest.raises(ModuleInvalidError, match=re.escape(
+            "weight 1 has nilpotency degree 2 > declared max 1")):
+        weight_decomposition(mod)
+
+
+def test_non_nilpotent_h_block_is_reported(session):
+    """On a weight-1 block with H - 1 = [[0,1],[1,0]], whose square is
+    I, the H check fails with the walk's witness and K is refused."""
+    s = session
+    labels = [WeightLabel(Fraction(1), 0, "a"),
+              WeightLabel(Fraction(1), 1, "b")]
+    matH = SMat(s, 2, 2)
+    for i in range(2):
+        for j in range(2):
+            matH.set(i, j, s.one)
+    mod = ModuleRep(s, labels, SMat(s, 2, 2), SMat(s, 2, 2), matH, 1,
+                    name="swap")
+    witness = "matH - 1*I is not nilpotent on its weight block"
+    assert verify_relations(mod)["items"] == [{
+        "check": "H weight-block structure", "ok": False,
+        "witness": witness}]
+    with pytest.raises(ModuleInvalidError, match=re.escape(witness)):
+        mod.K
+
+
 # ---------------------------------------------------------------------
 # K derivation
 # ---------------------------------------------------------------------
@@ -148,7 +182,8 @@ def test_paper_literal_mode_small_degrees_agree():
 
 def test_paper_literal_mode_degree_two_diagnosed():
     sp = Session(5, mode="paper-literal")
-    with pytest.raises(ModeUnsupportedError):
+    with pytest.raises(ModeUnsupportedError, match=re.escape(
+            "nilpotency index 3 > 2 (weight 1)")):
         build_generalized_verma(sp, Fraction(1), 2)
 
 
@@ -198,6 +233,16 @@ def test_direct_sum(session):
     mod = direct_sum(a, b)
     assert mod.dim == a.dim + b.dim
     assert_pass(mod)
+
+
+def test_tensor_and_direct_sum_refuse_modules_of_two_sessions():
+    """L(1) at ell 5 and at ell 8 live over different fields: combining
+    them is a rejected input, also under python -O."""
+    a = build_simple(Session(5), 1)
+    b = build_simple(Session(8), 1)
+    for build in (build_tensor, direct_sum):
+        with pytest.raises(RejectedInputError, match="two sessions"):
+            build(a, b)
 
 
 def test_dual_annihilator_is_submodule(session):

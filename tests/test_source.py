@@ -142,8 +142,9 @@ def test_traced_names_exist():
 
 
 def _call_sites(attr):
-    """"module.function" of every call of a method named attr under
-    src/uqwb, naming the innermost enclosing def ("<module>" if none)."""
+    """"module.function" of every call of a method or function named
+    attr under src/uqwb, naming the innermost enclosing def ("<module>"
+    if none)."""
     sites = []
     for path in sorted(SRC.rglob("*.py")):
         def walk(node, where):
@@ -153,8 +154,8 @@ def _call_sites(attr):
                     walk(child, child.name)
                     continue
                 if (isinstance(child, ast.Call)
-                        and isinstance(child.func, ast.Attribute)
-                        and child.func.attr == attr):
+                        and attr in (getattr(child.func, "attr", None),
+                                     getattr(child.func, "id", None))):
                     sites.append("%s.%s" % (path.stem, where))
                 walk(child, where)
 
@@ -166,6 +167,21 @@ def test_one_k_series():
     """The coefficients of K = q^H are read only by repmod.derive_K, so
     the library has one K series; every other K comes from it."""
     assert _call_sites("degree_drop_coeff") == ["repmod.derive_K"]
+
+
+def test_one_nilpotent_walk():
+    """N = H - w is walked only by repmod._nilpotent_chains, called by
+    the module's cache (ModuleRep.nilpotent_chains) and by
+    structure._make_module, which fills the cache of the module it
+    builds; the block-power walker _h_nilpotent_blocks is gone."""
+    assert sorted(_call_sites("_nilpotent_chains")) == [
+        "repmod.nilpotent_chains", "structure._make_module"]
+    assert not _call_sites("_h_nilpotent_blocks")
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert not any(isinstance(node, ast.FunctionDef)
+                       and node.name == "_h_nilpotent_blocks"
+                       for node in ast.walk(tree)), path.name
 
 
 def test_one_scalar_inverse():

@@ -39,10 +39,12 @@ from uqwb import (
     verify_filtration_certificate,
     verify_relations,
     verma_splitting_section,
+    weight_decomposition,
     weight_split,
 )
-from uqwb.linalg import SMat, invert_dense, nullspace, reduce_row, rref
-from uqwb import projectives, structure
+from uqwb.linalg import (FrozenRow, SMat, invert_dense, nullspace,
+                         reduce_row, rref)
+from uqwb import projectives, repmod, structure
 from uqwb.cli import default_bgg_weights
 from uqwb.projectives import (build_projective_cover,
                               certify_projcover_structure)
@@ -1280,3 +1282,109 @@ def test_top_surjection_matches_full_inverse(session, graded_by_ell, name,
     assert lam == ref_lam
     assert f == ref_f
     assert not f.is_zero()
+
+
+# ---------------------------------------------------------------------
+# the nilpotent part N = H - w, walked once per module
+# ---------------------------------------------------------------------
+
+def _ref_chains(mod):
+    """chains[i] read off SMat.matpow: the nonzero rows i of N, N^2, ...
+    for N = H - diag(w_i), the label weights w_i."""
+    s = mod.session
+    nil = mod.matH.copy()
+    for i, lab in enumerate(mod.labels):
+        nil.add_to(i, i, -s.from_rational(lab.weight))
+    powers = []
+    while not powers or not powers[-1].is_zero():
+        powers.append(nil.matpow(len(powers) + 1))
+    return [[p.rows[i] for p in powers if p.rows[i]] for i in range(mod.dim)]
+
+
+def _chain_modules(s):
+    """Vermas of degree 0 to 2, covers, duals, tensors and subquotients
+    of V(1, 2): S1 and S2 are generated by F^2 v^0 and F^2 v^2 (basis
+    indices 6 and 8), the quotient by S1 and S2 itself have degree 2."""
+    v = [build_generalized_verma(s, Fraction(1), m) for m in range(3)]
+    low = structure._generated(v[2], [{6: s.one}])
+    up = structure._generated(v[2], [{8: s.one}])
+    cover = build_projective_cover(s, 0, 1)
+    mods = {"V(1,%d)" % m: v[m] for m in range(3)}
+    mods.update({
+        "V(3/2,2)": build_generalized_verma(s, Fraction(3, 2), 2),
+        "P(0,1)": cover,
+        "P(1,2)xC(1)": build_projective_cover(s, 1, 2, twist=1),
+        "dual V(1,2)": build_dual(v[2]),
+        "dual P(0,1)": build_dual(cover),
+        "V(1,1)xL1": build_tensor(v[1], build_simple(s, 1)),
+        "L1xV(1,2)": build_tensor(build_simple(s, 1), v[2]),
+        "V(1,2)/S1": quotient_module(v[2], low),
+        "V(1,2)/<v^0>": quotient_module(
+            v[2], structure._generated(v[2], [{0: s.one}])),
+        "S2": submodule_to_module(up),
+        "S2/S1": structure._subquotient(v[2], low, up)[0],
+    })
+    return mods
+
+
+CHAIN_MODULES = ["V(1,0)", "V(1,1)", "V(1,2)", "V(3/2,2)", "P(0,1)",
+                 "P(1,2)xC(1)", "dual V(1,2)", "dual P(0,1)", "V(1,1)xL1",
+                 "L1xV(1,2)", "V(1,2)/S1", "V(1,2)/<v^0>", "S2", "S2/S1"]
+# the largest label degree of each subquotient
+SUBQUOTIENT_DEGREES = {"V(1,2)/S1": 2, "V(1,2)/<v^0>": 1, "S2": 2,
+                       "S2/S1": 1}
+
+
+@pytest.fixture(scope="module")
+def chain_modules_by_ell(s5, s8):
+    return {5: _chain_modules(s5), 8: _chain_modules(s8)}
+
+
+@pytest.mark.parametrize("name", CHAIN_MODULES)
+def test_nilpotent_chains_match_matrix_powers(session, chain_modules_by_ell,
+                                              name):
+    """The cached chains are the rows of the powers of N = H - diag(w),
+    read-only, and the label degrees of a subquotient are read off
+    them."""
+    mod = chain_modules_by_ell[session.ell][name]
+    chains = mod.nilpotent_chains()
+    assert [list(chain) for chain in chains] == _ref_chains(mod)
+    assert type(chains) is tuple
+    assert all(type(chain) is tuple and all(
+        type(row) is FrozenRow for row in chain) for chain in chains)
+    if name in SUBQUOTIENT_DEGREES:
+        degrees = [lab.degree for lab in mod.labels]
+        assert degrees == _ref_label_degrees(mod)
+        assert max(degrees) == SUBQUOTIENT_DEGREES[name]
+        assert verify_relations(mod)["status"] == "pass"
+
+
+def test_nilpotent_part_walked_once(session, monkeypatch):
+    """A subquotient's N is walked once, when it is built: its K, its
+    relation check, its weight decomposition and its socle read the
+    chains cached then.  A module built directly walks N at its first
+    relation check and not at the second."""
+    mod = build_generalized_verma(session, Fraction(1), 2)
+    low = structure._generated(mod, [{0: session.one}])
+    walk = repmod._nilpotent_chains
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+    monkeypatch.setattr(repmod, "_nilpotent_chains", counted)
+    monkeypatch.setattr(structure, "_nilpotent_chains", counted)
+    quot = quotient_module(mod, low)
+    assert len(calls) == 1
+    quot.K
+    assert verify_relations(quot)["status"] == "pass"
+    assert [deg for _, deg, _ in weight_decomposition(quot)] == \
+        [1] * session.r
+    socle_counts(quot)
+    assert len(calls) == 1
+    fresh = ModuleRep(session, mod.labels, mod.matE.copy(),
+                      mod.matF.copy(), mod.matH.copy(), mod.max_degree)
+    verify_relations(fresh)
+    assert len(calls) == 2
+    verify_relations(fresh)
+    assert len(calls) == 2

@@ -18,8 +18,11 @@ anyway.
 Each mutant ends killed (pytest exit code 1, or 2 for an error while
 collecting), surviving (exit code 0), timed out, or error (any other
 exit code, such as a selection that names no test).  The results go to
-`mutants/MUTANTS.json`; the exit code is 0 only if every mutant was
-killed.  Nothing under `src/` or `tests/` of the checkout is changed.
+`mutants/MUTANTS.json`, in catalogue order; with --only they replace the
+entries of the selected ids there and keep the others, so the record of
+the last full run survives.  The exit code is 0 only if every mutant run
+was killed.  Nothing under `src/` or `tests/` of the checkout is
+changed.
 """
 
 import argparse
@@ -104,12 +107,13 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     with open(CATALOGUE) as fh:
-        mutants = json.load(fh)
-    unknown = set(args.only) - {m["id"] for m in mutants}
+        catalogue = json.load(fh)
+    unknown = set(args.only) - {m["id"] for m in catalogue}
     if unknown:
         ap.error("no such mutant: %s" % ", ".join(sorted(unknown)))
+    mutants = catalogue
     if args.only:
-        mutants = [m for m in mutants if m["id"] in args.only]
+        mutants = [m for m in catalogue if m["id"] in args.only]
 
     files = sorted({a.partition("::")[0] for m in mutants for a in m["kill"]
                     if a.startswith("tests/")})
@@ -128,8 +132,15 @@ def main(argv=None):
                          "kill": m["kill"], "status": status,
                          "exit_code": code, "seconds": round(secs, 1),
                          "output_tail": tail})
+    record = {}
+    if args.only and RESULTS.exists():
+        with open(RESULTS) as fh:
+            record = {r["id"]: r for r in json.load(fh)["mutants"]}
+    record.update((r["id"], r) for r in results)
     with open(RESULTS, "w") as fh:
-        json.dump({"python": sys.version.split()[0], "mutants": results},
+        json.dump({"python": sys.version.split()[0],
+                   "mutants": [record[m["id"]] for m in catalogue
+                               if m["id"] in record]},
                   fh, indent=1)
         fh.write("\n")
     counts = {}

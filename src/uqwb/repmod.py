@@ -47,7 +47,7 @@ class ModuleRep:
 
     __slots__ = ("session", "dim", "labels", "matE", "matF", "matH",
                  "max_degree", "name", "_K", "_Kinv", "_chains", "_cols",
-                 "_graded")
+                 "_graded", "_relations")
 
     def __init__(self, session, labels, matE, matF, matH, max_degree,
                  name=""):
@@ -66,6 +66,7 @@ class ModuleRep:
         init(self, "_chains", None)
         init(self, "_cols", {})
         init(self, "_graded", None)
+        init(self, "_relations", None)
 
     def __setattr__(self, field, value):
         if field != "name" and getattr(self, field) is not None:
@@ -373,15 +374,34 @@ def verify_relations(mod):
       refuses a block with N^2 != 0 there.  So K*Kinv = I and H*K = K*H
       pass with no row built, and if [H,E] or [H,F] fails, K*E and K*F
       are row-checked.
+
+    A built module never changes, so its witnesses are computed at the
+    first call and kept on the module, and every call builds a new
+    report from them.
     """
-    s = mod.session
+    if mod._relations is None:
+        mod._relations = _relation_witnesses(mod)
     rep = Report()
+    for name, w in zip(_RELATIONS, mod._relations):
+        rep.add(name, w is None, w)
+    return rep.as_dict()
+
+
+# verify_relations' checks in report order: the H weight blocks, then
+# each relation
+_RELATIONS = ("H weight-block structure", "K*Kinv = I", "K*E = q^2 E*K",
+              "K*F = q^-2 F*K", "[E,F] = (K-Kinv)/(q-q^-1)", "H*K = K*H",
+              "[H,E] = 2E", "[H,F] = -2F", "E^r = 0", "F^r = 0")
+
+
+def _relation_witnesses(mod):
+    """The witness of each check of _RELATIONS on mod, None where it
+    passes, as a tuple; only the first if the H weight blocks fail."""
+    s = mod.session
     try:
         K = mod.K.rows
-        rep.add("H weight-block structure", True)
     except ModuleInvalidError as e:
-        rep.add("H weight-block structure", False, str(e))
-        return rep.as_dict()
+        return (str(e),)
 
     E, F, H = mod.matE.rows, mod.matF.rows, mod.matH.rows
     one = s.one
@@ -455,25 +475,20 @@ def verify_relations(mod):
     def k_item(lhs, rhs):
         return None if premised else witness(lhs, rhs)
 
-    items = (
-        ("K*Kinv = I", None),
-        ("K*E = q^2 E*K",
-         k_item(lambda i: _apply(E, K[i]),
-                lambda i: _axpy({}, q2, _apply(K, E[i])))),
-        ("K*F = q^-2 F*K",
-         k_item(lambda i: _apply(F, K[i]),
-                lambda i: _axpy({}, qm2, _apply(K, F[i])))),
-        ("[E,F] = (K-Kinv)/(q-q^-1)",
-         witness(lambda i: _apply(F, E[i]), ef_rhs)),
-        ("H*K = K*H", None),
-        ("[H,E] = 2E", he),
-        ("[H,F] = -2F", hf),
-        ("E^r = 0", power_witness(E, he, 2 * s.r)),
-        ("F^r = 0", power_witness(F, hf, -2 * s.r)),
+    return (
+        None,  # the H weight blocks
+        None,  # K*Kinv = I
+        k_item(lambda i: _apply(E, K[i]),  # K*E = q^2 E*K
+               lambda i: _axpy({}, q2, _apply(K, E[i]))),
+        k_item(lambda i: _apply(F, K[i]),  # K*F = q^-2 F*K
+               lambda i: _axpy({}, qm2, _apply(K, F[i]))),
+        witness(lambda i: _apply(F, E[i]), ef_rhs),  # [E,F]
+        None,  # H*K = K*H
+        he,  # [H,E] = 2E
+        hf,  # [H,F] = -2F
+        power_witness(E, he, 2 * s.r),  # E^r = 0
+        power_witness(F, hf, -2 * s.r),  # F^r = 0
     )
-    for name, w in items:
-        rep.add(name, w is None, w)
-    return rep.as_dict()
 
 
 def weight_decomposition(mod):

@@ -529,6 +529,14 @@ def _hom_basis(a, b):
     of weight(i), (M_b X)[i, j] sums M_b[i, k] X[k, j] over k of
     weight(j), and every such X[i, k] and X[k, j] is an unknown.  Their
     kernel (`_kernel`) gives one basis element per free unknown.
+
+    The equations go into the echelon H first, then F, then E.  The
+    order cannot change the basis: the reduced echelon form of a row
+    space is unique for a fixed numbering of the unknowns, and the
+    kernel is read off it.  It changes the cost: F of a Verma-type basis
+    has simple entries, mostly rational, so the F rows take the pivots
+    cheaply and most E rows then reduce to zero.  E first makes the E
+    rows the pivots, and inserting them costs more.
     """
     _same_field(a, b)
     s = a.session
@@ -541,7 +549,7 @@ def _hom_basis(a, b):
                 var[i, j] = len(var)
 
     def equations():
-        for g, shift in (("H", 0), ("E", 2), ("F", -2)):
+        for g, shift in (("H", 0), ("F", -2), ("E", 2)):
             acols = a.columns(g)
             brows = b.generator_matrix(g).rows
             for w, jdx in blocks_a.items():

@@ -912,10 +912,12 @@ def test_premise_rows_not_built(session, monkeypatch):
     """On every passing module with N = 0 no row of [H,E] or [H,F] is
     built, and on every Verma module no row of E^r or F^r.  On a copy of
     a Verma module whose E leaves the grading, [H,E] and E^r are
-    row-checked, and the report is the reference's."""
+    row-checked, and the report is the reference's.  Each module is
+    checked as a fresh copy, since a module keeps its witnesses once
+    verified."""
     flat = 0
     for mod in _passing_modules(session):
-        h_rows, _, rep = _count_premise_rows(monkeypatch, mod)
+        h_rows, _, rep = _count_premise_rows(monkeypatch, _fresh(mod))
         assert rep["status"] == "pass", mod.name
         if _max_degree(mod) == 0:
             assert h_rows == 0, mod.name
@@ -925,7 +927,8 @@ def test_premise_rows_not_built(session, monkeypatch):
     for lam in (1, Fraction(-3, 2), 2 * r - 3):
         for m in (0, 1, 2):
             verma = build_generalized_verma(session, Fraction(lam), m)
-            _, power_rows, rep = _count_premise_rows(monkeypatch, verma)
+            _, power_rows, rep = _count_premise_rows(monkeypatch,
+                                                     _fresh(verma))
             assert (power_rows, rep["status"]) == (0, "pass"), verma.name
     verma = build_generalized_verma(session, Fraction(1), 1)
     bad = _grading_copies(verma)[0]
@@ -933,6 +936,36 @@ def test_premise_rows_not_built(session, monkeypatch):
     assert h_rows > 0 and power_rows > 0
     assert rep == reference_relations(bad)
     assert not {it["check"]: it["ok"] for it in rep["items"]}["[H,E] = 2E"]
+
+
+def test_verified_module_keeps_its_report(session, monkeypatch):
+    """build_projective_cover verifies P(1,2) x C(1) before returning it,
+    and a built module never changes: a second verify_relations builds
+    no row and returns an equal report, which a fresh copy of the module
+    recomputes.  Each call returns a new report, so changing one leaves
+    the next unchanged."""
+    import uqwb.repmod as repmod
+
+    cover = build_projective_cover(session, 1, 2, 1)
+    assert cover._relations is not None
+    real = repmod._apply
+    n = [0]
+
+    def counting(rows, vec):
+        n[0] += 1
+        return real(rows, vec)
+
+    monkeypatch.setattr(repmod, "_apply", counting)
+    rep = verify_relations(cover)
+    monkeypatch.setattr(repmod, "_apply", real)
+    h_rows, power_rows, again = _count_premise_rows(monkeypatch, cover)
+    assert (n[0], h_rows, power_rows) == (0, 0, 0)
+    assert rep["status"] == "pass" and rep == again
+    h_rows, _, fresh = _count_premise_rows(monkeypatch, _fresh(cover))
+    assert h_rows > 0 and fresh == rep
+    rep["items"][0]["ok"] = False
+    rep["items"].clear()
+    assert verify_relations(cover) == again
 
 
 # ---------------------------------------------------------------------

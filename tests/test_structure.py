@@ -358,6 +358,70 @@ def test_hom_basis_matches_dense_kronecker(s5, name):
         assert _intertwiner_ok(g, a, b)
 
 
+def _hom_basis_in_order(a, b, order):
+    """_hom_basis(a, b) with the equation families H, E and F put into
+    one `_kernel` in the given order, each family row by row as there."""
+    s = a.session
+    blocks_a, blocks_b = a.graded_blocks(), b.graded_blocks()
+    var = {}
+    for w, jdx in blocks_a.items():
+        for i in blocks_b.get(w, ()):
+            for j in jdx:
+                var[i, j] = len(var)
+    shifts = {"H": 0, "E": 2, "F": -2}
+    rows = []
+    for g in order:
+        acols, brows = a.columns(g), b.generator_matrix(g).rows
+        for w, jdx in blocks_a.items():
+            for i in blocks_b.get(w + shifts[g], []):
+                for j in jdx:
+                    row = {var[i, k]: x for k, x in acols[j].items()}
+                    for k, x in brows[i].items():
+                        row[var[k, j]] = row.get(var[k, j], s.zero) - x
+                    rows.append({v: x for v, x in row.items()
+                                 if not x.is_zero()})
+    entries = list(var)
+    out = []
+    for sol in structure._kernel(rows, range(len(var)), s.one):
+        g = SMat(s, b.dim, a.dim)
+        for v, x in sol.items():
+            g.set(*entries[v], x)
+        out.append(g)
+    return out
+
+
+_ORDER_CASES = {  # (i, m, twist) of a cover, or "summand"
+    "P(1,0)": (1, 0, 0), "P(0,0) x C(1)": (0, 0, 1),
+    "P(1,1)": (1, 1, 0), "P(0,1) x C(-1)": (0, 1, -1),
+    "P(1,2)": (1, 2, 0), "P(0,2) x C(2)": (0, 2, 2),
+    "P(r-2,1) in tensor": "summand",
+}
+
+
+@pytest.mark.parametrize("case", list(_ORDER_CASES))
+def test_hom_basis_independent_of_equation_order(session, case,
+                                                  monkeypatch):
+    """_hom_basis puts the F equations into the echelon before the E
+    equations.  A reduced echelon form is unique, so its basis is the one
+    of the order H, E, F, element for element, and iso_test returns the
+    same matrix from either: on dual(P) -> P for covers of degree 0, 1
+    and 2, untwisted and twisted, and on the tensor-summand pair."""
+    if _ORDER_CASES[case] == "summand":
+        i = session.r - 2
+        a = projectives.build_via_tensor_summand(session, i, 1)
+        b = build_projective_cover(session, i, 1)
+    else:
+        b = build_projective_cover(session, *_ORDER_CASES[case])
+        a = build_dual(b)
+    basis = structure._hom_basis(a, b)
+    ref = _hom_basis_in_order(a, b, "HEF")
+    assert basis and basis == ref
+    g = iso_test(a, b)
+    assert g is not None
+    monkeypatch.setattr(structure, "_hom_basis", lambda a, b: ref)
+    assert iso_test(a, b) == g
+
+
 def test_is_generalized_verma(session):
     mod = build_generalized_verma(session, Fraction(2), 1)
     assert is_generalized_verma(mod, Fraction(2), 1)

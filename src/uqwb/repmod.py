@@ -135,23 +135,30 @@ class ModuleRep:
 
         E must map weight w to w+2, F map w to w-2 and H preserve w; the
         blockwise routines of `structure` rely on this.  The check is one
-        pass over the nonzero entries and its result is cached, read-only,
-        as a mapping of index tuples; an offending entry raises
-        ModuleInvalidError naming it.
+        pass over the nonzero entries, on block numbers: the label
+        weights are numbered once (`_block_numbers`), the block that g
+        should map each block to is found once per block, and each entry
+        compares two ints.  The result is cached, read-only, as a mapping
+        of index tuples; an offending entry raises ModuleInvalidError
+        naming it.
         """
         if self._graded is None:
             weights = [lab.weight for lab in self.labels]
+            block, blocks, number = _block_numbers(weights)
             for g, shift in (("E", 2), ("F", -2), ("H", 0)):
+                target = [number.get(_weight_key(w + shift))
+                          for w, _ in blocks]
                 for i, row in enumerate(self.generator_matrix(g).rows):
+                    bi = block[i]
                     for j in row:
-                        if weights[i] != weights[j] + shift:
+                        if bi != target[block[j]]:
                             raise ModuleInvalidError(
                                 "%s entry (%d,%d) of %s maps weight %s to "
                                 "weight %s, not %s"
                                 % (g, i, j, self.name or "?", weights[j],
                                    weights[i], weights[j] + shift))
             self._graded = MappingProxyType(
-                {w: tuple(idx) for w, idx in self.weight_blocks().items()})
+                {w: tuple(idx) for w, idx in blocks})
         return self._graded
 
     def __repr__(self):
@@ -162,12 +169,35 @@ class ModuleRep:
 # K = q^H, blockwise
 # ---------------------------------------------------------------------
 
+def _weight_key(w):
+    return w.numerator, w.denominator
+
+
+def _block_numbers(weights):
+    """(block, blocks, number): blocks lists the weight blocks as
+    (weight, sorted indices) in order of first occurrence, block[i] is
+    the position of index i's block there, and number maps the
+    `_weight_key` of each weight to that position.
+
+    Each weight is hashed once, as a pair of ints, so the checks that
+    compare block numbers run no Fraction arithmetic or comparison per
+    entry.  The numbering lives only as long as its caller.
+    """
+    number, block, blocks = {}, [], []
+    for i, w in enumerate(weights):
+        key = _weight_key(w)
+        b = number.get(key)
+        if b is None:
+            b = number[key] = len(blocks)
+            blocks.append((w, []))
+        blocks[b][1].append(i)
+        block.append(b)
+    return block, blocks, number
+
+
 def _weight_blocks(weights):
     """Map weight -> sorted list of the indices with that weight."""
-    blocks = {}
-    for i, w in enumerate(weights):
-        blocks.setdefault(w, []).append(i)
-    return blocks
+    return dict(_block_numbers(weights)[1])
 
 
 def _nilpotent_chains(session, weights, matH):
@@ -179,14 +209,16 @@ def _nilpotent_chains(session, weights, matH):
     required for K = q^H to make sense.
     """
     H = matH.rows
+    block, blocks, _ = _block_numbers(weights)
     for j, row in enumerate(H):
+        bj = block[j]
         for i in row:
-            if weights[i] != weights[j]:
+            if block[i] != bj:
                 raise ModuleInvalidError(
                     "matH connects weight %s to weight %s (entry %d,%d)"
                     % (weights[j], weights[i], j, i))
     N, chains = [None] * len(weights), [None] * len(weights)
-    for w, idx in _weight_blocks(weights).items():
+    for w, idx in blocks:
         shift = -session.from_rational(w)
         for i in idx:
             N[i] = FrozenRow(_axpy(H[i], shift, {i: session.one}))

@@ -5,6 +5,14 @@ are cyclotomic numbers.  tau stands for log q and carries no algebraic
 relation to zeta_M, so identities proved here hold for the complex values.
 Canonical form: den is monic, gcd(num, den) = 1, zero is (0)/(1).
 
+A product first asks whether either operand is the session's unit
+object `one` (read through the operands' Cyc back-reference to their
+session), and if so returns the other operand, before any length test
+or Cyc product.  Most products in the library are such products: unit
+vectors, and the entries of Verma-type bases, carry that very object.
+A Scalar equal to 1 but built elsewhere takes the general path below,
+which gives an equal result.
+
 Most scalars have den (1): the constants, and the tau-polynomials that
 K and the module entries are made of.  A den of length 1 is monic, so it
 is (1), and the field operations take any two such operands first,
@@ -196,6 +204,11 @@ class Scalar:
 
     def __mul__(self, other):
         a, b = self.num, other.num
+        one = a[0].s.one
+        if other is one:
+            return self
+        if self is one:
+            return other
         if len(self.den) == 1 and len(other.den) == 1:
             if len(a) == 1 and len(b) == 1:
                 c = a[0] * b[0]

@@ -77,7 +77,9 @@ class Session:
     The session also holds the caches of its arithmetic: q_power results
     keyed by weight (only weights on the (1/N)Z lattice are stored, so an
     off-lattice weight raises RejectedInputError on every call), quantum
-    integers, and the table of solved cyclotomic inverses.  Two caches
+    integers, the table of solved cyclotomic inverses, and the labels of
+    `structure.simple_label` keyed by checked weight (as for q_power, an
+    off-lattice weight is never stored and raises on every call).  Two caches
     belong to `repmod.build_generalized_verma`: the built V(lam, m) keyed
     by (checked weight, degree), and the PBW normal forms of E*F^t keyed
     by t.  Neither key is stored before the weight and degree are checked,
@@ -127,6 +129,7 @@ class Session:
         self._qint_cache = {}
         self._inv_cache = {}
         self._q_power_cache = {}  # weight -> q^weight, lattice weights only
+        self._label_cache = {}  # checked weight -> structure.simple_label
         self._verma_cache = {}  # (weight, degree) -> V(weight, degree)
         self._ef_normal_forms = {}  # t -> PBW normal form of E*F^t
 

@@ -110,11 +110,22 @@ def atypical_decompose(session, w):
 
 
 def simple_label(session, w):
-    """("M", w) for typical w, else ("L", i, k) with w = i + k*ell/2."""
-    if typicality(session, w).typical:
-        return ("M", w)
-    i, k = atypical_decompose(session, w)
-    return ("L", i, k)
+    """("M", w) for typical w, else ("L", i, k) with w = i + k*ell/2.
+
+    w is checked onto the lattice first, and the label carries the
+    checked Fraction.  Labels are kept on the session, keyed by that
+    Fraction, so an off-lattice w raises on every call.
+    """
+    lab = session._label_cache.get(w)
+    if lab is None:
+        verdict = typicality(session, w)
+        w = verdict.weight
+        if verdict.typical:
+            lab = ("M", w)
+        else:
+            lab = ("L",) + atypical_decompose(session, w)
+        session._label_cache[w] = lab
+    return lab
 
 
 def simple_dim(session, w):

@@ -350,6 +350,26 @@ def test_fast_paths_match_general_form_and_oracle(session):
                 assert got == _reference_form(session, num, den)
 
 
+def test_product_with_the_unit_object_is_the_other_operand(session):
+    """x * one and one * x return x itself when one is the session's
+    unit object, for a constant, a tau-polynomial and a rational
+    function; a fresh Scalar equal to 1 takes the general path and gives
+    an equal product."""
+    s = session
+    const = s.from_cyc(s.q_power(1)) + s.from_rational(Fraction(1, 3))
+    poly = s.tau_power(2, Fraction(3)) + const
+    ratio = (s.tau * s.tau + const) / (s.tau + s.from_rational(2))
+    assert const.is_constant() and len(poly.num) == 3 and len(ratio.den) == 2
+    fresh = s.from_rational(1)
+    assert fresh == s.one and fresh is not s.one
+    for x in (const, poly, ratio, s.zero, s.one):
+        assert x * s.one is x
+        assert s.one * x is x
+        assert x * fresh == x == fresh * x
+        assert x * fresh == Scalar._make(_pmul(x.num, fresh.num),
+                                         _pmul(x.den, fresh.den))
+
+
 # ---------------------------------------------------------------------
 # q-arithmetic
 # ---------------------------------------------------------------------

@@ -100,6 +100,62 @@ def test_typical_simple_label(session):
     assert simple_dim(session, lam) == session.r
 
 
+def _uncached_label(session, w):
+    """The label from typicality and atypical_decompose, with no memo."""
+    verdict = typicality(session, w)
+    if verdict.typical:
+        return ("M", verdict.weight), session.r
+    i, k = atypical_decompose(session, verdict.weight)
+    return ("L", i, k), i + 1
+
+
+@pytest.mark.parametrize("ell", [5, 8])
+def test_simple_label_memo_matches_uncached_reference(ell):
+    """On a fresh session, the memoized simple_label and simple_dim equal
+    the uncached reference for every weight in [-3r, 3r] in steps of 1/2,
+    on the first call and on a repeat; only checked Fractions are
+    stored."""
+    s = Session(ell)
+    ws = [Fraction(n, 2) for n in range(-6 * s.r, 6 * s.r + 1)]
+    for _ in range(2):
+        for w in ws:
+            lab, dim = _uncached_label(s, w)
+            assert simple_label(s, w) == lab
+            assert simple_dim(s, w) == dim
+    assert set(s._label_cache) == set(ws)
+    assert all(type(w) is Fraction for w in s._label_cache)
+
+
+@pytest.mark.parametrize("ell", [5, 8])
+def test_simple_label_carries_the_checked_fraction(ell):
+    """A float, int or text weight gets the label of its Fraction, with
+    the Fraction in it, whether or not that label was memoized first."""
+    w = Fraction(3, 2)
+    for first in (w, 1.5, "3/2"):
+        s = Session(ell)
+        assert typicality(s, w).typical
+        simple_label(s, first)
+        for other in (w, 1.5, "3/2"):
+            lab = simple_label(s, other)
+            assert lab == ("M", w) and type(lab[1]) is Fraction
+        assert list(s._label_cache) == [w]
+    s = Session(ell)
+    assert simple_label(s, 2.0) == simple_label(s, 2) == \
+        simple_label(s, Fraction(2)) == ("L", 2, 0)
+
+
+def test_off_lattice_label_raises_on_every_call(s5):
+    """Weight 1/3 is refused on each call and is never stored."""
+    before = dict(s5._label_cache)
+    for _ in range(3):
+        with pytest.raises(RejectedInputError):
+            simple_label(s5, Fraction(1, 3))
+        with pytest.raises(RejectedInputError):
+            simple_dim(s5, Fraction(1, 3))
+    assert s5._label_cache == before
+    assert Fraction(1, 3) not in s5._label_cache
+
+
 # ---------------------------------------------------------------------
 # submodules and quotients
 # ---------------------------------------------------------------------
@@ -1421,6 +1477,31 @@ def test_nilpotent_chains_match_matrix_powers(session, chain_modules_by_ell,
         assert degrees == _ref_label_degrees(mod)
         assert max(degrees) == SUBQUOTIENT_DEGREES[name]
         assert verify_relations(mod)["status"] == "pass"
+
+
+def test_unit_vector_columns_make_no_cyclotomic_product(session,
+                                                         monkeypatch):
+    """Applying a Verma's F columns to a unit vector multiplies every
+    column entry by the session's unit object, and no such product
+    reaches Cyc.__mul__."""
+    from uqwb.cyclotomic import Cyc
+    from uqwb.linalg import _apply
+
+    real = Cyc.__mul__
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+    for m in (0, 1):
+        mod = build_generalized_verma(session, Fraction(1), m)
+        cols = mod.columns("F")
+        monkeypatch.setattr(Cyc, "__mul__", counted)
+        images = [_apply(cols, {j: session.one}) for j in range(mod.dim)]
+        monkeypatch.setattr(Cyc, "__mul__", real)
+        assert calls == []
+        assert images == [dict(col) for col in cols]
+        assert any(images)
 
 
 def test_nilpotent_part_walked_once(session, monkeypatch):

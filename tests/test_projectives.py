@@ -29,7 +29,10 @@ from uqwb import (
     verify_dominant_generation,
     verify_relations,
 )
-from uqwb.repmod import ModuleRep
+from uqwb import projectives, structure
+from uqwb.linalg import SMat, invert_dense
+from uqwb.repmod import ModuleRep, direct_sum
+from uqwb.structure import _intertwiner_ok
 
 
 def test_proj_index_is_a_bijection(session):
@@ -311,3 +314,151 @@ def test_summand_rejects_untypical_setup():
     s = Session(5)
     mod = build_via_tensor_summand(s, s.r - 2, 0)
     assert iso_test(mod, build_projective_cover(s, s.r - 2, 0)) is not None
+
+
+# ---------------------------------------------------------------------
+# isomorphisms out of the cover, from its generator
+# ---------------------------------------------------------------------
+
+def _counting(monkeypatch, module, name):
+    """Wrap module.name so that its calls are counted; the list of
+    calls (one None per call) is returned."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("twist", [0, 1, -2])
+def test_cover_words_reproduce_the_basis(session, twist):
+    """Applied to the generator g of the cover itself, the words of
+    _cover_maps are the cover's basis vectors, in its index order: the
+    map they define at v = g is the identity on P."""
+    for m in (0, 1, 2):
+        for i in range(session.r - 1):
+            p = build_projective_cover(session, i, m, twist)
+            phi = projectives._cover_maps(p, i, m, twist)
+            gen = {generator_index(session, i, m): session.one}
+            assert phi(p, gen) == SMat.identity(session, p.dim), (i, m)
+
+
+def test_cover_iso_returns_checked_isomorphisms(session):
+    """The route's map P -> dual(P) is an intertwiner and invertible (by
+    the dense reference inverse).  At m >= 1 the first candidate, the
+    last unit vector of the dual's weight block, gives a singular
+    intertwiner, which the route's rank check must refuse."""
+    r = session.r
+    for i, m, twist in [(0, 1, 0), (1, 1, 1), (r - 2, 2, -2)]:
+        p = build_projective_cover(session, i, m, twist)
+        dual = build_dual(p)
+        w = p.labels[generator_index(session, i, m)].weight
+        first = {dual.graded_blocks()[w][-1]: session.one}
+        h = projectives._cover_maps(p, i, m, twist)(dual, first)
+        assert _intertwiner_ok(h, p, dual)
+        assert invert_dense(h.to_dense(), session.zero, session.one) is None
+        g = projectives._cover_iso(p, dual, i, m, twist)
+        assert g is not None
+        assert _intertwiner_ok(g, p, dual)
+        assert invert_dense(g.to_dense(), session.zero,
+                            session.one) is not None
+
+
+def test_cover_iso_refuses_an_invertible_non_intertwiner(session):
+    """q is the cover with E doubled, which is not a U-module, so no
+    isomorphism P -> q exists.  The words at q's generator still give an
+    invertible map; the route's intertwiner check must refuse it, and
+    every other candidate."""
+    i, m = 1, 1
+    p = build_projective_cover(session, i, m)
+    q = ModuleRep(session, p.labels, p.matE.scale(session.from_rational(2)),
+                  p.matF, p.matH, m, name="E doubled")
+    gen = {generator_index(session, i, m): session.one}
+    h = projectives._cover_maps(p, i, m, 0)(q, gen)
+    assert invert_dense(h.to_dense(), session.zero, session.one) is not None
+    assert not _intertwiner_ok(h, p, q)
+    assert projectives._cover_iso(p, q, i, m, 0) is None
+
+
+def test_cover_iso_route_solves_no_hom_space(session, monkeypatch):
+    """Certifying covers built in place, twisted or not, and the
+    tensor-summand construction of P_{r-2}^1 never call _hom_basis: the
+    generator route finds every isomorphism."""
+    homs = _counting(monkeypatch, structure, "_hom_basis")
+    for i in range(session.r - 1):
+        for m, twist in [(0, 1), (1, 0), (1, -2)]:
+            rep = certify_projcover_structure(session, i, m, twist)
+            assert rep["status"] == "pass", (i, m, twist)
+    assert certify_projcover_structure(session, 1, 2, 1)["status"] == "pass"
+    build_via_tensor_summand(session, session.r - 2, 1)
+    assert not homs
+
+
+def _reversed_basis(mod):
+    """mod in the reversed basis: index k becomes dim - 1 - k."""
+    n = mod.dim
+
+    def rev(mat):
+        out = SMat(mod.session, n, n)
+        for i, row in enumerate(mat.rows):
+            for j, x in row.items():
+                out.rows[n - 1 - i][n - 1 - j] = x
+        return out
+
+    return ModuleRep(mod.session, mod.labels[::-1], rev(mod.matE),
+                     rev(mod.matF), rev(mod.matH), mod.max_degree,
+                     name="reversed")
+
+
+def test_reversed_cover_certifies_through_the_fallback(session,
+                                                       monkeypatch):
+    """The cover in the reversed basis is not in the cover's layout, so
+    the route returns None and iso_test decides self-duality: the report
+    equals the one of the cover built in place."""
+    i, m = 1, 1
+    q = _reversed_basis(build_projective_cover(session, i, m))
+    assert projectives._cover_iso(q, build_dual(q), i, m, 0) is None
+    expected = certify_projcover_structure(session, i, m)
+    homs = _counting(monkeypatch, structure, "_hom_basis")
+    assert certify_projcover_structure(session, i, m, module=q) == expected
+    assert expected["status"] == "pass"
+    assert len(homs) == 1
+
+
+def test_fallback_decides_when_the_route_finds_nothing(session,
+                                                       monkeypatch):
+    """With the route made to find nothing, self-duality and the
+    tensor summand are still certified, each through one iso_test."""
+    monkeypatch.setattr(projectives, "_cover_iso", lambda *args: None)
+    isos = _counting(monkeypatch, projectives, "iso_test")
+    assert certify_projcover_structure(session, 1, 1)["status"] == "pass"
+    assert len(isos) == 1
+    build_via_tensor_summand(session, session.r - 2, 0)
+    assert len(isos) == 2
+
+
+def test_sum_of_vermas_is_not_self_dual_through_the_fallback(
+        session, monkeypatch):
+    """Negative control: V(i, m) + V(j+r, m) in the cover's layout is the
+    cover without its unit E entries.  E^{j+1} g = 0 lies outside the
+    submodule chain, so the route returns None; iso_test then decides,
+    and the sum of two Vermas is not self-dual."""
+    i, m = 1, 1
+    j = session.r - 2 - i
+    p = build_projective_cover(session, i, m)
+    ds = direct_sum(build_generalized_verma(session, Fraction(i), m),
+                    build_generalized_verma(session, Fraction(j + session.r),
+                                            m))
+    assert ([lab.weight for lab in ds.labels]
+            == [lab.weight for lab in p.labels])
+    assert projectives._cover_maps(ds, i, m, 0) is None
+    assert projectives._cover_iso(ds, build_dual(ds), i, m, 0) is None
+    homs = _counting(monkeypatch, structure, "_hom_basis")
+    rep = certify_projcover_structure(session, i, m, module=ds)
+    assert [it["ok"] for it in rep["items"]
+            if it["check"] == "self-duality"] == [False]
+    assert len(homs) == 1

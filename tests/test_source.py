@@ -194,6 +194,21 @@ def test_one_scalar_inverse():
     assert sites == ["structure._insert"]
 
 
+def test_iso_test_only_as_the_cover_route_fallback():
+    """projectives.py reaches iso_test (and through it the Hom solve)
+    only from the two sites that try the generator route _cover_iso
+    first: self-duality in certify_projcover_structure and the
+    isomorphism of build_via_tensor_summand.  It calls _hom_basis
+    nowhere."""
+    sites = sorted(site for site in _call_sites("iso_test")
+                   if site.startswith("projectives."))
+    assert sites == ["projectives.build_via_tensor_summand",
+                     "projectives.certify_projcover_structure"]
+    assert sorted(_call_sites("_cover_iso")) == sites
+    assert not [site for site in _call_sites("_hom_basis")
+                if site.startswith("projectives.")]
+
+
 def test_one_elimination():
     """structure.py and projectives.py take nothing from linalg but SMat
     and the sparse row arithmetic (_apply, _axpy), and make no dense copy

@@ -31,8 +31,8 @@ per weight block of size n.
 
 Every basis vector of the cover is a fixed word in its generator, so an
 isomorphism out of the cover (onto its dual, or onto the summand) is
-built from the image of the generator alone and checked exactly; the
-Hom solve of iso_test is only the fallback.
+built from the image of the generator alone (structure._verma_map) and
+checked exactly; the Hom solve of iso_test is only the fallback.
 """
 
 from __future__ import annotations
@@ -54,14 +54,14 @@ from .repmod import (
     verify_relations,
 )
 from .structure import (
+    _block_pairs,
     _blocks_full_rank,
-    _chain_from_hw,
     _costandard,
     _intertwiner_ok,
     _kernel,
     _shifted,
     _solve,
-    _verma_map_from_chain,
+    _verma_map,
     extract_standard_filtration,
     SubmoduleBasis,
     iso_test,
@@ -228,9 +228,9 @@ def _cover_maps(p, i, m, twist):
     w = i + twist*ell/2 and N = H - (j + r + twist*ell/2), the lifted
     chain is a_{t,k} = F^t (H - w)^{m-k} g and the submodule chain F^t u_k
     with u_k = N^{m-k} p(N) E^{j+1} g; column c of phi(q, v) is word c at
-    v, so phi(p, g) is the identity.  The two chains are built as the
-    maps out of V(w, m) and V(j+r+twist*ell/2, m) that
-    _verma_map_from_chain builds.  The m + 1 coefficients of p are one
+    v, so phi(p, g) is the identity.  The two chains are the maps
+    _verma_map builds out of V(w, m) and V(j+r+twist*ell/2, m), with top
+    images v and the word u_m at v.  The m + 1 coefficients of p are one
     _solve on p, of sum_a x_a N^a E^{j+1} g = u_m.  The layout fails when
     the generator or u_m has the wrong weight label, or when E^{j+1} g
     lies outside the span of the u_k.  phi(q, v) is an intertwiner only
@@ -275,8 +275,8 @@ def _cover_maps(p, i, m, twist):
         for a, x in enumerate(raised(q, v)):
             if a in coeffs:
                 u = _axpy(u, coeffs[a], x)
-        low = _verma_map_from_chain(q, _chain_from_hw(q, v, w, m), w, m)
-        high = _verma_map_from_chain(q, _chain_from_hw(q, u, hi, m), hi, m)
+        low = _verma_map(q, v, w, m)
+        high = _verma_map(q, u, hi, m)
         return SMat(s, q.dim, p.dim, [
             {**a, **{off + c: x for c, x in b.items()}}
             for a, b in zip(low.rows, high.rows)])
@@ -297,15 +297,12 @@ def _cover_iso(p, q, i, m, twist):
     q): the callers then fall back to iso_test.
     """
     phi = _cover_maps(p, i, m, twist)
-    blocks_p = p.graded_blocks()
-    blocks_q = q.graded_blocks()
-    if (phi is None
-            or {w: len(idx) for w, idx in blocks_p.items()}
-            != {w: len(idx) for w, idx in blocks_q.items()}):
+    pairs = _block_pairs(p, q)
+    if phi is None or pairs is None:
         return None
     s = p.session
-    pairs = [(blocks_q[w], idx) for w, idx in blocks_p.items()]
-    for c in reversed(blocks_q[p.labels[generator_index(s, i, m)].weight]):
+    w = p.labels[generator_index(s, i, m)].weight
+    for c in reversed(q.graded_blocks()[w]):
         g = phi(q, {c: s.one})
         if _blocks_full_rank(g, pairs) and _intertwiner_ok(g, p, q):
             return g

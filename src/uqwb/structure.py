@@ -24,10 +24,12 @@ The public functions take and return dense lists.
 `_hom_basis` solves Hom_U(a, b) for any two modules over one field, weight
 block by weight block, in one such sparse echelon; `iso_test`, once the
 weight blocks match, looks for an invertible element among that basis
-and a few seeded combinations of it.  One constructor,
-`_subquotient`, builds every submodule, quotient and S_j / S_{j-1}
-straight from the parent's columns, and Verma recognition decides from
-one chain top (`is_generalized_verma`).
+and a few seeded combinations of it.  Every isomorphism decision
+pairs weight blocks through `_block_pairs`, and every map out of
+V(w, deg) is built from the image of its top vector by `_verma_map`.
+One constructor, `_subquotient`, builds every submodule, quotient and
+S_j / S_{j-1} straight from the parent's columns, and Verma recognition
+decides from one chain top (`is_generalized_verma`).
 
 Closure is decided once, where a subspace comes from: `_subquotient`
 checks nothing, the public quotient and submodule constructors check a
@@ -521,6 +523,17 @@ def _blocks_full_rank(g, pairs):
                for rows, cols in pairs)
 
 
+def _block_pairs(a, b):
+    """The (b's indices, a's indices) of each weight of a, for
+    _blocks_full_rank; None if a and b differ in weight-block sizes."""
+    blocks_a = a.graded_blocks()
+    blocks_b = b.graded_blocks()
+    if ({w: len(idx) for w, idx in blocks_a.items()}
+            != {w: len(idx) for w, idx in blocks_b.items()}):
+        return None
+    return [(blocks_b[w], idx) for w, idx in blocks_a.items()]
+
+
 def _same_field(a, b):
     """Refuse modules over two fields, each set by (ell, N) as for a dump."""
     fields = [(m.session.ell, m.session.N) for m in (a, b)]
@@ -607,10 +620,8 @@ def iso_test(a, b, seed=0):
     _same_field(a, b)
     if a.matE == b.matE and a.matF == b.matF and a.matH == b.matH:
         return SMat.identity(a.session, a.dim)
-    blocks_a = a.graded_blocks()
-    blocks_b = b.graded_blocks()
-    if ({w: len(idx) for w, idx in blocks_a.items()}
-            != {w: len(idx) for w, idx in blocks_b.items()}):
+    pairs = _block_pairs(a, b)
+    if pairs is None:
         return None
     basis = _hom_basis(a, b)
     s = a.session
@@ -624,7 +635,6 @@ def iso_test(a, b, seed=0):
                 mix = mix + h.scale(s.from_rational(rng.randint(1, 7)))
             yield mix
 
-    pairs = [(blocks_b[w], idx) for w, idx in blocks_a.items()]
     for g in candidates():
         if _blocks_full_rank(g, pairs):
             if not _intertwiner_ok(g, a, b):
@@ -638,27 +648,19 @@ def iso_test(a, b, seed=0):
 # generalized Verma recognition
 # ---------------------------------------------------------------------
 
-def _chain_from_hw(mod, u, w, deg):
-    """v^deg .. v^0 with v^{k-1} = (H - w) v^k, as a list indexed by k.
-
-    u and the chain are sparse vectors.
-    """
-    shift = mod.session.from_rational(w)
-    chain = [None] * (deg + 1)
-    chain[deg] = u
-    for k in range(deg, 0, -1):
-        chain[k - 1] = _shifted(mod, chain[k], shift)
-    return chain
-
-
-def _verma_map_from_chain(mod, chain, w, deg):
-    """Canonical map V(w,deg) -> mod sending F^t v^k to F^t chain[k]."""
+def _verma_map(mod, u, w, deg):
+    """The map V(w, deg) -> mod fixed by v^deg -> u, a sparse vector:
+    F^t v^k goes to F^t (H - w)^{deg-k} u.  It is an intertwiner only
+    for some u, and nothing here checks it."""
     s = mod.session
     r = s.r
     n = deg + 1
+    shift = s.from_rational(w)
+    cur = [u] * n
+    for k in range(deg, 0, -1):
+        cur[k - 1] = _shifted(mod, cur[k], shift)
     fcols = mod.columns("F")
     g = SMat(s, mod.dim, r * n)
-    cur = chain
     for t in range(r):
         for k in range(n):
             for i, x in cur[k].items():
@@ -690,19 +692,15 @@ def is_generalized_verma(mod, lam, deg):
     if mod.dim != (deg + 1) * s.r:
         return False
     verma = build_generalized_verma(s, lam, deg)
-    blocks = mod.graded_blocks()
-    n = deg + 1
-    pairs = [(blocks.get(lam - 2 * t, []), range(t * n, (t + 1) * n))
-             for t in range(s.r)]
     u = _chain_top(mod, lam, deg)
     if u is None:
         return False
-    chain = _chain_from_hw(mod, u, lam, deg)
-    g = _verma_map_from_chain(mod, chain, lam, deg)
+    g = _verma_map(mod, u, lam, deg)
     if not _intertwiner_ok(g, verma, mod):
         raise DiagnosticError(
             "canonical chain map failed equivariance at weight %s" % (lam,))
-    invertible = _blocks_full_rank(g, pairs)
+    pairs = _block_pairs(verma, mod)
+    invertible = pairs is not None and _blocks_full_rank(g, pairs)
     generated = _generated(mod, [u]).dim == mod.dim
     if invertible != generated:
         raise DiagnosticError(
@@ -1096,8 +1094,7 @@ def verma_splitting_section(mod, f, lam, deg):
                mod.dim)
     if u is None:
         raise RejectedInputError("f is not surjective onto the chain")
-    chain = _chain_from_hw(mod, xpxm(mod, u[0]), lam, deg)
-    g = _verma_map_from_chain(mod, chain, lam, deg)
+    g = _verma_map(mod, xpxm(mod, u[0]), lam, deg)
     if not (f @ g - SMat.identity(s, verma.dim)).is_zero():
         raise DiagnosticError("section fails f*g = id")
     if not _intertwiner_ok(g, verma, mod):
@@ -1124,8 +1121,7 @@ def standard_top_surjection(mod, deg):
     if u is None:
         raise DiagnosticError("top quotient has no highest-weight chain "
                               "at %s" % (lam,))
-    chain = _chain_from_hw(quot, u, lam, deg)
-    g = _verma_map_from_chain(quot, chain, lam, deg)
+    g = _verma_map(quot, u, lam, deg)
     # f = g^-1 push: column col of f solves g x = push(e_col), so row al
     # of B is {col: push(e_col)[al]}.  g is square, as the verified
     # certificate makes quot a V(lam, deg), and push is onto quot, so a
@@ -1155,7 +1151,8 @@ def bgg_table(session, m, weights, seed=0):
     Each untwisted P_i^m is built and searched once per call; a twist
     gets the search's chain by transport (_twisted_chain).  Every
     returned certificate is verified once, and every twisted cover
-    passes its own relation check.
+    passes its own relation check.  The table makes no random choice,
+    so seed is never read.
     """
     from .projectives import _twist, build_projective_cover
 

@@ -163,6 +163,17 @@ def _call_sites(attr):
     return sites
 
 
+def _defined(name):
+    """"file:line" of every def of name under src/uqwb."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == name]
+    return found
+
+
 def test_one_k_series():
     """The coefficients of K = q^H are read only by repmod.derive_K, so
     the library has one K series; every other K comes from it."""
@@ -177,11 +188,53 @@ def test_one_nilpotent_walk():
     assert sorted(_call_sites("_nilpotent_chains")) == [
         "repmod.nilpotent_chains", "structure._make_module"]
     assert not _call_sites("_h_nilpotent_blocks")
+    assert not _defined("_h_nilpotent_blocks")
+
+
+def test_one_verma_map():
+    """Every map out of a generalized Verma V(w, deg) is built from the
+    image of its top vector by structure._verma_map: Verma recognition,
+    the splitting section, the top surjection and the cover's two chains
+    (both in projectives._cover_maps, whose inner function is phi).  The
+    two-step builders _chain_from_hw and _verma_map_from_chain are gone."""
+    assert sorted(_call_sites("_verma_map")) == [
+        "projectives.phi", "projectives.phi",
+        "structure.is_generalized_verma",
+        "structure.standard_top_surjection",
+        "structure.verma_splitting_section"]
+    for name in ("_chain_from_hw", "_verma_map_from_chain"):
+        assert not _defined(name), name
+        assert not _call_sites(name), name
+
+
+def test_one_block_profile_check():
+    """The weight-block sizes of two modules are compared in one place,
+    structure._block_pairs, the gate of every isomorphism decision: no
+    other function builds a {weight: len(...)} profile, and no other
+    function reads the weight blocks of two modules but _hom_basis, which
+    compares no sizes."""
+    profiles, two_modules = [], []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        assert not any(isinstance(node, ast.FunctionDef)
-                       and node.name == "_h_nilpotent_blocks"
-                       for node in ast.walk(tree)), path.name
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            where = "%s.%s" % (path.stem, fn.name)
+            receivers = set()
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.DictComp)
+                        and isinstance(node.value, ast.Call)
+                        and getattr(node.value.func, "id", None) == "len"):
+                    profiles.append(where)
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", None)
+                        == "graded_blocks"):
+                    receivers.add(ast.unparse(node.func.value))
+            if len(receivers) > 1:
+                two_modules.append(where)
+    assert profiles == ["structure._block_pairs"] * 2, profiles
+    assert sorted(two_modules) == ["structure._block_pairs",
+                                   "structure._hom_basis"], two_modules
 
 
 def test_one_scalar_inverse():

@@ -51,10 +51,9 @@ from uqwb.projectives import (build_projective_cover,
 from uqwb.repmod import ModuleRep, WeightLabel, direct_sum
 from uqwb.structure import (
     SubmoduleBasis,
-    _chain_from_hw,
     _intertwiner_ok,
     _sparse,
-    _verma_map_from_chain,
+    _verma_map,
     annihilator_basis,
     quotient_with_map,
     simple_dim,
@@ -278,6 +277,12 @@ def test_iso_test_negative(session):
     assert iso_test(a, b) is None
     c = build_simple(session, 1)
     assert iso_test(a, c) is None  # different dimensions
+    # L_1 embeds in L_1 + L_2: the inclusion has full rank on every
+    # weight block of L_1, so only the block sizes refuse it
+    big = direct_sum(c, build_simple(session, 2))
+    assert structure._hom_basis(c, big)
+    assert structure._block_pairs(c, big) is None
+    assert iso_test(c, big) is None
 
 
 def test_iso_test_dual_of_semisimple_sum(session):
@@ -483,6 +488,19 @@ def test_is_generalized_verma(session):
     assert is_generalized_verma(mod, Fraction(2), 1)
     assert not is_generalized_verma(mod, Fraction(1), 1)
     assert not is_generalized_verma(mod, Fraction(2), 0)
+
+
+@pytest.mark.parametrize("deg", [0, 1, 2])
+def test_verma_map_of_the_top_is_the_identity(session, deg):
+    """The map out of V(w, deg) that sends the top v^deg to itself is the
+    identity: F^t v^k, basis vector t*(deg+1) + k, is F^t (H - w)^{deg-k}
+    v^deg.  At an integral weight and at a half-integer typical one."""
+    typical = Fraction(1, 2) if session.ell % 2 == 0 else Fraction(3, 2)
+    assert typicality(session, typical).typical
+    for w in (Fraction(1), typical):
+        v = build_generalized_verma(session, w, deg)
+        assert (_verma_map(v, {deg: session.one}, w, deg)
+                == SMat.identity(session, v.dim))
 
 
 def test_is_generalized_verma_rejects_equivariant_singular_map(session):
@@ -970,9 +988,19 @@ def test_top_surjection_rejects_singular_chain_map(session, monkeypatch,
     monkeypatch.setattr(structure, "extract_standard_filtration",
                         lambda mod, deg: cert)
 
+    canonical = structure._verma_map
+
     def degenerate(mod, u, w, deg):
-        return [{} if chain == "zero" else u] * (deg + 1)
-    monkeypatch.setattr(structure, "_chain_from_hw", degenerate)
+        """The map on the chain [{}] * (deg + 1) or [u] * (deg + 1):
+        column t*n + k is 0, or F^t u, the canonical column t*n + deg."""
+        g = canonical(mod, u, w, deg)
+        n = deg + 1
+        g.rows = [{} if chain == "zero" else
+                  {c - deg + k: x for c, x in row.items() if c % n == deg
+                   for k in range(n)}
+                  for row in g.rows]
+        return g
+    monkeypatch.setattr(structure, "_verma_map", degenerate)
     with pytest.raises(DiagnosticError, match="chain map is singular"):
         standard_top_surjection(mod, 1)
 
@@ -1252,8 +1280,7 @@ def _chain_map(mod, lam, deg):
     vector of weight lam and degree deg."""
     u = [v for v, w, d in highest_weight_vectors(mod)
          if w == lam and d == deg][0]
-    return _verma_map_from_chain(mod, _chain_from_hw(mod, _sparse(u), lam,
-                                                     deg), lam, deg)
+    return _verma_map(mod, _sparse(u), lam, deg)
 
 
 def _keep_columns(s, dim, keep):

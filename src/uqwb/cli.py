@@ -79,10 +79,12 @@ def emit_report(rep, fmt, start, stream=None):
     return 0 if data["status"] == "pass" else FAIL_EXIT
 
 
-def write_artifact(path, data):
+def write_artifact(rep, noun, path, data):
+    """Write data to path as JSON and report "<noun> written to <path>"."""
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    rep.add("%s written to %s" % (noun, path), True)
 
 
 def typical_weights(s):
@@ -125,9 +127,7 @@ def read_json(path):
 
 def load_with_optional_session(path, args):
     data = read_json(path)
-    session = None
-    if args.ell is not None:
-        session = make_session(args)
+    session = make_session(args) if args.ell is not None else None
     return load_module(data, session)
 
 
@@ -147,8 +147,7 @@ def cmd_build(args, rep):
     rep.add("build %s dim %d" % (mod.name, mod.dim), True)
     rep.extend("relations", verify_relations(mod))
     if args.out:
-        write_artifact(args.out, dump_module(mod))
-        rep.add("dump written to %s" % args.out, True)
+        write_artifact(rep, "dump", args.out, dump_module(mod))
 
 
 def cmd_verify(args, rep):
@@ -172,8 +171,7 @@ def cmd_dual(args, rep):
     dual = build_dual(mod)
     rep.extend("relations of the dual", verify_relations(dual))
     if args.out:
-        write_artifact(args.out, dump_module(dual))
-        rep.add("dump written to %s" % args.out, True)
+        write_artifact(rep, "dump", args.out, dump_module(dual))
 
 
 def cmd_tensor(args, rep):
@@ -183,8 +181,7 @@ def cmd_tensor(args, rep):
     rep.add("tensor dim %d" % mod.dim, mod.dim == a.dim * b.dim)
     rep.extend("relations", verify_relations(mod))
     if args.out:
-        write_artifact(args.out, dump_module(mod))
-        rep.add("dump written to %s" % args.out, True)
+        write_artifact(rep, "dump", args.out, dump_module(mod))
 
 
 def cmd_filtration(args, rep):
@@ -201,8 +198,7 @@ def cmd_filtration(args, rep):
             % [str(w) for w in cert.quotient_weights()], True)
     rep.extend("certificate", verify_filtration_certificate(cert))
     if args.out:
-        write_artifact(args.out, cert.to_json())
-        rep.add("certificate written to %s" % args.out, True)
+        write_artifact(rep, "certificate", args.out, cert.to_json())
 
 
 def cmd_jh(args, rep):
@@ -236,12 +232,11 @@ def cmd_bgg(args, rep):
         rep.add("cell (%s, %s): filtration %d, composition %d"
                 % (lam, mu, a, b), ok, "counts differ")
     if args.out:
-        write_artifact(args.out, [
+        write_artifact(rep, "table", args.out, [
             {"lam": str(lam), "mu": str(mu), "filtration": a,
              "composition": b, "equal": ok}
             for (lam, mu), a, b, ok in cells
         ])
-        rep.add("table written to %s" % args.out, True)
 
 
 def cmd_pcover(args, rep):
@@ -252,8 +247,7 @@ def cmd_pcover(args, rep):
     rep.extend("generation",
                verify_dominant_generation(s, p, args.i, args.m, args.twist))
     if args.out:
-        write_artifact(args.out, dump_module(p))
-        rep.add("dump written to %s" % args.out, True)
+        write_artifact(rep, "dump", args.out, dump_module(p))
 
 
 def cmd_pcover_certify(args, rep):
@@ -277,7 +271,9 @@ def cmd_pcover_certify(args, rep):
 
 
 def cmd_verify_cert(args, rep):
-    cert = FiltrationCertificate.from_json(read_json(args.certificate))
+    session = make_session(args) if args.ell is not None else None
+    cert = FiltrationCertificate.from_json(read_json(args.certificate),
+                                           session)
     rep.add("loaded %s certificate of degree %d"
             % (cert.kind, cert.degree), True)
     rep.extend("certificate", verify_filtration_certificate(cert))
@@ -291,9 +287,9 @@ def cmd_act(args, rep):
             % (args.word, mod.dim, mat.nnz()), True)
     if args.out:
         s = mod.session
-        write_artifact(args.out, [[s.format_scalar(v) for v in row]
-                                  for row in mat.to_dense()])
-        rep.add("matrix written to %s" % args.out, True)
+        write_artifact(rep, "matrix", args.out,
+                       [[s.format_scalar(v) for v in row]
+                        for row in mat.to_dense()])
 
 
 # ---------------------------------------------------------------------

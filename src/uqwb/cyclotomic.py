@@ -14,9 +14,12 @@ operand, and a sum or difference with zero returns the other operand
 handing back the operand object itself is safe because no Cyc is
 changed after its constructor (tests/test_source.py holds the library
 to that).
-The reduction rows, and a bounded table of solved inverses, live on the
-owning session object.  Fractions appear only at the boundary
-(from_rational, scale, coefficients); there are no floats.
+The powers zeta^0 .. zeta^(M-1), the reduction rows (the powers phi ..
+2 phi - 2 of that walk) and a bounded table of solved inverses live on
+the owning session object.  `_times_zeta` is the one step of the walk,
+and `_solve_unit` takes its columns n * zeta^j with it too.  Fractions
+appear only at the boundary (from_rational, scale, coefficients); there
+are no floats.
 """
 
 from __future__ import annotations
@@ -199,6 +202,18 @@ class Cyc:
         return "Cyc(%s)" % (self.s.format_cyc(self),)
 
 
+def _times_zeta(v, base):
+    """zeta * v on a list of phi ints, the power-basis coefficients of v,
+    with base the sparse row of zeta^phi: each coefficient moves up one
+    power, and the top one is carried back through base."""
+    out = [0, *v[:-1]]
+    top = v[-1]
+    if top:
+        for j, c in base:
+            out[j] += top * c
+    return out
+
+
 def _solve_unit(session, n):
     """Integers x and det != 0 with n * x == det in Z[zeta_M].
 
@@ -210,14 +225,9 @@ def _solve_unit(session, n):
     phi = session.phi
     base = session._red_rows[0]  # zeta^phi
     # row i of the augmented matrix: coefficient i of n * zeta^j, then 1
-    cols = []
-    v = list(n)
-    for _ in range(phi):
-        cols.append(v)
-        top = v[-1]
-        v = [0] + v[:-1]
-        for j, rj in base:
-            v[j] += top * rj
+    cols = [list(n)]
+    for _ in range(phi - 1):
+        cols.append(_times_zeta(cols[-1], base))
     m = [[col[i] for col in cols] + [1 if i == 0 else 0]
          for i in range(phi)]
     prev = 1

@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConstructionError, DiagnosticError, RejectedInputError
-from .linalg import SMat, _apply, _axpy
+from .linalg import SMat, _axpy
 from .repmod import (
     ModuleRep,
     Report,
@@ -62,6 +62,7 @@ from .structure import (
     _shifted,
     _solve,
     _verma_map,
+    _word,
     extract_standard_filtration,
     SubmoduleBasis,
     iso_test,
@@ -173,11 +174,7 @@ def _graded_dominant_defect(mod, vec, w, m):
     leading-degree part is what can and must vanish.  Each factor is
     applied to the vector in turn, E before F.
     """
-    ecols = mod.columns("E")
-    fcols = mod.columns("F")
-    x = vec
-    for _ in range(2):
-        x = _apply(fcols, _apply(ecols, x))
+    x = _word(mod, vec, "EFEF")
     shift = mod.session.from_rational(w)
     for _ in range(m):
         x = _shifted(mod, x, shift)
@@ -205,17 +202,12 @@ def verify_dominant_generation(session, p, i, m, twist=0):
     sub = submodule_generated(p, [gen])
     rep.add("single-vector generation", sub.dim == p.dim,
             "generated dimension %d of %d" % (sub.dim, p.dim))
-    # F^{i+1} and then F^r of the generator, one F step at a time
     li = proj_index(session, i, m, "L", 0, m)
-    fcols = p.columns("F")
-    got = {gi: session.one}
-    for _ in range(i + 1):
-        got = _apply(fcols, got)
+    got = _word(p, {gi: session.one}, "F" * (i + 1))
     rep.add("F^{i+1} generator starts the L chain",
             got == {li: session.one})
-    for _ in range(session.r - i - 1):
-        got = _apply(fcols, got)
-    rep.add("F^r kills the generator", not got)
+    rep.add("F^r kills the generator",
+            not _word(p, got, "F" * (session.r - i - 1)))
     return rep.as_dict()
 
 
@@ -253,10 +245,7 @@ def _cover_maps(p, i, m, twist):
 
     def raised(q, v):
         """E^{j+1} v and N^a of it, for a = 0..m."""
-        x = v
-        for _ in range(j + 1):
-            x = _apply(q.columns("E"), x)
-        out = [x]
+        out = [_word(q, v, "E" * (j + 1))]
         for _ in range(m):
             out.append(_shifted(q, out[-1], nhi))
         return out

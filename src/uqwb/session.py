@@ -3,7 +3,9 @@
 A session fixes ell (so q = exp(2*pi*i/ell) is a primitive ell-th root of
 unity), the weight denominator N (weights live in (1/N)Z), the cyclotomic
 order M = 2*N*ell, and the coefficient mode used for the K = q^H series on
-nilpotent blocks.
+nilpotent blocks.  The field's two int tables, the powers zeta^0 ..
+zeta^(M-1) and the reduction rows zeta^phi .. zeta^(2*phi-2) that products
+reduce by, are read off one walk from 1 by `cyclotomic._times_zeta`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, _times_zeta
 from .errors import RejectedInputError
 from .scalars import Scalar
 
@@ -116,10 +118,17 @@ class Session:
         # for every integer k.
         self._q_exp_unit = 2 * weight_denominator
 
+        # zeta^k by _times_zeta; products reduce by zeta^phi..zeta^(2*phi-2)
         coeffs = _cyclotomic_coeffs(self.M)
-        self.phi = len(coeffs) - 1
-        self._red_rows = self._build_reduction_rows(coeffs)
-        self._zeta_table = self._build_zeta_table()
+        phi = self.phi = len(coeffs) - 1
+        base = tuple((j, -c) for j, c in enumerate(coeffs[:phi]) if c)
+        cur = [1] + [0] * (phi - 1)
+        self._zeta_table = []
+        for _ in range(self.M):
+            self._zeta_table.append(Cyc(self, tuple(cur)))
+            cur = _times_zeta(cur, base)
+        self._red_rows = [tuple((j, c) for j, c in enumerate(z.n) if c)
+                          for z in self._zeta_table[phi:2 * phi - 1]]
 
         self.cyc_zero = Cyc.from_rational(self, 0)
         self.cyc_one = Cyc.from_rational(self, 1)
@@ -132,36 +141,6 @@ class Session:
         self._label_cache = {}  # checked weight -> structure.simple_label
         self._verma_cache = {}  # (weight, degree) -> V(weight, degree)
         self._ef_normal_forms = {}  # t -> PBW normal form of E*F^t
-
-    def _build_reduction_rows(self, cyclo):
-        """Integer rows expressing zeta^k, k = phi .. 2*phi-2, in the power
-        basis, each kept sparse as (index, coefficient) pairs.  cyclo is
-        the monic cyclotomic polynomial, ascending."""
-        phi = self.phi
-        base = [-c for c in cyclo[:phi]]  # zeta^phi
-        dense = [base]
-        for _ in range(phi - 2):
-            prev = dense[-1]
-            nxt = [0] + prev[: phi - 1]
-            top = prev[phi - 1]
-            if top:
-                nxt = [a + top * b for a, b in zip(nxt, base)]
-            dense.append(nxt)
-        return [tuple((j, c) for j, c in enumerate(row) if c)
-                for row in dense]
-
-    def _build_zeta_table(self):
-        phi = self.phi
-        base = self._red_rows[0]
-        table = []
-        cur = [1] + [0] * (phi - 1)
-        for _ in range(self.M):
-            table.append(Cyc(self, tuple(cur)))
-            top = cur[phi - 1]
-            cur = [0] + cur[: phi - 1]
-            for j, c in base:
-                cur[j] += top * c
-        return table
 
     # -- scalar constructors ------------------------------------------
 

@@ -11,7 +11,8 @@ wide, instead of full-dimension ones.
 
 Vectors are sparse {index: Scalar} dicts without zeros, applied through
 the cached columns of E, F and H (`ModuleRep.columns`) with linalg's
-sparse row arithmetic (`_apply`, `_axpy`).  Submodules are
+sparse row arithmetic (`_apply`, `_axpy`); a word in E and F is
+applied one letter at a time by `_word`.  Submodules are
 SubmoduleBasis objects: sparse reduced echelon bases of homogeneous
 vectors, so reducing a vector touches only the rows of its own weight.
 That echelon is the library's one elimination: every kernel (`_kernel`)
@@ -161,6 +162,14 @@ def _dense(mod, vec):
 def _shifted(mod, vec, shift):
     """(H - shift) vec for a sparse vec and a Scalar shift."""
     return _axpy(_apply(mod.columns("H"), vec), -shift, vec)
+
+
+def _word(mod, vec, word):
+    """A word in the letters E and F applied to a sparse vec, first letter
+    first: _word(mod, v, "FE") is E F v."""
+    for g in word:
+        vec = _apply(mod.columns(g), vec)
+    return vec
 
 
 def _split(mod, vec):
@@ -977,10 +986,7 @@ def _socle_rows(mod, w, cw):
     chains = mod.nilpotent_chains()
     yield from (mod.matE.rows[i] for i in blocks.get(w + 2, []))
     yield from (chains[j][0] for j in idx if chains[j])
-    fcols = mod.columns("F")
-    fpow = {j: {j: s.one} for j in idx}
-    for _ in range(cw):
-        fpow = {j: _apply(fcols, z) for j, z in fpow.items()}
+    fpow = {j: _word(mod, {j: s.one}, "F" * cw) for j in idx}
     for i in blocks.get(w - 2 * cw, []):
         yield {j: z[i] for j, z in fpow.items() if i in z}
 
@@ -994,17 +1000,13 @@ def _socle_seeds(mod):
     into the socle, closed by construction.
     """
     s = mod.session
-    fcols = mod.columns("F")
     seeds = []
     counts = {}
     for w, idx in sorted(mod.graded_blocks().items(), reverse=True):
         cw = simple_dim(s, w)
         ker = _kernel(_socle_rows(mod, w, cw), idx, s.one)
         for vec in ker:
-            top = vec
-            for _ in range(cw - 1):
-                top = _apply(fcols, top)
-            if cw > 0 and not top:
+            if cw > 0 and not _word(mod, vec, "F" * (cw - 1)):
                 raise DiagnosticError(
                     "socle vector at weight %s dies before F^%d"
                     % (w, cw - 1))
@@ -1058,8 +1060,8 @@ def verma_splitting_section(mod, f, lam, deg):
     on the extremal operators X+ = E^{r-1}, X- = F^{r-1}: the diagonal
     coefficients of X+X- on the highest-weight chain are invertible
     exactly when lam is typical.  X+X- is applied only to the vectors
-    that need it, one F or E step at a time, and both solves, on X+X- and
-    on f, are `_solve`'s.
+    that need it, as one word of F^{r-1} and then E^{r-1} (`_word`), and
+    both solves, on X+X- and on f, are `_solve`'s.
     """
     s = mod.session
     lam = s.check_weight(lam)
@@ -1070,18 +1072,11 @@ def verma_splitting_section(mod, f, lam, deg):
     if not _intertwiner_ok(f, mod, verma):
         raise RejectedInputError("f is not equivariant")
     n = deg + 1
-
-    def xpxm(module, vec):
-        """X+X- vec for a sparse vector of module."""
-        for g in ("F", "E"):
-            cols = module.columns(g)
-            for _ in range(s.r - 1):
-                vec = _apply(cols, vec)
-        return vec
+    x_pm = "F" * (s.r - 1) + "E" * (s.r - 1)  # the word of X+X-
 
     # X+X- v^k is column k of nu, on the chain v^0..v^deg (t = 0); nu is
     # triangular, and c solves nu c = e_deg
-    images = [xpxm(verma, {k: s.one}) for k in range(n)]
+    images = [_word(verma, {k: s.one}, x_pm) for k in range(n)]
     for k in range(n):
         if k not in images[k]:
             raise DiagnosticError(
@@ -1094,7 +1089,7 @@ def verma_splitting_section(mod, f, lam, deg):
                mod.dim)
     if u is None:
         raise RejectedInputError("f is not surjective onto the chain")
-    g = _verma_map(mod, xpxm(mod, u[0]), lam, deg)
+    g = _verma_map(mod, _word(mod, u[0], x_pm), lam, deg)
     if not (f @ g - SMat.identity(s, verma.dim)).is_zero():
         raise DiagnosticError("section fails f*g = id")
     if not _intertwiner_ok(g, verma, mod):

@@ -148,6 +148,29 @@ def test_filtration_and_verify_cert(tmp_path, capsys):
     assert "status: pass" in text
 
 
+def test_verify_cert_reads_the_session_flags(tmp_path, capsys):
+    """verify-cert loads the certificate's module in the session of the
+    flags when --ell is given, as verify loads a dump: a certificate of
+    another ell is a usage error naming both, and under paper-literal a
+    degree-2 certificate fails with that mode's diagnostic, exit code 1,
+    as verify of its module does."""
+    vout, cout = tmp_path / "v.json", tmp_path / "c.json"
+    assert run(capsys, "--ell", "5", "build", "verma", "--weight", "1",
+               "--degree", "2", "--out", str(vout))[0] == 0
+    assert run(capsys, "filtration", str(vout), "--degree", "2",
+               "--out", str(cout))[0] == 0
+    assert run(capsys, "--ell", "5", "verify-cert", str(cout))[0] == 0
+    code = main(["--ell", "8", "verify-cert", str(cout)])
+    assert code == 2
+    assert ("the dump is for ell 5, N 2, not the session's ell 8, N 2"
+            in capsys.readouterr().err)
+    literal = ("--ell", "5", "--mode", "paper-literal")
+    for verb, path in (("verify", vout), ("verify-cert", cout)):
+        code, text = run(capsys, *literal, verb, str(path))
+        assert code == 1, verb
+        assert "[FAIL] diagnostic: paper-literal coefficients" in text, verb
+
+
 def test_tensor_and_jh_and_decomp(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

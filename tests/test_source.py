@@ -237,6 +237,41 @@ def test_one_block_profile_check():
                                    "structure._hom_basis"], two_modules
 
 
+def test_one_word_walk():
+    """A word in E and F is applied to a vector by structure._word alone:
+    no `for _ in range(...)` loop in structure.py or projectives.py calls
+    _apply."""
+    found = []
+    for module in ("structure", "projectives"):
+        path = SRC / (module + ".py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.For)
+                    and isinstance(node.target, ast.Name)
+                    and node.target.id == "_"
+                    and isinstance(node.iter, ast.Call)
+                    and getattr(node.iter.func, "id", None) == "range"
+                    and any(isinstance(call, ast.Call)
+                            and getattr(call.func, "id", None) == "_apply"
+                            for call in ast.walk(node))):
+                found.append("%s:%d" % (module, node.lineno))
+    assert not found, found
+
+
+def test_one_zeta_walk():
+    """zeta * v on int coefficients is written once, as
+    cyclotomic._times_zeta, and called only where the session walks its
+    tables and where _solve_unit builds its columns: Session has no table
+    builders of its own."""
+    session = importlib.import_module("uqwb.session")
+    for name in ("_build_reduction_rows", "_build_zeta_table"):
+        assert not hasattr(session.Session, name), name
+        assert not _defined(name), name
+    assert [site.split(":")[0] for site in _defined("_times_zeta")] == [
+        "cyclotomic.py"]
+    assert sorted(_call_sites("_times_zeta")) == [
+        "cyclotomic._solve_unit", "session.__init__"]
+
+
 def test_one_scalar_inverse():
     """structure.py and projectives.py invert a scalar only where the
     sparse echelon scales a new row to a unit pivot
@@ -291,7 +326,7 @@ def test_one_sparse_row_arithmetic():
     the modules that walk sparse rows use linalg's two helpers."""
     linalg = importlib.import_module("uqwb.linalg")
     users = {"structure": ("_apply", "_axpy"), "repmod": ("_apply", "_axpy"),
-             "projectives": ("_apply",)}
+             "projectives": ("_axpy",)}
     for module, names in users.items():
         mod = importlib.import_module("uqwb." + module)
         for name in names:

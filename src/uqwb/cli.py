@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -61,7 +62,7 @@ FAIL_EXIT = 1
 
 
 def emit_report(rep, fmt, start, stream=None):
-    """Print the report, with the seconds since start; the exit code."""
+    """Print the report, with the seconds since start."""
     stream = stream or sys.stdout
     data = dict(rep.as_dict(), seconds=round(time.time() - start, 3))
     if fmt == "json":
@@ -76,7 +77,6 @@ def emit_report(rep, fmt, start, stream=None):
                 line += " :: %s" % (it["witness"],)
             stream.write(line + "\n")
         stream.write("seconds: %s\n" % data["seconds"])
-    return 0 if data["status"] == "pass" else FAIL_EXIT
 
 
 def write_artifact(rep, noun, path, data):
@@ -105,10 +105,34 @@ def default_bgg_weights(s):
     return weights + [w for w in typical_weights(s) if w not in weights]
 
 
-def make_session(args):
-    if args.ell is None:
+def make_session(args, ell=None):
+    """The session of the flags; ell, if given, stands in for --ell."""
+    ell = args.ell if ell is None else ell
+    if ell is None:
         raise RejectedInputError("--ell is required for this verb")
-    return Session(args.ell, args.weight_denominator, args.mode)
+    return Session(ell,
+                   2 if args.weight_denominator is None
+                   else args.weight_denominator,
+                   args.mode or MODE_EXPONENTIAL)
+
+
+def dump_session(data, args):
+    """The session a module dump is read in, or None for the dump's own.
+
+    --ell gives the session of the flags.  Without it, --weight-denominator
+    or --mode alone gives the session of the flags at the dump's own ell,
+    so load_module still compares N, and the flags' mode is the one used.
+    A dump whose ell cannot be read is left to load_module to reject.
+    """
+    if args.ell is not None:
+        return make_session(args)
+    if args.weight_denominator is None and args.mode is None:
+        return None
+    cfg = data.get("session") if isinstance(data, dict) else None
+    ell = cfg.get("ell") if isinstance(cfg, dict) else None
+    if type(ell) is not int:
+        return None
+    return make_session(args, ell)
 
 
 def read_json(path):
@@ -127,8 +151,7 @@ def read_json(path):
 
 def load_with_optional_session(path, args):
     data = read_json(path)
-    session = make_session(args) if args.ell is not None else None
-    return load_module(data, session)
+    return load_module(data, dump_session(data, args))
 
 
 # ---------------------------------------------------------------------
@@ -271,9 +294,9 @@ def cmd_pcover_certify(args, rep):
 
 
 def cmd_verify_cert(args, rep):
-    session = make_session(args) if args.ell is not None else None
-    cert = FiltrationCertificate.from_json(read_json(args.certificate),
-                                           session)
+    data = read_json(args.certificate)
+    module = data.get("module") if isinstance(data, dict) else None
+    cert = FiltrationCertificate.from_json(data, dump_session(module, args))
     rep.add("loaded %s certificate of degree %d"
             % (cert.kind, cert.degree), True)
     rep.extend("certificate", verify_filtration_certificate(cert))
@@ -406,12 +429,13 @@ def _shared_flags(suppress):
                         default=d,
                         help="order of q (q = exp(2*pi*i/ell)); "
                              "2*N*ell may not exceed %d" % MAX_ORDER)
+    # None for both: with no --ell, a dump is read in its own session
+    # unless one of them is given (dump_session)
     parent.add_argument("--weight-denominator", type=int,
-                        default=argparse.SUPPRESS if suppress else 2,
+                        default=d,
                         help="weights live in (1/N)Z (default 2)")
     parent.add_argument("--mode",
-                        default=argparse.SUPPRESS if suppress
-                        else MODE_EXPONENTIAL,
+                        default=d,
                         choices=[MODE_EXPONENTIAL, MODE_PAPER_LITERAL])
     parent.add_argument("--seed", type=int,
                         default=argparse.SUPPRESS if suppress else 0,
@@ -547,9 +571,15 @@ def main(argv=None):
         return USAGE_EXIT
     except (UqwbError, OSError, json.JSONDecodeError, KeyError) as exc:
         rep.add("diagnostic: %s" % exc, False, repr(exc))
+    try:
         emit_report(rep, args.fmt, start)
-        return FAIL_EXIT
-    return emit_report(rep, args.fmt, start)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (uqwb ... | head -1): what is left of
+        # the report goes to devnull, as the signal module's docs advise,
+        # and the exit code is still the report's
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 0 if rep.status == "pass" else FAIL_EXIT
 
 
 if __name__ == "__main__":

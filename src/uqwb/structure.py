@@ -805,13 +805,25 @@ class FiltrationCertificate:
         return FiltrationCertificate(mod, kind, degree, chain, claims)
 
 
-def verify_filtration_certificate(cert):
+def verify_filtration_certificate(cert, *, _dual=None):
     """Re-check a filtration certificate from scratch.
 
     Returns {"status", "items"} in the same shape as verify_relations.
     A member is closed only as a submodule of cert.parent: one held in
     another module fails "member j closed", the only closure check: a
     quotient over a member that is not closed fails, unbuilt.
+
+    A verma claim is checked on S_{j+1}/S_j, cut from the parent.  A
+    dual-verma claim is checked on the dual's side, with no dual built
+    per quotient: on Ann(S_j)/Ann(S_{j+1}) in the parent's dual D (one
+    build_dual, or the caller's _dual), Ann(S) being the functionals of
+    D that vanish on S and Ann(S_0) all of D.  D acts by
+    <x.f, v> = <f, theta(x) v> with theta(E) = -K F, theta(F) = -E Kinv
+    and theta(H) = H (Humphreys, BGG Category O, 3.2-3.3), so the
+    annihilator of a closed S is closed, and the pairing makes
+    Ann(S_j)/Ann(S_{j+1}) the dual of S_{j+1}/S_j as a module.
+    is_generalized_verma decides up to isomorphism, so the verdict is
+    that on build_dual(S_{j+1}/S_j).
     """
     mod = cert.parent
     rep = Report()
@@ -821,6 +833,15 @@ def verify_filtration_certificate(cert):
             and len(cert.chain) == len(cert.claims),
             "dims %s vs %d" % ([c.dim for c in cert.chain], mod.dim))
     closed = [sub.parent is mod and sub.is_closed() for sub in cert.chain]
+    if any(kind != "verma" for kind, _, _ in cert.claims):
+        dual = build_dual(mod) if _dual is None else _dual
+        # ann[j] = Ann(S_j), in chain order: None, all of the dual, for
+        # S_0 and for a member that is not closed, whose quotients are
+        # never built; 0 for a member that is all of mod
+        ann = [None] + [
+            None if not ok else SubmoduleBasis(dual) if sub.dim == mod.dim
+            else annihilator_basis(dual, sub.rows)
+            for sub, ok in zip(cert.chain, closed)]
     # a chain longer than its claims fails the first check; zip stops
     for j, (sub, (kind, w, deg)) in enumerate(zip(cert.chain,
                                                   cert.claims)):
@@ -838,19 +859,21 @@ def verify_filtration_certificate(cert):
             continue
         if not asc:
             continue
-        quot = _subquotient(mod, prev, sub)[0]
-        if kind != "verma":
-            quot = build_dual(quot)
+        if kind == "verma":
+            quot = _subquotient(mod, prev, sub)[0]
+        else:
+            quot = _subquotient(dual, ann[j + 1], ann[j])[0]
         rep.add(what, is_generalized_verma(quot, w, deg))
     return rep.as_dict()
 
 
-def _verified(cert, what):
+def _verified(cert, what, dual=None):
     """cert once verify_filtration_certificate passes it (None stays
-    None); DiagnosticError naming the first failed item otherwise."""
+    None); DiagnosticError naming the first failed item otherwise.
+    dual, if given, is cert.parent's dual, for its dual-verma claims."""
     if cert is None:
         return None
-    rep = verify_filtration_certificate(cert)
+    rep = verify_filtration_certificate(cert, _dual=dual)
     if rep["status"] != "pass":
         raise DiagnosticError(
             "%s failed re-verification: %s"
@@ -937,7 +960,7 @@ def _costandard(mod, dual, deg):
     chain = [annihilator_basis(mod, t.rows) for t in reversed(members)]
     claims = [("dual-verma", c[1], deg) for c in reversed(dcert.claims)]
     cert = FiltrationCertificate(mod, "costandard", deg, chain, claims)
-    return _verified(cert, "costandard transport")
+    return _verified(cert, "costandard transport", dual)
 
 
 def _twisted_chain(cert, tmod, shift):

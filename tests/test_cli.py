@@ -171,6 +171,81 @@ def test_verify_cert_reads_the_session_flags(tmp_path, capsys):
         assert "[FAIL] diagnostic: paper-literal coefficients" in text, verb
 
 
+def _verma_and_certificate(tmp_path, capsys):
+    """V(1, 2) at ell 5, N 2, dumped, and its standard certificate."""
+    vout, cout = tmp_path / "v.json", tmp_path / "c.json"
+    assert run(capsys, "--ell", "5", "build", "verma", "--weight", "1",
+               "--degree", "2", "--out", str(vout))[0] == 0
+    assert run(capsys, "filtration", str(vout), "--degree", "2",
+               "--out", str(cout))[0] == 0
+    return vout, cout
+
+
+def test_mode_without_ell_reads_the_dump_in_that_mode(tmp_path, capsys):
+    """--mode alone reads a dump at its own ell in the flag's mode: under
+    paper-literal, V(1, 2) and its certificate fail with that mode's
+    diagnostic, exit code 1, as with --ell 5; with no flag, the dump's
+    own exponential mode passes."""
+    paths = _verma_and_certificate(tmp_path, capsys)
+    for verb, path in zip(("verify", "verify-cert"), paths):
+        assert run(capsys, verb, str(path))[0] == 0, verb
+        code, text = run(capsys, "--mode", "paper-literal", verb, str(path))
+        assert code == 1, verb
+        assert "[FAIL] diagnostic: paper-literal coefficients" in text, verb
+
+
+def test_weight_denominator_without_ell_is_compared(tmp_path, capsys):
+    """--weight-denominator alone reads a dump at its own ell with the
+    flag's N: an N 2 dump under --weight-denominator 4 is a usage error
+    naming both, exit code 2, and under --weight-denominator 2 it
+    passes."""
+    paths = _verma_and_certificate(tmp_path, capsys)
+    for verb, path in zip(("verify", "verify-cert"), paths):
+        assert run(capsys, "--weight-denominator", "2", verb,
+                   str(path))[0] == 0, verb
+        code = main(["--weight-denominator", "4", verb, str(path)])
+        assert code == 2, verb
+        assert ("the dump is for ell 5, N 2, not the session's ell 5, N 4"
+                in capsys.readouterr().err), verb
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    fileno() is a file of the test's, which main points at devnull."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("verify",), 0),
+    (("--mode", "paper-literal", "verify"), 1),
+])
+def test_closed_stdout_keeps_the_report_exit_code(tmp_path, capsys,
+                                                  monkeypatch, argv, want):
+    """uqwb ... | head -1: a reader that closes stdout early raises
+    BrokenPipeError on the report's write; main returns the report's own
+    exit code, 0 for a pass and 1 for a failure, and stdout is then
+    devnull."""
+    vout = _verma_and_certificate(tmp_path, capsys)[0]
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert main([*argv, str(vout)]) == want
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+
+
 def test_tensor_and_jh_and_decomp(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -862,6 +862,107 @@ def test_certificate_report_repeats_no_check(session):
     _assert_no_repeated_check(rep, len(cert.chain))
 
 
+def _per_quotient_items(cert):
+    """(check, ok) of every item of verify_filtration_certificate's
+    report, by the per-quotient route: each quotient S_{j+1}/S_j cut from
+    the parent, and a dual-verma claim decided on its own dual,
+    build_dual(S_{j+1}/S_j).  Every quotient is built, so the members
+    must be closed and ascending, as the caller checks."""
+    mod = cert.parent
+    block = (cert.degree + 1) * mod.session.r
+    items = [("chain length * block dim = dim",
+              len(cert.chain) * block == mod.dim
+              and len(cert.chain) == len(cert.claims))]
+    for j, (sub, (kind, w, deg)) in enumerate(zip(cert.chain, cert.claims)):
+        prev = cert.chain[j - 1] if j else SubmoduleBasis(mod)
+        items.append(("member %d closed" % j, sub.is_closed()))
+        items.append(("member %d dimension" % j, sub.dim == (j + 1) * block))
+        if j:
+            items.append(("member %d contains member %d" % (j, j - 1),
+                          not any(sub._reduce(row)
+                                  for row in prev.sparse_rows())))
+        quot = structure._subquotient(mod, prev, sub)[0]
+        if kind != "verma":
+            quot = build_dual(quot)
+        items.append(("quotient %d is %s(%s,%d)" % (j, kind, w, deg),
+                      is_generalized_verma(quot, w, deg)))
+    return items
+
+
+def _claims_swapped(cert):
+    return [cert.claims[1], cert.claims[0]] + cert.claims[2:]
+
+
+def _claim_weight_moved(cert):
+    kind, w, deg = cert.claims[0]
+    return [(kind, w + 2, deg)] + cert.claims[1:]
+
+
+def test_dual_side_route_matches_per_quotient_duals(session):
+    """verify_filtration_certificate decides a dual-verma claim on
+    Ann(S_j)/Ann(S_{j+1}) in the parent's dual; the per-quotient route
+    decides it on build_dual(S_{j+1}/S_j).  The two reports agree item
+    by item on the costandard certificate of every cover P_i^m (x) C(t),
+    m <= 2, t in 0, 1, -2, on copies with the two claims swapped and
+    with claim 0's weight moved by 2, and on the standard chain
+    relabelled costandard, its claims made dual-verma."""
+    verdicts = set()
+    for i in range(session.r - 1):
+        for m, t in itertools.product(range(3), (0, 1, -2)):
+            p = build_projective_cover(session, i, m, t)
+            cert = extract_costandard_filtration(p, m)
+            std = extract_standard_filtration(p, m)
+            certs = [cert] + [
+                FiltrationCertificate(p, "costandard", m, cert.chain,
+                                      fault(cert))
+                for fault in (_claims_swapped, _claim_weight_moved)]
+            certs.append(FiltrationCertificate(
+                p, "costandard", m, std.chain,
+                [("dual-verma", w, d) for _, w, d in std.claims]))
+            for c in certs:
+                want = _per_quotient_items(c)
+                assert all(ok for check, ok in want
+                           if check.startswith("member")), want
+                got = verify_filtration_certificate(c)["items"]
+                assert [(it["check"], it["ok"]) for it in got] == want, (
+                    i, m, t, c.claims)
+                verdicts.update(ok for check, ok in want
+                                if check.startswith("quotient"))
+    assert verdicts == {True, False}
+
+
+def test_costandard_verification_builds_one_dual(s5, monkeypatch):
+    """Verifying a costandard certificate builds one dual, of the
+    parent, and none of a quotient, and takes each annihilator once:
+    one per member below the top, which is the parent.  A standard
+    certificate builds no dual, and extraction hands its dual to the
+    verification, so it builds one in all."""
+    log = {}
+    for name in ("build_dual", "annihilator_basis"):
+        _count_calls(monkeypatch, structure, name, log)
+
+    def calls():
+        out = {n: list(v) for n, v in log.items()}
+        for v in log.values():
+            v.clear()
+        return out
+
+    for m in (1, 2):
+        p = build_projective_cover(s5, 1, m, 1)
+        cert = extract_costandard_filtration(p, m)
+        assert calls()["build_dual"] == [p]
+        std = extract_standard_filtration(p, m)
+        calls()
+        assert verify_filtration_certificate(std)["status"] == "pass"
+        assert calls() == {"build_dual": [], "annihilator_basis": []}
+        assert verify_filtration_certificate(cert)["status"] == "pass"
+        got = calls()
+        assert got["build_dual"] == [p]
+        duals = got["annihilator_basis"]
+        assert len(duals) == len(cert.chain) - 1
+        assert all(d is duals[0] and d is not p for d in duals)
+
+
 def _two_step_subquotient(lower, upper):
     """upper / lower built in two steps: upper as a module of its own,
     lower re-inserted in upper's coordinates (a vector of upper has its

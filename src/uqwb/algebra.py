@@ -52,12 +52,11 @@ class AlgebraElement:
         return AlgebraElement(session, {(name,): session.one})
 
     @staticmethod
-    def from_word(session, word, coeff=None):
+    def from_word(session, word):
         for g in word:
             if g not in GENERATORS:
                 raise RejectedInputError("unknown generator %r" % (g,))
-        c = session.one if coeff is None else coeff
-        return AlgebraElement(session, {tuple(word): c} if c else {})
+        return AlgebraElement(session, {tuple(word): session.one})
 
     @staticmethod
     def parse_word(session, text):

@@ -61,9 +61,9 @@ USAGE_EXIT = 2
 FAIL_EXIT = 1
 
 
-def emit_report(rep, fmt, start, stream=None):
+def emit_report(rep, fmt, start):
     """Print the report, with the seconds since start."""
-    stream = stream or sys.stdout
+    stream = sys.stdout
     data = dict(rep.as_dict(), seconds=round(time.time() - start, 3))
     if fmt == "json":
         json.dump(data, stream, indent=1)

@@ -13,8 +13,10 @@ lifted chain as on V(i, m), E v^k = 0 in V(i, m), and F^r = 0, so
 
 The cover is therefore glued from the two session-cached Vermas: their
 direct sum plus (r-j)(m+1) unit entries of E, one for each F^{t+j} u_k
-with t+j <= r-1.  The construction is exact by design, and the full
-relation check is run as a hard gate on every build.
+with t+j <= r-1.  The twisted cover P_i^m (x) C_t, t = k*ell/2, is glued
+alike from V(i+t, m) and V(j+r+t, m) with entries q^t = (-1)^k for the
+units, and equals the tensor entry for entry.  The construction is exact
+by design, and the full relation check is a hard gate on every build.
 
 The four basis families T, S, L, R of the classical degree-0 picture
 are recovered as slices of the two chains: T and L are the upper and
@@ -48,7 +50,6 @@ from .repmod import (
     _block_sum,
     build_dual,
     build_generalized_verma,
-    build_one_dim,
     build_simple,
     build_tensor,
     verify_relations,
@@ -104,43 +105,46 @@ def generator_index(session, i, m):
 
 
 def build_projective_cover(session, i, m, twist=0):
-    """P_i^m tensored with C_{twist*ell/2}: the projective cover of the
-    twisted simple of highest weight i + twist*ell/2 in degree m.
+    """P_i^m tensored with C_t, t = twist*ell/2: the projective cover of
+    the twisted simple of highest weight i + t in degree m.
 
-    Raises ConstructionError if the assembled matrices fail any defining
-    relation.
+    C_t shifts every weight by t and multiplies E by q^t = (-1)^twist, so
+    the cover is glued from V(i+t, m) and V(j+r+t, m) with extension
+    entries q^t, and equals the tensor entry for entry, tags and name
+    included.  Raises ConstructionError if the assembled matrices fail
+    any defining relation.
     """
     if not (0 <= i <= session.r - 2):
         raise RejectedInputError(
             "projective index %d outside 0..%d" % (i, session.r - 2))
     if m < 0:
         raise RejectedInputError("degree must be nonnegative")
+    shift = session.check_weight(Fraction(twist * session.ell, 2))
     j = session.r - 2 - i
     r = session.r
     n = m + 1
     off = r * n
-    sub = build_generalized_verma(session, Fraction(j + r), m)
-    quo = build_generalized_verma(session, Fraction(i), m)
-    # E a_{t,k} = E^{V(i,m)} F^t v^k + F^{t+j} u_k, and F^{t+j} u_k = 0
-    # once t+j >= r; the units go into the writable rows of the submodule
+    sub = build_generalized_verma(session, j + r + shift, m)
+    quo = build_generalized_verma(session, i + shift, m)
+    # E a_{t,k} = E^{V(i,m)} F^t v^k + q^shift F^{t+j} u_k, the second term
+    # 0 once t+j >= r; it is set in the submodule's (writable) rows
+    unit = session.from_cyc(session.q_power(shift))
     matE = _block_sum(quo.matE, sub.matE)
     for t in range(r - j):
         for k in range(n):
-            matE.set(off + (t + j) * n + k, t * n + k, session.one)
+            matE.set(off + (t + j) * n + k, t * n + k, unit)
 
+    # tags keep the untwisted weight; a twist adds the tensor's "|c"
+    suffix = "|c" if twist else ""
     labels = []
-    for t in range(r):
-        w = Fraction(i - 2 * t)
-        fam = "T" if t <= i else "L"
-        for s in range(n):
-            labels.append(WeightLabel(w, s, "%s[%s,%d]" % (fam, w, s)))
-    for t in range(r):
-        w = Fraction(j + r - 2 * t)
-        fam = "R" if t <= j else "S"
-        for s in range(n):
-            labels.append(WeightLabel(w, s, "%s[%s,%d]" % (fam, w, s)))
+    for top, cut, fams in ((i, i, "TL"), (j + r, j, "RS")):
+        for t in range(r):
+            w = Fraction(top - 2 * t)
+            fam = fams[t > cut]
+            labels += [WeightLabel(w + shift, s, "%s[%s,%d]%s"
+                                   % (fam, w, s, suffix)) for s in range(n)]
 
-    name = "P(%d,%d)" % (i, m)
+    name = "P(%d,%d)" % (i, m) + (" x C(%d)" % twist if twist else "")
     mod = ModuleRep(session, labels, matE, _block_sum(quo.matF, sub.matF),
                     _block_sum(quo.matH, sub.matH), m, name=name)
     rep = verify_relations(mod)
@@ -148,20 +152,6 @@ def build_projective_cover(session, i, m, twist=0):
         bad = [it["check"] for it in rep["items"] if not it["ok"]]
         raise ConstructionError(
             "projective cover construction failed relations: %s" % (bad,))
-    return _twist(mod, twist) if twist else mod
-
-
-def _twist(p, twist):
-    """p (x) C_{twist*ell/2}, named after p, once its relations pass.
-
-    The only twist path: build_projective_cover and bgg_table both take
-    their twisted covers from here.  Raises ConstructionError if the
-    tensor fails any defining relation.
-    """
-    mod = build_tensor(p, build_one_dim(p.session, twist))
-    mod.name = "%s x C(%d)" % (p.name, twist)
-    if verify_relations(mod)["status"] != "pass":
-        raise ConstructionError("twisted cover failed relations")
     return mod
 
 
@@ -184,9 +174,8 @@ def _graded_dominant_defect(mod, vec, w, m):
 def verify_dominant_generation(session, p, i, m, twist=0):
     """Check that the cover is generated by its single leading vector.
 
-    Works for both the plain and the twisted build (the one-dimensional
-    tensor factor does not change basis indices).  Returns a report in
-    the verify_relations shape.
+    Works for the plain and the twisted cover alike, which share their
+    basis indices.  Returns a report in the verify_relations shape.
     """
     rep = Report()
     z = session.zero

@@ -964,14 +964,15 @@ def _costandard(mod, dual, deg):
 
 
 def _twisted_chain(cert, tmod, shift):
-    """A standard certificate of tmod = cert.parent (x) C, unverified.
+    """A standard certificate of tmod, the twist of cert.parent by the
+    weight shift, unverified.
 
-    C is one-dimensional with E = F = 0 and H = shift, so build_tensor
-    keeps cert.parent's basis indices, and on them E acts on tmod as a
-    nonzero multiple of E, F as F and H as H + shift.  tmod therefore
-    has exactly the submodules of cert.parent, and a chain with
-    quotients V(w, deg) is one of tmod with quotients V(w + shift, deg):
-    the same rows, rebased onto tmod, and every claim weight shifted.
+    tmod has cert.parent's basis indices, and on them E acts as a
+    nonzero multiple of cert.parent's E, F as its F and H as its H +
+    shift (build_projective_cover glues it so).  tmod therefore has
+    exactly the submodules of cert.parent, and a chain with quotients
+    V(w, deg) is one of tmod with quotients V(w + shift, deg): the same
+    rows, rebased onto tmod, and every claim weight shifted.
     """
     chain = []
     for sub in cert.chain:
@@ -1167,15 +1168,15 @@ def bgg_table(session, m, weights, seed=0):
     multiplicities from the independent jordan_holder computation.
 
     Each untwisted P_i^m is built and searched once per call; a twist
-    gets the search's chain by transport (_twisted_chain).  Every
-    returned certificate is verified once, and every twisted cover
-    passes its own relation check.  The table makes no random choice,
-    so seed is never read.
+    gets the search's chain by transport (_twisted_chain) onto its own
+    cover, which build_projective_cover glues and relation-checks.
+    Every returned certificate is verified once.  The table makes no
+    random choice, so seed is never read.
     """
-    from .projectives import _twist, build_projective_cover
+    from .projectives import build_projective_cover
 
     weights = [session.check_weight(w) for w in weights]
-    covers = {}  # i -> (P_i^m, its standard chain, unverified)
+    chains = {}  # i -> the standard chain of P_i^m, unverified
     filt = {}
     for lam in weights:
         if typicality(session, lam).typical:
@@ -1183,12 +1184,13 @@ def bgg_table(session, m, weights, seed=0):
                 build_generalized_verma(session, lam, m), m)
         else:
             i, k = atypical_decompose(session, lam)
-            if i not in covers:
-                p = build_projective_cover(session, i, m)
-                covers[i] = (p, _standard_chain(p, m))
-            p, cert = covers[i]
+            if i not in chains:
+                chains[i] = _standard_chain(
+                    build_projective_cover(session, i, m), m)
+            cert = chains[i]
             if cert is not None and k:
-                cert = _twisted_chain(cert, _twist(p, k), lam - i)
+                cert = _twisted_chain(
+                    cert, build_projective_cover(session, i, m, k), lam - i)
             cert = _verified(cert, "filtration of the cover at %s" % (lam,))
         if cert is None:
             raise DiagnosticError(

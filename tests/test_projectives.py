@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from uqwb import (
+    ConstructionError,
     DiagnosticError,
     RejectedInputError,
     Session,
@@ -181,18 +182,22 @@ def test_cover_dump_digest(session, m, k):
 
 def test_cover_leaves_the_cached_vermas_unchanged(session):
     """The cover is glued from the session's cached V(i, m) and
-    V(j+r, m); building it, twisted or not, must not write into them."""
+    V(j+r, m), its twist by k = 1 from V(i + ell/2, m) and
+    V(j+r + ell/2, m); building them must not write into any of the
+    four."""
     s = Session(session.ell)
     r = s.r
+    half = Fraction(s.ell, 2)
     for i in range(r - 1):
         for m in (0, 1):
-            vermas = [build_generalized_verma(s, Fraction(lam), m)
-                      for lam in (i, 2 * r - 2 - i)]
+            weights = [Fraction(lam) + shift for shift in (0, half)
+                       for lam in (i, 2 * r - 2 - i)]
+            vermas = [build_generalized_verma(s, lam, m) for lam in weights]
             before = [dump_module(v) for v in vermas]
             for k in (0, 1):
                 build_projective_cover(s, i, m, k)
-            assert [build_generalized_verma(s, Fraction(lam), m)
-                    for lam in (i, 2 * r - 2 - i)] == vermas
+            assert [build_generalized_verma(s, lam, m)
+                    for lam in weights] == vermas
             assert [dump_module(v) for v in vermas] == before
 
 
@@ -230,11 +235,47 @@ def test_generator_weight_and_degree(session):
 
 
 def test_twist_matches_tensor_by_one_dim(session):
-    i, m, k = 1, 1, 1
-    tw = build_projective_cover(session, i, m, twist=k)
-    plain = build_projective_cover(session, i, m)
-    via = build_tensor(plain, build_one_dim(session, k))
-    assert iso_test(tw, via) is not None
+    """The glued twisted cover is the tensor of the cover with the
+    one-dimensional C(k*ell/2), named P(i,m) x C(k), entry for entry:
+    the same labels, the same E, F and H."""
+    for i in range(session.r - 1):
+        for m in (0, 1, 2):
+            plain = build_projective_cover(session, i, m)
+            for k in (-2, -1, 1, 2, 3):
+                tw = build_projective_cover(session, i, m, k)
+                via = build_tensor(plain, build_one_dim(session, k))
+                via.name = "%s x C(%d)" % (plain.name, k)
+                assert tw.name == via.name
+                assert dump_module(tw) == dump_module(via), (i, m, k)
+
+
+def test_off_lattice_twist_refused():
+    """At weight denominator 1 and odd ell, twist 1 puts the cover at
+    weight i + 5/2, off the lattice: the library and the CLI refuse it
+    by the twist weight before building anything.  Twist 2 is on it."""
+    from uqwb.cli import main
+
+    s = Session(5, 1)
+    with pytest.raises(RejectedInputError, match="weight 5/2 not in"):
+        build_projective_cover(s, 1, 1, 1)
+    assert not s._verma_cache
+    p = build_projective_cover(s, 1, 1, 2)
+    assert verify_relations(p)["status"] == "pass"
+    assert main(["--ell", "5", "--weight-denominator", "1", "pcover",
+                 "--i", "1", "--m", "1", "--twist", "1"]) == 2
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_cover_relation_gate(s5, k, monkeypatch):
+    """A cover, twisted or not, that fails a relation is refused."""
+    def failing(mod):
+        return {"status": "fail",
+                "items": [{"check": "E F - F E", "ok": False,
+                           "witness": None}]}
+
+    monkeypatch.setattr(projectives, "verify_relations", failing)
+    with pytest.raises(ConstructionError, match="E F - F E"):
+        build_projective_cover(s5, 1, 1, k)
 
 
 def test_casimir_is_central_and_constant_on_verma(session):

@@ -993,9 +993,9 @@ def test_grading_checks_compare_block_numbers(session, monkeypatch):
     weights are numbered once and each entry compares two ints.  (Per
     entry, the former checks made 340 such calls at ell 5 and 266 at
     ell 8.)"""
-    from uqwb.projectives import _twist, build_projective_cover
+    from uqwb.projectives import build_projective_cover
 
-    twisted = _twist(build_projective_cover(session, 1, 2), 1)
+    twisted = build_projective_cover(session, 1, 2, 1)
     mod = ModuleRep(session, twisted.labels, twisted.matE.copy(),
                     twisted.matF.copy(), twisted.matH.copy(),
                     twisted.max_degree)

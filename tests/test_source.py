@@ -297,6 +297,19 @@ def test_iso_test_only_as_the_cover_route_fallback():
                 if site.startswith("projectives.")]
 
 
+def test_one_cover_construction():
+    """build_projective_cover glues every cover, twisted or not, from two
+    Vermas: no _twist tensors a cover with a one-dimensional module, and
+    projectives.py builds a tensor only to split the cover off a
+    projective one in build_via_tensor_summand."""
+    assert not _defined("_twist")
+    assert not [site for site in _call_sites("build_one_dim")
+                if site.split(".")[0] in ("structure", "projectives")]
+    assert [site for site in _call_sites("build_tensor")
+            if site.startswith("projectives.")] == [
+        "projectives.build_via_tensor_summand"]
+
+
 def test_one_elimination():
     """structure.py and projectives.py take nothing from linalg but SMat
     and the sparse row arithmetic (_apply, _axpy), and make no dense copy

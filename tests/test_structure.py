@@ -738,8 +738,8 @@ def _transport(s5):
     """The unverified standard chain of P(1,1), P(1,1) x C(2) and the
     shift 2*ell/2."""
     p = build_projective_cover(s5, 1, 1)
-    return structure._standard_chain(p, 1), projectives._twist(p, 2), \
-        Fraction(5)
+    return structure._standard_chain(p, 1), \
+        build_projective_cover(s5, 1, 1, 2), Fraction(5)
 
 
 def test_transported_certificate_verifies(s5):

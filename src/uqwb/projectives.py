@@ -34,7 +34,9 @@ per weight block of size n.
 Every basis vector of the cover is a fixed word in its generator, so an
 isomorphism out of the cover (onto its dual, or onto the summand) is
 built from the image of the generator alone (structure._verma_map) and
-checked exactly; the Hom solve of iso_test is only the fallback.
+checked exactly; the Hom solve of iso_test is only the fallback.  The
+isomorphism onto the dual also carries the cover's standard chain to the
+dual's, so the costandard filtration needs no search on the dual.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .structure import (
     _costandard,
     _intertwiner_ok,
     _kernel,
+    _same_field,
     _shifted,
     _solve,
     _verma_map,
@@ -175,8 +178,10 @@ def verify_dominant_generation(session, p, i, m, twist=0):
     """Check that the cover is generated by its single leading vector.
 
     Works for the plain and the twisted cover alike, which share their
-    basis indices.  Returns a report in the verify_relations shape.
+    basis indices.  Returns a report in the verify_relations shape;
+    RejectedInputError if p is over another field than the session.
     """
+    _same_field(session, p.session)
     rep = Report()
     z = session.zero
     gi = generator_index(session, i, m)
@@ -392,11 +397,23 @@ def certify_projcover_structure(session, i, m, twist=0, seed=0,
     candidate passes, iso_test solves Hom(dual(P), P) as the fallback.
     The route's None proves nothing, but iso_test's None proves that the
     two are not isomorphic, since P has a simple top.
+
+    The costandard filtration reuses that isomorphism phi : P -> dual(P)
+    and the verified standard certificate S_1 < S_2 = P: the dual's
+    standard chain is phi(S_1) < phi(S_2), with no search on the dual,
+    and each dual-verma claim is decided on a quotient of P by the
+    orthogonals S^perp of the contravariant form B(x, y) = <phi x, y>
+    (Humphreys, BGG Category O, 3.2-3.3), which phi carries onto the
+    annihilators of the dual's side (structure._costandard).  Without
+    the route's map or a standard certificate, the dual's chain is
+    searched and the claims are decided on the dual.  A module over
+    another field than the session raises RejectedInputError.
     """
     rep = Report()
     p = module
     if p is None:
         p = build_projective_cover(session, i, m, twist)
+    _same_field(session, p.session)
     shift = Fraction(twist * session.ell, 2)
     j = session.r - 2 - i
     hi = j + session.r + shift
@@ -410,7 +427,8 @@ def certify_projcover_structure(session, i, m, twist=0, seed=0,
                 cert.quotient_weights() == [hi, lo],
                 "got %s, expected %s" % (cert.quotient_weights(), [hi, lo]))
     dual = build_dual(p)
-    ccert = _costandard(p, dual, m)
+    iso = _cover_iso(p, dual, i, m, twist)
+    ccert = _costandard(p, dual, m, iso, cert)
     rep.add("costandard filtration length 2",
             ccert is not None and len(ccert.claims) == 2,
             "no costandard filtration found")
@@ -418,7 +436,7 @@ def certify_projcover_structure(session, i, m, twist=0, seed=0,
         rep.add("costandard quotient weights",
                 ccert.quotient_weights() == [lo, hi],
                 "got %s, expected %s" % (ccert.quotient_weights(), [lo, hi]))
-    rep.add("self-duality", _cover_iso(p, dual, i, m, twist) is not None
+    rep.add("self-duality", iso is not None
             or iso_test(dual, p, seed=seed) is not None)
     tops = socle_counts(dual)
     rep.add("unique simple top", tops == {lo: 1}, "top data %s" % (tops,))

@@ -544,8 +544,9 @@ def _block_pairs(a, b):
 
 
 def _same_field(a, b):
-    """Refuse modules over two fields, each set by (ell, N) as for a dump."""
-    fields = [(m.session.ell, m.session.N) for m in (a, b)]
+    """Refuse modules of two sessions a and b over different fields, each
+    set by (ell, N) as for a dump."""
+    fields = [(s.ell, s.N) for s in (a, b)]
     if fields[0] != fields[1]:
         raise RejectedInputError("modules over different fields: (ell, N) "
                                  "= %s and %s" % tuple(fields))
@@ -571,7 +572,7 @@ def _hom_basis(a, b):
     cheaply and most E rows then reduce to zero.  E first makes the E
     rows the pivots, and inserting them costs more.
     """
-    _same_field(a, b)
+    _same_field(a.session, b.session)
     s = a.session
     blocks_a = a.graded_blocks()
     blocks_b = b.graded_blocks()
@@ -626,7 +627,7 @@ def iso_test(a, b, seed=0):
     Associative Algebras, I.4), its non-units a proper subspace, and so
     some element of every basis of Hom_U(a, b) invertible.
     """
-    _same_field(a, b)
+    _same_field(a.session, b.session)
     if a.matE == b.matE and a.matF == b.matF and a.matH == b.matH:
         return SMat.identity(a.session, a.dim)
     pairs = _block_pairs(a, b)
@@ -815,15 +816,21 @@ def verify_filtration_certificate(cert, *, _dual=None):
 
     A verma claim is checked on S_{j+1}/S_j, cut from the parent.  A
     dual-verma claim is checked on the dual's side, with no dual built
-    per quotient: on Ann(S_j)/Ann(S_{j+1}) in the parent's dual D (one
-    build_dual, or the caller's _dual), Ann(S) being the functionals of
-    D that vanish on S and Ann(S_0) all of D.  D acts by
-    <x.f, v> = <f, theta(x) v> with theta(E) = -K F, theta(F) = -E Kinv
-    and theta(H) = H (Humphreys, BGG Category O, 3.2-3.3), so the
-    annihilator of a closed S is closed, and the pairing makes
-    Ann(S_j)/Ann(S_{j+1}) the dual of S_{j+1}/S_j as a module.
+    per quotient: on Ann(S_j)/Ann(S_{j+1}) in the parent's dual D,
+    Ann(S) being the functionals of D that vanish on S and Ann(S_0) all
+    of D.  D acts by <x.f, v> = <f, theta(x) v> with theta(E) = -K F,
+    theta(F) = -E Kinv and theta(H) = H (Humphreys, BGG Category O,
+    3.2-3.3), so the annihilator of a closed S is closed, and the pairing
+    makes Ann(S_j)/Ann(S_{j+1}) the dual of S_{j+1}/S_j as a module.
     is_generalized_verma decides up to isomorphism, so the verdict is
     that on build_dual(S_{j+1}/S_j).
+
+    The private _dual = (M, G) gives D through an isomorphism G : M -> D,
+    None for the identity: G carries the kernel on M of the functionals
+    s^T G, for s in S, onto Ann(S), and so the quotients of those
+    kernels onto those of the Ann(S).  With M = parent, that kernel is
+    the orthogonal S^perp of the form <G x, y>, and every dual-verma
+    claim is decided on a quotient S_j^perp / S_{j+1}^perp of the parent.
     """
     mod = cert.parent
     rep = Report()
@@ -834,13 +841,13 @@ def verify_filtration_certificate(cert, *, _dual=None):
             "dims %s vs %d" % ([c.dim for c in cert.chain], mod.dim))
     closed = [sub.parent is mod and sub.is_closed() for sub in cert.chain]
     if any(kind != "verma" for kind, _, _ in cert.claims):
-        dual = build_dual(mod) if _dual is None else _dual
+        dual, iso = (build_dual(mod), None) if _dual is None else _dual
         # ann[j] = Ann(S_j), in chain order: None, all of the dual, for
         # S_0 and for a member that is not closed, whose quotients are
         # never built; 0 for a member that is all of mod
         ann = [None] + [
             None if not ok else SubmoduleBasis(dual) if sub.dim == mod.dim
-            else annihilator_basis(dual, sub.rows)
+            else annihilator_basis(dual, _rows_through(sub, dual, iso))
             for sub, ok in zip(cert.chain, closed)]
     # a chain longer than its claims fails the first check; zip stops
     for j, (sub, (kind, w, deg)) in enumerate(zip(cert.chain,
@@ -867,10 +874,19 @@ def verify_filtration_certificate(cert, *, _dual=None):
     return rep.as_dict()
 
 
+def _rows_through(sub, mod, g):
+    """The rows s of sub as dense rows s^T g of mod's length; sub's own
+    rows when g is None, the identity."""
+    if g is None:
+        return sub.rows
+    return [_dense(mod, _apply(g.rows, row)) for row in sub.sparse_rows()]
+
+
 def _verified(cert, what, dual=None):
     """cert once verify_filtration_certificate passes it (None stays
     None); DiagnosticError naming the first failed item otherwise.
-    dual, if given, is cert.parent's dual, for its dual-verma claims."""
+    dual, if given, is the pair (M, G) of verify_filtration_certificate's
+    _dual, for the dual-verma claims."""
     if cert is None:
         return None
     rep = verify_filtration_certificate(cert, _dual=dual)
@@ -938,29 +954,50 @@ def annihilator_basis(mod, dual_rows):
 
     Each functional must be homogeneous, as the rows of a SubmoduleBasis
     of the dual are, so the annihilator is the direct sum of its kernels
-    on the weight blocks.  No functionals give all of mod.
+    on the weight blocks; RejectedInputError names a functional that is
+    nonzero on two weight blocks.  No functionals give all of mod.
     """
     one = mod.session.one
     sub = SubmoduleBasis(mod)
-    for idx in mod.graded_blocks().values():
-        rows = ({i: row[i] for i in idx if not row[i].is_zero()}
-                for row in dual_rows)
+    seen = {}  # functional number -> the weight it lives on
+    for w, idx in mod.graded_blocks().items():
+        rows = []
+        for k, row in enumerate(dual_rows):
+            part = {i: row[i] for i in idx if not row[i].is_zero()}
+            if part:
+                if seen.setdefault(k, w) != w:
+                    raise RejectedInputError(
+                        "functional %d is not homogeneous: it has weights "
+                        "%s and %s" % (k, seen[k], w))
+                rows.append(part)
         for v in _kernel(rows, idx, one):
             sub._insert(v)
     return sub
 
 
-def _costandard(mod, dual, deg):
-    """extract_costandard_filtration of mod, given its dual module."""
-    dcert = _standard_chain(dual, deg)
-    if dcert is None:
-        return None
-    # member j annihilates the dual's member n-2-j, member -1 being 0
-    members = ([SubmoduleBasis(dual)] + dcert.chain)[:len(dcert.chain)]
-    chain = [annihilator_basis(mod, t.rows) for t in reversed(members)]
+def _costandard(mod, dual, deg, iso=None, standard=None):
+    """extract_costandard_filtration of mod, given its dual module D.
+
+    Given a verified isomorphism iso : mod -> D and mod's verified
+    standard certificate, D's standard chain is iso(S_k), verified
+    through (mod, iso); otherwise it is searched on D.
+    """
+    if iso is None or standard is None:
+        dcert = _standard_chain(dual, deg)
+        if dcert is None:
+            return None
+        image, side = None, (dual, None)
+    else:
+        dcert, image, side = standard, iso.transpose(), (mod, iso)
+    # member j annihilates the dual's member n-2-j, member -1 being 0;
+    # the dual's top member, all of it, annihilates nothing; a zero
+    # module has no members
+    below = [_rows_through(t, dual, image) for t in dcert.chain[:-1]]
+    members = ([[]] + below)[:len(dcert.chain)]
+    chain = [annihilator_basis(mod, rows) for rows in reversed(members)]
     claims = [("dual-verma", c[1], deg) for c in reversed(dcert.claims)]
     cert = FiltrationCertificate(mod, "costandard", deg, chain, claims)
-    return _verified(cert, "costandard transport", dual)
+    return _verified(cert, "costandard transport", side)
 
 
 def _twisted_chain(cert, tmod, shift):

@@ -332,6 +332,40 @@ def test_certify_structure(session):
         [x for x in rep["items"] if not x["ok"]]
 
 
+@pytest.mark.parametrize("field", [(8, 2), (5, 1)],
+                         ids=["ell8-N2", "ell5-N1"])
+def test_generation_refuses_a_cover_of_another_field(s5, field):
+    """verify_dominant_generation in an (ell, N) = (5, 2) session refuses
+    a cover built over another field, naming both, instead of reading
+    its basis as if it were the session's; its own session passes it."""
+    own = Session(*field)
+    p = build_projective_cover(own, 1, 1)
+    with pytest.raises(RejectedInputError,
+                       match=r"different fields: \(ell, N\) = \(5, 2\) "
+                             r"and \(%d, %d\)" % field):
+        verify_dominant_generation(s5, p, 1, 1)
+    assert verify_dominant_generation(own, p, 1, 1)["status"] == "pass"
+
+
+@pytest.mark.parametrize("field", [(8, 2), (5, 1)],
+                         ids=["ell8-N2", "ell5-N1"])
+def test_certification_refuses_a_cover_of_another_field(s5, field,
+                                                        monkeypatch):
+    """certify_projcover_structure in an (ell, N) = (5, 2) session
+    refuses a module= built over another field, before any check runs;
+    P(1,1) built at ell 8 would otherwise pass self-duality, the simple
+    top and its label."""
+    p = build_projective_cover(Session(*field), 1, 1)
+    filtrations = []
+    monkeypatch.setattr(projectives, "extract_standard_filtration",
+                        lambda *args: filtrations.append(args))
+    with pytest.raises(RejectedInputError,
+                       match=r"different fields: \(ell, N\) = \(5, 2\) "
+                             r"and \(%d, %d\)" % field):
+        certify_projcover_structure(s5, 1, 1, module=p)
+    assert not filtrations
+
+
 def test_cover_is_self_dual(session):
     p = build_projective_cover(session, 0, 1)
     assert iso_test(build_dual(p), p) is not None

@@ -297,6 +297,37 @@ def test_iso_test_only_as_the_cover_route_fallback():
                 if site.startswith("projectives.")]
 
 
+def test_cover_costandard_reuses_the_standard_chain():
+    """certify_projcover_structure searches no standard chain on the
+    cover's dual: projectives.py never calls _standard_chain, and its one
+    _costandard call takes the isomorphism P -> dual(P) that _cover_iso
+    returned and the verified standard certificate, so the dual's chain
+    is the image of the cover's.  _cover_iso keeps its two call sites
+    (test_iso_test_only_as_the_cover_route_fallback)."""
+    assert not [site for site in _call_sites("_standard_chain")
+                if site.startswith("projectives.")]
+    assert sorted(_call_sites("_cover_iso")) == [
+        "projectives.build_via_tensor_summand",
+        "projectives.certify_projcover_structure"]
+    path = SRC / "projectives.py"
+    fn = next(node for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "certify_projcover_structure")
+    bound = {}  # called function -> the name its result is bound to
+    calls = []
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Call)):
+            bound[getattr(node.value.func, "id", None)] = node.targets[0].id
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "_costandard"):
+            calls.append({ast.unparse(a) for a in node.args})
+    assert len(calls) == 1, calls
+    for source in ("_cover_iso", "extract_standard_filtration"):
+        assert bound.get(source) in calls[0], (source, bound, calls)
+
+
 def test_one_cover_construction():
     """build_projective_cover glues every cover, twisted or not, from two
     Vermas: no _twist tensors a cover with a one-dimensional module, and

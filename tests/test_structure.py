@@ -627,6 +627,22 @@ def test_annihilator_basis_matches_dense_nullspace(session):
                         == _dense_annihilator(p, rows).rows)
 
 
+def test_annihilator_refuses_a_functional_on_two_weights(s5):
+    """The annihilator is taken one weight block at a time, so a
+    functional nonzero on two blocks is refused, named with two of its
+    weights: (1, 1) on L(1) at ell 5, whose annihilator is the line of
+    (1, -1), does not come back as 0.  Homogeneous functionals pass."""
+    simple = build_simple(s5, 1)
+    one, zero = s5.one, s5.zero
+    assert [lab.weight for lab in simple.labels] == [1, -1]
+    with pytest.raises(RejectedInputError,
+                       match="functional 1 is not homogeneous: it has "
+                             "weights 1 and -1"):
+        annihilator_basis(simple, [[one, zero], [one, one]])
+    assert annihilator_basis(simple, [[one, zero]]).rows == [[zero, one]]
+    assert annihilator_basis(simple, [[zero, one], [one, zero]]).dim == 0
+
+
 def test_filtration_certificate_json_round_trip(session):
     m = 1
     big = build_tensor(build_generalized_verma(session, Fraction(0), m),
@@ -688,7 +704,8 @@ def _count_calls(monkeypatch, module, name, log):
 def test_filtrations_verify_once(s5, monkeypatch):
     """Each extraction verifies the certificate it returns exactly once;
     the search recognises no Verma; a cover certification verifies two
-    certificates and builds the cover's dual once.  bgg_table searches
+    certificates, builds the cover's dual once and searches one standard
+    chain, on the cover and never on its dual.  bgg_table searches
     each untwisted cover and each typical Verma once, checks the
     relations of each untwisted and each twisted cover once, and
     verifies one certificate per weight."""
@@ -705,6 +722,8 @@ def test_filtrations_verify_once(s5, monkeypatch):
     def calls():
         out = {n: len(v) for n, v in log.items()}
         out["dual of the cover"] = sum(a is p for a in log["build_dual"])
+        out["standard chains"] = ["cover" if a is p else a.name
+                                  for a in log["_standard_chain"]]
         for v in log.values():
             v.clear()
         return out
@@ -725,6 +744,7 @@ def test_filtrations_verify_once(s5, monkeypatch):
     got = calls()
     assert got["verify_filtration_certificate"] == 2
     assert got["dual of the cover"] == 1
+    assert got["standard chains"] == ["cover"]
     # i = 1 at twists 0, 2 and -2, i = 2 at twists 0 and 2, typical 4
     weights = [Fraction(w) for w in (1, 6, -4, 2, 7, 4)]
     assert all(c[3] for c in bgg_table(s5, 1, weights))
@@ -901,16 +921,21 @@ def _claim_weight_moved(cert):
 def test_dual_side_route_matches_per_quotient_duals(session):
     """verify_filtration_certificate decides a dual-verma claim on
     Ann(S_j)/Ann(S_{j+1}) in the parent's dual; the per-quotient route
-    decides it on build_dual(S_{j+1}/S_j).  The two reports agree item
-    by item on the costandard certificate of every cover P_i^m (x) C(t),
-    m <= 2, t in 0, 1, -2, on copies with the two claims swapped and
-    with claim 0's weight moved by 2, and on the standard chain
-    relabelled costandard, its claims made dual-verma."""
+    decides it on build_dual(S_{j+1}/S_j).  Through the cover's
+    isomorphism phi : P -> dual(P), the private _dual = (P, phi) decides
+    it on S_j^perp / S_{j+1}^perp in P, S^perp cut out by the
+    functionals s^T phi.  The three reports agree item by item on the
+    costandard certificate of every cover P_i^m (x) C(t), m <= 2, t in
+    0, 1, -2, on copies with the two claims swapped and with claim 0's
+    weight moved by 2, and on the standard chain relabelled costandard,
+    its claims made dual-verma."""
     verdicts = set()
     for i in range(session.r - 1):
         for m, t in itertools.product(range(3), (0, 1, -2)):
             p = build_projective_cover(session, i, m, t)
             cert = extract_costandard_filtration(p, m)
+            phi = projectives._cover_iso(p, build_dual(p), i, m, t)
+            assert phi is not None, (i, m, t)
             std = extract_standard_filtration(p, m)
             certs = [cert] + [
                 FiltrationCertificate(p, "costandard", m, cert.chain,
@@ -926,6 +951,8 @@ def test_dual_side_route_matches_per_quotient_duals(session):
                 got = verify_filtration_certificate(c)["items"]
                 assert [(it["check"], it["ok"]) for it in got] == want, (
                     i, m, t, c.claims)
+                assert verify_filtration_certificate(
+                    c, _dual=(p, phi))["items"] == got, (i, m, t, c.claims)
                 verdicts.update(ok for check, ok in want
                                 if check.startswith("quotient"))
     assert verdicts == {True, False}
@@ -961,6 +988,30 @@ def test_costandard_verification_builds_one_dual(s5, monkeypatch):
         duals = got["annihilator_basis"]
         assert len(duals) == len(cert.chain) - 1
         assert all(d is duals[0] and d is not p for d in duals)
+
+
+def test_form_route_certificate_matches_extraction(session, monkeypatch):
+    """Through the cover's isomorphism phi : P -> dual(P) and its
+    verified standard certificate, _costandard takes phi(S_k) for the
+    dual's standard chain and searches none: for every P_i^m (x) C(t),
+    m <= 2, t = k*ell/2 for k in 0, +-1, +-2, 3, the certificate equals
+    extract_costandard_filtration's, chain rows and claims."""
+    log = {}
+    _count_calls(monkeypatch, structure, "_standard_chain", log)
+    for i in range(session.r - 1):
+        for m, t in itertools.product(range(3), (0, 1, -1, 2, -2, 3)):
+            p = build_projective_cover(session, i, m, t)
+            dual = build_dual(p)
+            phi = projectives._cover_iso(p, dual, i, m, t)
+            assert phi is not None, (i, m, t)
+            std = extract_standard_filtration(p, m)
+            got = structure._costandard(p, dual, m, phi, std)
+            assert [a is p for a in log["_standard_chain"]] == [True]
+            ref = extract_costandard_filtration(p, m)
+            assert len(ref.chain) == 2
+            assert ([sub.rows for sub in got.chain], got.claims) == (
+                [sub.rows for sub in ref.chain], ref.claims), (i, m, t)
+            log["_standard_chain"].clear()
 
 
 def _two_step_subquotient(lower, upper):

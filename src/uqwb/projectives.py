@@ -35,8 +35,9 @@ Every basis vector of the cover is a fixed word in its generator, so an
 isomorphism out of the cover (onto its dual, or onto the summand) is
 built from the image of the generator alone (structure._verma_map) and
 checked exactly; the Hom solve of iso_test is only the fallback.  The
-isomorphism onto the dual also carries the cover's standard chain to the
-dual's, so the costandard filtration needs no search on the dual.
+certification reads the cover's dual as the transpose dual
+(structure._transpose_dual): self-duality, the simple top and, through
+extract_costandard_filtration, the costandard filtration.
 """
 
 from __future__ import annotations
@@ -59,14 +60,15 @@ from .repmod import (
 from .structure import (
     _block_pairs,
     _blocks_full_rank,
-    _costandard,
     _intertwiner_ok,
     _kernel,
     _same_field,
     _shifted,
     _solve,
+    _transpose_dual,
     _verma_map,
     _word,
+    extract_costandard_filtration,
     extract_standard_filtration,
     SubmoduleBasis,
     iso_test,
@@ -389,25 +391,19 @@ def certify_projcover_structure(session, i, m, twist=0, seed=0,
     realization of the cover (e.g. one reloaded from a serialized dump);
     by default the cover is built in place.
 
+    Self-duality and the top are read on the transpose dual P' of P
+    (structure._transpose_dual, isomorphic to build_dual(P)).
     Self-duality is decided from the cover's generator first
     (_cover_iso): the cover's basis words applied to a candidate image in
-    the dual give a map, kept only once it passes the exact rank and
-    intertwiner checks, so a map found proves dual(P) isomorphic to P.  The words fit
-    the cover's own basis; for a module in another basis, or when no
-    candidate passes, iso_test solves Hom(dual(P), P) as the fallback.
-    The route's None proves nothing, but iso_test's None proves that the
-    two are not isomorphic, since P has a simple top.
-
-    The costandard filtration reuses that isomorphism phi : P -> dual(P)
-    and the verified standard certificate S_1 < S_2 = P: the dual's
-    standard chain is phi(S_1) < phi(S_2), with no search on the dual,
-    and each dual-verma claim is decided on a quotient of P by the
-    orthogonals S^perp of the contravariant form B(x, y) = <phi x, y>
-    (Humphreys, BGG Category O, 3.2-3.3), which phi carries onto the
-    annihilators of the dual's side (structure._costandard).  Without
-    the route's map or a standard certificate, the dual's chain is
-    searched and the claims are decided on the dual.  A module over
-    another field than the session raises RejectedInputError.
+    P' give a map, kept only once it passes the exact rank and
+    intertwiner checks, so a map found proves P' isomorphic to P.  The
+    words fit the cover's own basis; for a module in another basis, or
+    when no candidate passes, iso_test solves Hom(P', P) as the
+    fallback.  The route's None proves nothing, but iso_test's None
+    proves that the two are not isomorphic, since P has a simple top.
+    The top of P is the socle of P'.  The costandard filtration is
+    extract_costandard_filtration's.  A module over another field than
+    the session raises RejectedInputError.
     """
     rep = Report()
     p = module
@@ -426,9 +422,7 @@ def certify_projcover_structure(session, i, m, twist=0, seed=0,
         rep.add("standard quotient weights",
                 cert.quotient_weights() == [hi, lo],
                 "got %s, expected %s" % (cert.quotient_weights(), [hi, lo]))
-    dual = build_dual(p)
-    iso = _cover_iso(p, dual, i, m, twist)
-    ccert = _costandard(p, dual, m, iso, cert)
+    ccert = extract_costandard_filtration(p, m)
     rep.add("costandard filtration length 2",
             ccert is not None and len(ccert.claims) == 2,
             "no costandard filtration found")
@@ -436,7 +430,8 @@ def certify_projcover_structure(session, i, m, twist=0, seed=0,
         rep.add("costandard quotient weights",
                 ccert.quotient_weights() == [lo, hi],
                 "got %s, expected %s" % (ccert.quotient_weights(), [lo, hi]))
-    rep.add("self-duality", iso is not None
+    dual = _transpose_dual(p)
+    rep.add("self-duality", _cover_iso(p, dual, i, m, twist) is not None
             or iso_test(dual, p, seed=seed) is not None)
     tops = socle_counts(dual)
     rep.add("unique simple top", tops == {lo: 1}, "top data %s" % (tops,))

@@ -37,6 +37,10 @@ checks nothing, the public quotient and submodule constructors check a
 subspace from outside, `verify_filtration_certificate` decides each
 member in its "member j closed" verdict, and the search and
 `jordan_holder` build theirs closed (`_generated`, and preimages of it).
+
+The dual side of a filtration is the transpose dual (`_transpose_dual`,
+F^T, E^T, H^T), isomorphic to build_dual's: costandard members and
+dual-verma quotients are annihilators of members there.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from .repmod import (
     _dump_key,
     _dump_weight,
     _nilpotent_chains,
-    build_dual,
     build_generalized_verma,
     dump_module,
     load_module,
@@ -718,6 +721,35 @@ def is_generalized_verma(mod, lam, deg):
     return invertible
 
 
+def _transpose_dual(mod):
+    """The dual module M' of category O (Humphreys, BGG Category O, 3.2):
+    E acts by F^T, F by E^T and H by H^T, through tau : E <-> F, H -> H.
+    Its entries are mod's own, its own transpose dual has mod's E, F and
+    H, and its labels are build_dual's: weight, m - degree, tag "(t)'".
+
+    Lemma: M' is isomorphic to D = build_dual(mod), which acts by
+    -(K F)^T, -(E Kinv)^T and H^T.  On block w, N = H - w, K = q^w U(N)
+    and Kinv = q^-w U(-N), U being derive_K's series; as [H, E] = 2E and
+    [H, F] = -2F, E^T and F^T carry p(N^T) on one block to p(N^T) on the
+    next.  Let T : D -> M' be h_mu(N^T) on block mu, with h_mu = 1 at the
+    lowest weight of each class mu + 2Z and h_{mu+2}(x) =
+    -q^-mu U(-x) h_mu(x).  T commutes with H^T.  Between blocks mu and
+    mu + 2, T E_D = F^T T asks -q^mu h_{mu+2}(x) U(x) = h_mu(x) and
+    T F_D = E^T T asks the recursion; the two agree as U(x) U(-x) = 1:
+    exp(tau x) exp(-tau x) = 1, and (1 + tau x)(1 - tau x) = 1 in the
+    paper-literal mode on blocks with N^2 = 0, the only ones derive_K
+    accepts there (mod.K is derived first, for its refusal).  Each h_mu
+    has a constant term +-q^k, so T is invertible.
+    """
+    mod.K  # derive_K refuses the blocks where U(x) U(-x) != 1
+    m = mod.max_degree
+    labels = [WeightLabel(lab.weight, m - lab.degree, "(%s)'" % lab.tag)
+              for lab in mod.labels]
+    return ModuleRep(mod.session, labels, mod.matF.transpose(),
+                     mod.matE.transpose(), mod.matH.transpose(), m,
+                     name="dual(%s)" % (mod.name or "?"))
+
+
 # ---------------------------------------------------------------------
 # filtrations
 # ---------------------------------------------------------------------
@@ -757,8 +789,8 @@ class FiltrationCertificate:
 
     @staticmethod
     def from_json(data, session=None):
-        """The certificate of a to_json dict; RejectedInputError if
-        malformed."""
+        """The certificate of a to_json dict, each member the span of its
+        rows as written; RejectedInputError if malformed."""
         if not isinstance(data, dict):
             raise RejectedInputError("a certificate must be a JSON object")
         what = "a certificate"
@@ -799,14 +831,12 @@ class FiltrationCertificate:
                         or any(not isinstance(x, str) for x in row)):
                     raise RejectedInputError("a chain row must be a list of "
                                              "%d scalar strings" % mod.dim)
-                vec = _sparse([s.parse_scalar(x) for x in row])
-                for comp in _split(mod, vec).values():
-                    sub._insert(comp)
+                sub._insert(_sparse([s.parse_scalar(x) for x in row]))
             chain.append(sub)
         return FiltrationCertificate(mod, kind, degree, chain, claims)
 
 
-def verify_filtration_certificate(cert, *, _dual=None):
+def verify_filtration_certificate(cert):
     """Re-check a filtration certificate from scratch.
 
     Returns {"status", "items"} in the same shape as verify_relations.
@@ -816,21 +846,15 @@ def verify_filtration_certificate(cert, *, _dual=None):
 
     A verma claim is checked on S_{j+1}/S_j, cut from the parent.  A
     dual-verma claim is checked on the dual's side, with no dual built
-    per quotient: on Ann(S_j)/Ann(S_{j+1}) in the parent's dual D,
-    Ann(S) being the functionals of D that vanish on S and Ann(S_0) all
-    of D.  D acts by <x.f, v> = <f, theta(x) v> with theta(E) = -K F,
-    theta(F) = -E Kinv and theta(H) = H (Humphreys, BGG Category O,
-    3.2-3.3), so the annihilator of a closed S is closed, and the pairing
-    makes Ann(S_j)/Ann(S_{j+1}) the dual of S_{j+1}/S_j as a module.
+    per quotient: on Ann(S_j)/Ann(S_{j+1}) in the parent's transpose dual
+    D (`_transpose_dual`), Ann(S) being the functionals of D that vanish
+    on S and Ann(S_0) all of D.  D acts by <x.f, v> = <f, tau(x) v> with
+    tau(E) = F, tau(F) = E and tau(H) = H, so the annihilator of a closed
+    S is closed, and the pairing makes Ann(S_j)/Ann(S_{j+1}) the
+    transpose dual of S_{j+1}/S_j, which is isomorphic to
+    build_dual(S_{j+1}/S_j) (the lemma of `_transpose_dual`).
     is_generalized_verma decides up to isomorphism, so the verdict is
     that on build_dual(S_{j+1}/S_j).
-
-    The private _dual = (M, G) gives D through an isomorphism G : M -> D,
-    None for the identity: G carries the kernel on M of the functionals
-    s^T G, for s in S, onto Ann(S), and so the quotients of those
-    kernels onto those of the Ann(S).  With M = parent, that kernel is
-    the orthogonal S^perp of the form <G x, y>, and every dual-verma
-    claim is decided on a quotient S_j^perp / S_{j+1}^perp of the parent.
     """
     mod = cert.parent
     rep = Report()
@@ -841,13 +865,13 @@ def verify_filtration_certificate(cert, *, _dual=None):
             "dims %s vs %d" % ([c.dim for c in cert.chain], mod.dim))
     closed = [sub.parent is mod and sub.is_closed() for sub in cert.chain]
     if any(kind != "verma" for kind, _, _ in cert.claims):
-        dual, iso = (build_dual(mod), None) if _dual is None else _dual
+        dual = _transpose_dual(mod)
         # ann[j] = Ann(S_j), in chain order: None, all of the dual, for
         # S_0 and for a member that is not closed, whose quotients are
         # never built; 0 for a member that is all of mod
         ann = [None] + [
             None if not ok else SubmoduleBasis(dual) if sub.dim == mod.dim
-            else annihilator_basis(dual, _rows_through(sub, dual, iso))
+            else annihilator_basis(dual, sub.rows)
             for sub, ok in zip(cert.chain, closed)]
     # a chain longer than its claims fails the first check; zip stops
     for j, (sub, (kind, w, deg)) in enumerate(zip(cert.chain,
@@ -874,22 +898,12 @@ def verify_filtration_certificate(cert, *, _dual=None):
     return rep.as_dict()
 
 
-def _rows_through(sub, mod, g):
-    """The rows s of sub as dense rows s^T g of mod's length; sub's own
-    rows when g is None, the identity."""
-    if g is None:
-        return sub.rows
-    return [_dense(mod, _apply(g.rows, row)) for row in sub.sparse_rows()]
-
-
-def _verified(cert, what, dual=None):
+def _verified(cert, what):
     """cert once verify_filtration_certificate passes it (None stays
-    None); DiagnosticError naming the first failed item otherwise.
-    dual, if given, is the pair (M, G) of verify_filtration_certificate's
-    _dual, for the dual-verma claims."""
+    None); DiagnosticError naming the first failed item otherwise."""
     if cert is None:
         return None
-    rep = verify_filtration_certificate(cert, _dual=dual)
+    rep = verify_filtration_certificate(cert)
     if rep["status"] != "pass":
         raise DiagnosticError(
             "%s failed re-verification: %s"
@@ -975,31 +989,6 @@ def annihilator_basis(mod, dual_rows):
     return sub
 
 
-def _costandard(mod, dual, deg, iso=None, standard=None):
-    """extract_costandard_filtration of mod, given its dual module D.
-
-    Given a verified isomorphism iso : mod -> D and mod's verified
-    standard certificate, D's standard chain is iso(S_k), verified
-    through (mod, iso); otherwise it is searched on D.
-    """
-    if iso is None or standard is None:
-        dcert = _standard_chain(dual, deg)
-        if dcert is None:
-            return None
-        image, side = None, (dual, None)
-    else:
-        dcert, image, side = standard, iso.transpose(), (mod, iso)
-    # member j annihilates the dual's member n-2-j, member -1 being 0;
-    # the dual's top member, all of it, annihilates nothing; a zero
-    # module has no members
-    below = [_rows_through(t, dual, image) for t in dcert.chain[:-1]]
-    members = ([[]] + below)[:len(dcert.chain)]
-    chain = [annihilator_basis(mod, rows) for rows in reversed(members)]
-    claims = [("dual-verma", c[1], deg) for c in reversed(dcert.claims)]
-    cert = FiltrationCertificate(mod, "costandard", deg, chain, claims)
-    return _verified(cert, "costandard transport", side)
-
-
 def _twisted_chain(cert, tmod, shift):
     """A standard certificate of tmod, the twist of cert.parent by the
     weight shift, unverified.
@@ -1023,12 +1012,23 @@ def _twisted_chain(cert, tmod, shift):
 def extract_costandard_filtration(mod, deg):
     """Costandard filtration via the standard filtration of the dual.
 
-    Annihilators carry the dual's standard chain to mod, reversing
-    inclusions and dualising quotients, so the transported certificate
-    verifies iff the dual's chain does.  Only the returned certificate
-    is checked, once; the dual's chain is not checked separately.
+    The standard chain T_1 < ... < T_n of the transpose dual
+    (`_transpose_dual`) is searched, and member j is Ann(T_{n-1-j}), the
+    vectors of mod on which T_{n-1-j} vanishes (T_0 = 0).  Annihilators
+    reverse inclusions, and Ann(T_{k-1})/Ann(T_k) is the transpose dual
+    of T_k/T_{k-1} = V(w, deg), a dual Verma, since mod is the transpose
+    dual of its transpose dual.  Only the returned certificate is
+    checked, once; the dual's chain is not checked separately.
     """
-    return _costandard(mod, build_dual(mod), deg)
+    dual = _transpose_dual(mod)
+    dcert = _standard_chain(dual, deg)
+    if dcert is None:
+        return None
+    below = ([SubmoduleBasis(dual)] + dcert.chain)[:-1]  # T_0 .. T_{n-1}
+    chain = [annihilator_basis(mod, t.rows) for t in reversed(below)]
+    claims = [("dual-verma", w, deg) for _, w, _ in reversed(dcert.claims)]
+    return _verified(FiltrationCertificate(mod, "costandard", deg, chain,
+                                           claims), "costandard transport")
 
 
 # ---------------------------------------------------------------------

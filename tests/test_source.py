@@ -297,35 +297,25 @@ def test_iso_test_only_as_the_cover_route_fallback():
                 if site.startswith("projectives.")]
 
 
-def test_cover_costandard_reuses_the_standard_chain():
-    """certify_projcover_structure searches no standard chain on the
-    cover's dual: projectives.py never calls _standard_chain, and its one
-    _costandard call takes the isomorphism P -> dual(P) that _cover_iso
-    returned and the verified standard certificate, so the dual's chain
-    is the image of the cover's.  _cover_iso keeps its two call sites
-    (test_iso_test_only_as_the_cover_route_fallback)."""
+def test_costandard_reads_the_transpose_dual():
+    """Costandard filtrations and self-duality read the transpose dual
+    (structure._transpose_dual), with no isomorphism threaded through the
+    certificate checks: _costandard and _rows_through are gone,
+    verify_filtration_certificate and _verified take no dual, and
+    structure.py and projectives.py call build_dual only for the tensor
+    summand's dual simple.  projectives.py never calls _standard_chain."""
+    structure = importlib.import_module("uqwb.structure")
+    for name in ("_costandard", "_rows_through"):
+        assert not _defined(name), name
+    params = {fn: list(inspect.signature(getattr(structure, fn)).parameters)
+              for fn in ("verify_filtration_certificate", "_verified")}
+    assert params == {"verify_filtration_certificate": ["cert"],
+                      "_verified": ["cert", "what"]}
+    assert [site for site in _call_sites("build_dual")
+            if site.split(".")[0] in ("structure", "projectives")] == [
+        "projectives.build_via_tensor_summand"]
     assert not [site for site in _call_sites("_standard_chain")
                 if site.startswith("projectives.")]
-    assert sorted(_call_sites("_cover_iso")) == [
-        "projectives.build_via_tensor_summand",
-        "projectives.certify_projcover_structure"]
-    path = SRC / "projectives.py"
-    fn = next(node for node in ast.walk(ast.parse(path.read_text()))
-              if isinstance(node, ast.FunctionDef)
-              and node.name == "certify_projcover_structure")
-    bound = {}  # called function -> the name its result is bound to
-    calls = []
-    for node in ast.walk(fn):
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)):
-            bound[getattr(node.value.func, "id", None)] = node.targets[0].id
-        if (isinstance(node, ast.Call)
-                and getattr(node.func, "id", None) == "_costandard"):
-            calls.append({ast.unparse(a) for a in node.args})
-    assert len(calls) == 1, calls
-    for source in ("_cover_iso", "extract_standard_filtration"):
-        assert bound.get(source) in calls[0], (source, bound, calls)
 
 
 def test_one_cover_construction():

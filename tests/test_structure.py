@@ -13,6 +13,7 @@ from conftest import tau_conjugated
 from uqwb import (
     DiagnosticError,
     FiltrationCertificate,
+    ModeUnsupportedError,
     ModuleInvalidError,
     RejectedInputError,
     Session,
@@ -602,6 +603,48 @@ def test_zero_module_has_empty_filtrations(s5):
         assert (cert.chain, cert.claims) == ([], [])
 
 
+def _lemma_modules(s):
+    """Vermas, simples, every cover P_i^m (x) C(t), m <= 2, t in 0, +-1,
+    +-2, 3, V(1,1) (x) L_2 and L_1 (+) L_1, leaving out what derive_K
+    refuses in s's mode."""
+    builders = [lambda lam=lam, m=m: build_generalized_verma(s, lam, m)
+                for lam in (Fraction(0), Fraction(1), Fraction(1, 2))
+                for m in range(3)]
+    builders += [lambda i=i: build_simple(s, i) for i in range(s.r - 1)]
+    builders += [lambda i=i, m=m, t=t: build_projective_cover(s, i, m, t)
+                 for i in range(s.r - 1) for m in range(3)
+                 for t in (0, 1, -1, 2, -2, 3)]
+    builders += [lambda: build_tensor(build_generalized_verma(s, 1, 1),
+                                      build_simple(s, 2)),
+                 lambda: direct_sum(build_simple(s, 1), build_simple(s, 1))]
+    mods = []
+    for build in builders:
+        try:
+            mod = build()
+            mod.K
+        except ModeUnsupportedError:
+            continue
+        mods.append(mod)
+    return mods
+
+
+@pytest.mark.parametrize("mode", ["exponential", "paper-literal"])
+def test_transpose_dual_is_the_dual(session, mode):
+    """The transpose dual (F^T, E^T, H^T) is a module, isomorphic to
+    build_dual's theta-dual, and its own transpose dual has the module's
+    E, F and H exactly, on every module of _lemma_modules."""
+    s = session if mode == "exponential" else Session(session.ell, mode=mode)
+    mods = _lemma_modules(s)
+    assert len(mods) >= (20 if mode == "exponential" else 10), len(mods)
+    for mod in mods:
+        dual = structure._transpose_dual(mod)
+        assert verify_relations(dual)["status"] == "pass", mod.name
+        assert iso_test(build_dual(mod), dual) is not None, mod.name
+        back = structure._transpose_dual(dual)
+        assert (back.matE, back.matF, back.matH) == (
+            mod.matE, mod.matF, mod.matH), mod.name
+
+
 def _dense_annihilator(mod, dual_rows):
     """The annihilator of the functionals from one full-dimension dense
     nullspace, for reference."""
@@ -655,6 +698,30 @@ def test_filtration_certificate_json_round_trip(session):
     assert verify_filtration_certificate(back)["status"] == "pass"
 
 
+def test_certificate_members_read_as_written(s5):
+    """from_json takes each member as the span of its rows as written,
+    not as the graded span of their weight pieces: member 0 of P(1,1)'s
+    standard certificate, its 10 rows rewritten as 4 sums of two rows of
+    different weights and 2 rows as they were, spans 6 dimensions, is
+    not closed and fails verification."""
+    p = build_projective_cover(s5, 1, 1)
+    data = extract_standard_filtration(p, 1).to_json()
+    rows = [[s5.parse_scalar(x) for x in row] for row in data["chain"][0]]
+    weights = [{p.labels[k].weight for k, x in enumerate(row)
+                if not x.is_zero()} for row in rows]
+    pairs = [(0, 2), (1, 3), (4, 6), (5, 7)]
+    assert all(len(weights[a] | weights[b]) == 2 for a, b in pairs)
+    sums = [[x + y for x, y in zip(rows[a], rows[b])] for a, b in pairs]
+    data["chain"][0] = [[s5.format_scalar(x) for x in row]
+                        for row in sums + rows[8:]]
+    back = FiltrationCertificate.from_json(json.loads(json.dumps(data)))
+    assert back.chain[0].dim == 6
+    rep = verify_filtration_certificate(back)
+    assert rep["status"] == "fail"
+    failed = [it["check"] for it in rep["items"] if not it["ok"]]
+    assert failed[:2] == ["member 0 closed", "member 0 dimension"], failed
+
+
 def _verma_tops(mod):
     """(w, d, sub) for each highest-weight vector u of mod, of weight w
     and degree d, whose generated submodule sub has dimension (d + 1) r."""
@@ -703,17 +770,18 @@ def _count_calls(monkeypatch, module, name, log):
 
 def test_filtrations_verify_once(s5, monkeypatch):
     """Each extraction verifies the certificate it returns exactly once;
-    the search recognises no Verma; a cover certification verifies two
-    certificates, builds the cover's dual once and searches one standard
-    chain, on the cover and never on its dual.  bgg_table searches
-    each untwisted cover and each typical Verma once, checks the
-    relations of each untwisted and each twisted cover once, and
-    verifies one certificate per weight."""
+    the search recognises no Verma; a costandard extraction searches one
+    standard chain, on the transpose dual of the module; a cover
+    certification verifies two certificates, searches two standard
+    chains, one on the cover and one on its transpose dual, and calls no
+    build_dual.  bgg_table searches each untwisted cover and each
+    typical Verma once, checks the relations of each untwisted and each
+    twisted cover once, and verifies one certificate per weight."""
     p = build_projective_cover(s5, 1, 1)
+    assert not hasattr(structure, "build_dual")
     log = {}
     for module, name in ((structure, "verify_filtration_certificate"),
                          (structure, "is_generalized_verma"),
-                         (structure, "build_dual"),
                          (structure, "_standard_chain"),
                          (projectives, "build_dual"),
                          (projectives, "verify_relations")):
@@ -721,9 +789,11 @@ def test_filtrations_verify_once(s5, monkeypatch):
 
     def calls():
         out = {n: len(v) for n, v in log.items()}
-        out["dual of the cover"] = sum(a is p for a in log["build_dual"])
-        out["standard chains"] = ["cover" if a is p else a.name
-                                  for a in log["_standard_chain"]]
+        out["standard chains"] = [
+            "cover" if a is p
+            else "transpose dual" if (a.matE, a.matF) == (
+                p.matF.transpose(), p.matE.transpose())
+            else a.name for a in log["_standard_chain"]]
         for v in log.values():
             v.clear()
         return out
@@ -737,14 +807,14 @@ def test_filtrations_verify_once(s5, monkeypatch):
     ccert = extract_costandard_filtration(p, 1)
     got = calls()
     assert got["verify_filtration_certificate"] == 1
-    assert got["dual of the cover"] == 1
+    assert got["standard chains"] == ["transpose dual"]
     assert got["is_generalized_verma"] == len(ccert.claims) == 2
     rep = certify_projcover_structure(s5, 1, 1, module=p)
     assert rep["status"] == "pass"
     got = calls()
     assert got["verify_filtration_certificate"] == 2
-    assert got["dual of the cover"] == 1
-    assert got["standard chains"] == ["cover"]
+    assert got["build_dual"] == 0
+    assert got["standard chains"] == ["cover", "transpose dual"]
     # i = 1 at twists 0, 2 and -2, i = 2 at twists 0 and 2, typical 4
     weights = [Fraction(w) for w in (1, 6, -4, 2, 7, 4)]
     assert all(c[3] for c in bgg_table(s5, 1, weights))
@@ -920,22 +990,17 @@ def _claim_weight_moved(cert):
 
 def test_dual_side_route_matches_per_quotient_duals(session):
     """verify_filtration_certificate decides a dual-verma claim on
-    Ann(S_j)/Ann(S_{j+1}) in the parent's dual; the per-quotient route
-    decides it on build_dual(S_{j+1}/S_j).  Through the cover's
-    isomorphism phi : P -> dual(P), the private _dual = (P, phi) decides
-    it on S_j^perp / S_{j+1}^perp in P, S^perp cut out by the
-    functionals s^T phi.  The three reports agree item by item on the
-    costandard certificate of every cover P_i^m (x) C(t), m <= 2, t in
-    0, 1, -2, on copies with the two claims swapped and with claim 0's
-    weight moved by 2, and on the standard chain relabelled costandard,
-    its claims made dual-verma."""
+    Ann(S_j)/Ann(S_{j+1}) in the parent's transpose dual; the
+    per-quotient route decides it on build_dual(S_{j+1}/S_j).  The two
+    reports agree item by item on the costandard certificate of every
+    cover P_i^m (x) C(t), m <= 2, t in 0, 1, -2, on copies with the two
+    claims swapped and with claim 0's weight moved by 2, and on the
+    standard chain relabelled costandard, its claims made dual-verma."""
     verdicts = set()
     for i in range(session.r - 1):
         for m, t in itertools.product(range(3), (0, 1, -2)):
             p = build_projective_cover(session, i, m, t)
             cert = extract_costandard_filtration(p, m)
-            phi = projectives._cover_iso(p, build_dual(p), i, m, t)
-            assert phi is not None, (i, m, t)
             std = extract_standard_filtration(p, m)
             certs = [cert] + [
                 FiltrationCertificate(p, "costandard", m, cert.chain,
@@ -951,21 +1016,20 @@ def test_dual_side_route_matches_per_quotient_duals(session):
                 got = verify_filtration_certificate(c)["items"]
                 assert [(it["check"], it["ok"]) for it in got] == want, (
                     i, m, t, c.claims)
-                assert verify_filtration_certificate(
-                    c, _dual=(p, phi))["items"] == got, (i, m, t, c.claims)
                 verdicts.update(ok for check, ok in want
                                 if check.startswith("quotient"))
     assert verdicts == {True, False}
 
 
 def test_costandard_verification_builds_one_dual(s5, monkeypatch):
-    """Verifying a costandard certificate builds one dual, of the
-    parent, and none of a quotient, and takes each annihilator once:
+    """Verifying a costandard certificate builds one transpose dual, of
+    the parent, and none of a quotient, and takes each annihilator once:
     one per member below the top, which is the parent.  A standard
-    certificate builds no dual, and extraction hands its dual to the
-    verification, so it builds one in all."""
+    certificate builds no dual.  Extraction builds one for its search,
+    takes in the module the annihilators of 0 and of the dual's member
+    below its top, and then verifies, building one more."""
     log = {}
-    for name in ("build_dual", "annihilator_basis"):
+    for name in ("_transpose_dual", "annihilator_basis"):
         _count_calls(monkeypatch, structure, name, log)
 
     def calls():
@@ -977,41 +1041,40 @@ def test_costandard_verification_builds_one_dual(s5, monkeypatch):
     for m in (1, 2):
         p = build_projective_cover(s5, 1, m, 1)
         cert = extract_costandard_filtration(p, m)
-        assert calls()["build_dual"] == [p]
+        got = calls()
+        assert got["_transpose_dual"] == [p, p]
+        anns = got["annihilator_basis"]
+        assert anns[:2] == [p, p] and len(anns) == 2 + len(cert.chain) - 1
         std = extract_standard_filtration(p, m)
         calls()
         assert verify_filtration_certificate(std)["status"] == "pass"
-        assert calls() == {"build_dual": [], "annihilator_basis": []}
+        assert calls() == {"_transpose_dual": [], "annihilator_basis": []}
         assert verify_filtration_certificate(cert)["status"] == "pass"
         got = calls()
-        assert got["build_dual"] == [p]
+        assert got["_transpose_dual"] == [p]
         duals = got["annihilator_basis"]
         assert len(duals) == len(cert.chain) - 1
         assert all(d is duals[0] and d is not p for d in duals)
 
 
-def test_form_route_certificate_matches_extraction(session, monkeypatch):
-    """Through the cover's isomorphism phi : P -> dual(P) and its
-    verified standard certificate, _costandard takes phi(S_k) for the
-    dual's standard chain and searches none: for every P_i^m (x) C(t),
-    m <= 2, t = k*ell/2 for k in 0, +-1, +-2, 3, the certificate equals
-    extract_costandard_filtration's, chain rows and claims."""
-    log = {}
-    _count_calls(monkeypatch, structure, "_standard_chain", log)
+def test_form_route_certificate_matches_extraction(session):
+    """extract_costandard_filtration reads the transpose dual; the
+    reference reads the theta-dual build_dual(P): the annihilators in P of
+    the members of _standard_chain(build_dual(P)) below its top, in
+    reverse order, with the dual's claims reversed and made dual-verma.
+    The two certificates are equal, chain rows and claims, for every
+    P_i^m (x) C(t), m <= 2, t = k*ell/2 for k in 0, +-1, +-2, 3."""
     for i in range(session.r - 1):
         for m, t in itertools.product(range(3), (0, 1, -1, 2, -2, 3)):
             p = build_projective_cover(session, i, m, t)
-            dual = build_dual(p)
-            phi = projectives._cover_iso(p, dual, i, m, t)
-            assert phi is not None, (i, m, t)
-            std = extract_standard_filtration(p, m)
-            got = structure._costandard(p, dual, m, phi, std)
-            assert [a is p for a in log["_standard_chain"]] == [True]
-            ref = extract_costandard_filtration(p, m)
-            assert len(ref.chain) == 2
+            dcert = structure._standard_chain(build_dual(p), m)
+            assert len(dcert.chain) == 2, (i, m, t)
+            rows = [annihilator_basis(p, []).rows,
+                    annihilator_basis(p, dcert.chain[0].rows).rows]
+            claims = [("dual-verma", w, d) for _, w, d in dcert.claims]
+            got = extract_costandard_filtration(p, m)
             assert ([sub.rows for sub in got.chain], got.claims) == (
-                [sub.rows for sub in ref.chain], ref.claims), (i, m, t)
-            log["_standard_chain"].clear()
+                rows[::-1], claims[::-1]), (i, m, t)
 
 
 def _two_step_subquotient(lower, upper):

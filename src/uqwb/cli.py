@@ -43,6 +43,7 @@ from .session import (
 )
 from .structure import (
     FiltrationCertificate,
+    _transpose_dual,
     atypical_decompose,
     bgg_table,
     extract_costandard_filtration,
@@ -277,7 +278,7 @@ def cmd_pcover_certify(args, rep):
     mod = load_with_optional_session(args.module, args)
     s = mod.session
     mod.graded_blocks()  # an ungraded entry is named in mod, not its dual
-    tops = socle_counts(build_dual(mod))
+    tops = socle_counts(_transpose_dual(mod))
     if len(tops) != 1:
         rep.add("module has a unique simple top", False,
                 "top data %s" % (tops,))

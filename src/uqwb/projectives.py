@@ -109,6 +109,20 @@ def generator_index(session, i, m):
     return proj_index(session, i, m, "T", 0, m)
 
 
+def _cover_weights(session, i, m, twist):
+    """(i + t, j + r + t), t = twist*ell/2, the cover's two top weights;
+    RejectedInputError, before any work, unless i is in 0..r-2, m >= 0
+    and t is on the session's weight lattice."""
+    r = session.r
+    if not (0 <= i <= r - 2):
+        raise RejectedInputError(
+            "projective index %d outside 0..%d" % (i, r - 2))
+    if m < 0:
+        raise RejectedInputError("degree must be nonnegative")
+    t = session.check_weight(Fraction(twist * session.ell, 2))
+    return i + t, 2 * r - 2 - i + t
+
+
 def build_projective_cover(session, i, m, twist=0):
     """P_i^m tensored with C_t, t = twist*ell/2: the projective cover of
     the twisted simple of highest weight i + t in degree m.
@@ -119,18 +133,14 @@ def build_projective_cover(session, i, m, twist=0):
     included.  Raises ConstructionError if the assembled matrices fail
     any defining relation.
     """
-    if not (0 <= i <= session.r - 2):
-        raise RejectedInputError(
-            "projective index %d outside 0..%d" % (i, session.r - 2))
-    if m < 0:
-        raise RejectedInputError("degree must be nonnegative")
-    shift = session.check_weight(Fraction(twist * session.ell, 2))
+    lo, hi = _cover_weights(session, i, m, twist)
+    shift = lo - i
     j = session.r - 2 - i
     r = session.r
     n = m + 1
     off = r * n
-    sub = build_generalized_verma(session, j + r + shift, m)
-    quo = build_generalized_verma(session, i + shift, m)
+    sub = build_generalized_verma(session, hi, m)
+    quo = build_generalized_verma(session, lo, m)
     # E a_{t,k} = E^{V(i,m)} F^t v^k + q^shift F^{t+j} u_k, the second term
     # 0 once t+j >= r; it is set in the submodule's (writable) rows
     unit = session.from_cyc(session.q_power(shift))
@@ -181,15 +191,16 @@ def verify_dominant_generation(session, p, i, m, twist=0):
 
     Works for the plain and the twisted cover alike, which share their
     basis indices.  Returns a report in the verify_relations shape;
-    RejectedInputError if p is over another field than the session.
+    RejectedInputError for a bad (i, m, twist) (`_cover_weights`) or a p
+    over another field than the session.
     """
+    w, _ = _cover_weights(session, i, m, twist)
     _same_field(session, p.session)
     rep = Report()
     z = session.zero
     gi = generator_index(session, i, m)
     gen = [z] * p.dim
     gen[gi] = session.one
-    w = Fraction(i) + Fraction(twist * session.ell, 2)
     rep.add("(FE)^2 kills the generator to leading degree",
             not _graded_dominant_defect(p, {gi: session.one}, w, m))
     rep.add("generator weight", p.labels[gi].weight == w,
@@ -225,12 +236,10 @@ def _cover_maps(p, i, m, twist):
     for some v, and nothing here checks it.
     """
     s = p.session
+    w, hi = _cover_weights(s, i, m, twist)
     r = s.r
     j = r - 2 - i
     n = m + 1
-    shift = Fraction(twist * s.ell, 2)
-    w = i + shift
-    hi = j + r + shift
     gi = generator_index(s, i, m)
     off = r * n  # u_k = index off + k
     top = off + m
@@ -352,8 +361,7 @@ def build_via_tensor_summand(session, i, m, twist=0, seed=0):
     as the fallback, and only its None, which proves non-isomorphism
     because the cover is indecomposable, raises.
     """
-    lam = session.check_weight(
-        Fraction(i) + Fraction(twist * session.ell, 2))
+    lam, _ = _cover_weights(session, i, m, twist)
     nshift = session.r - 1 - i
     if not typicality(session, lam + nshift).typical:
         raise DiagnosticError(
@@ -402,18 +410,16 @@ def certify_projcover_structure(session, i, m, twist=0, seed=0,
     fallback.  The route's None proves nothing, but iso_test's None
     proves that the two are not isomorphic, since P has a simple top.
     The top of P is the socle of P'.  The costandard filtration is
-    extract_costandard_filtration's.  A module over another field than
-    the session raises RejectedInputError.
+    extract_costandard_filtration's.  A bad (i, m, twist)
+    (`_cover_weights`), or a module over another field than the session,
+    raises RejectedInputError before any filtration is searched.
     """
+    lo, hi = _cover_weights(session, i, m, twist)
     rep = Report()
     p = module
     if p is None:
         p = build_projective_cover(session, i, m, twist)
     _same_field(session, p.session)
-    shift = Fraction(twist * session.ell, 2)
-    j = session.r - 2 - i
-    hi = j + session.r + shift
-    lo = i + shift
     cert = extract_standard_filtration(p, m)
     rep.add("standard filtration length 2",
             cert is not None and len(cert.claims) == 2,

@@ -4,19 +4,22 @@ A ModuleRep stores the three generator matrices E, F and H over Scalar
 together with one WeightLabel per basis vector.  A built module never
 changes: its constructor freezes E, F and H and keeps the labels as a
 tuple, so what is derived from it (K, the chains of N = H - w, the
-graded blocks, the columns) is computed once, read-only, and cannot go
-stale.  N is formed in one place, `_nilpotent_chains`, which checks that
-H keeps the label weight blocks and is w plus a nilpotent on each; K,
-the relation check, the label degrees of a subquotient and the socle
-read the module's cached chains.  K and Kinv are never serialized.
+graded blocks, the columns, the transpose dual of `structure`) is
+computed once, read-only, and cannot go stale.  N is formed in one
+place, `_nilpotent_chains`, which checks that H keeps the label weight
+blocks and is w plus a nilpotent on each; K, the relation check, the
+label degrees of a subquotient and the socle read the module's cached
+chains.  K and Kinv are never serialized.
 
-derive_K is the only K = q^H series.  The generalized Verma constructor
-needs K on its highest-weight chain too: it wraps the chain's block of H
-in a ModuleRep and takes K from derive_K, so the coefficient modes, and
-the paper-literal refusal on blocks of nilpotency index above two, live
-in one place.  Built Vermas, and the PBW normal forms of E*F^t they are
-read from, are kept on the session (see `Session`), so a V(lam, m) asked
-for again is not rebuilt.
+derive_K is the only K = q^H series.  The [E,F] side of verify_relations
+takes the same coefficients, Session.degree_drop_coeff, and builds no K
+of its own.  The generalized Verma constructor needs K on its
+highest-weight chain too: it wraps the chain's block of H in a ModuleRep
+and takes K from derive_K, so the coefficient modes, and the
+paper-literal refusal on blocks of nilpotency index above two, live in
+one place.  Built Vermas, and the PBW normal forms of E*F^t they are
+read from, are kept on the session (see `Session`), so a V(lam, m)
+asked for again is not rebuilt.
 """
 
 from __future__ import annotations
@@ -42,12 +45,13 @@ class ModuleRep:
     """Finite-dimensional module given by exact generator matrices.
 
     Read-only: no field is reassigned once set, except the lazy caches
-    filling from None and the display-only name, which no cache reads.
+    filling from None and the display-only name, which no cache reads
+    but the cached dual's own name, fixed when that dual is built.
     """
 
     __slots__ = ("session", "dim", "labels", "matE", "matF", "matH",
                  "max_degree", "name", "_K", "_Kinv", "_chains", "_cols",
-                 "_graded", "_relations")
+                 "_graded", "_relations", "_dual")
 
     def __init__(self, session, labels, matE, matF, matH, max_degree,
                  name=""):
@@ -67,6 +71,7 @@ class ModuleRep:
         init(self, "_cols", {})
         init(self, "_graded", None)
         init(self, "_relations", None)
+        init(self, "_dual", None)
 
     def __setattr__(self, field, value):
         if field != "name" and getattr(self, field) is not None:
@@ -305,51 +310,16 @@ def _row_witness(s, i, lhs, rhs):
             return "entry (%d,%d) = %s" % (i, j, s.format_scalar(d))
 
 
-def _series_coeffs(mod):
-    """[c_0, ..., c_{n-1}] with K = q^w sum_p c_p N^p on every weight-w
-    block (N = H - w), read back off mod.K, so that derive_K stays the
-    one reader of the series.
-
-    The module's cached chains[i] list the nonzero rows N[i], N^2[i], ...
-    On a row i with the longest chain, n is one more than its length and
-    some mu = N^(n-1)[i][j] is nonzero.  K is q^w times a polynomial in N on
-    the block, so (N^t K)[i][j] = sum_p a_p N^(p+t)[i][j] with
-    a_p = q^w c_p: for t = n-1, n-2, ..., 0 this is triangular in
-    a_0, a_1, ..., with mu on the diagonal.  c_p does not depend on the
-    block, and no block of the module has a higher nilpotency index, so
-    this one row gives every coefficient the module needs.
-    """
-    s = mod.session
-    K = mod.K.rows
-    chains = mod.nilpotent_chains()
-    top = max(range(mod.dim), key=lambda i: len(chains[i]))
-    rows = [{top: s.one}, *chains[top]]
-    n = len(rows)
-    j = min(rows[-1])
-    mu = [row.get(j, s.zero) for row in rows]
-    a = []
-    for p in range(n):
-        x = s.zero
-        for k, v in rows[n - 1 - p].items():
-            kj = K[k].get(j)
-            if kj is not None:
-                x = x + v * kj
-        for pp in range(p):
-            x = x - a[pp] * mu[pp + n - 1 - p]
-        a.append(x / mu[-1])
-    qwi = s.from_cyc(s.q_power(-mod.labels[top].weight))
-    return [x * qwi for x in a]
-
-
-def _ef_coeffs(s, series, w, dqi):
-    """[d_{w,0}, d_{w,1}, ...], the coefficients of N^p in
-    (K - Kinv)/(q - q^-1) on the weight-w block, for the c_p in series:
+def _ef_coeffs(s, n, w, dqi):
+    """[d_{w,0}, ..., d_{w,n-1}], the coefficients of N^p in
+    (K - Kinv)/(q - q^-1) on a weight-w block of nilpotency index n:
     d_{w,p} = c_p (q^w - (-1)^p q^-w) / (q - q^-1), which is c_p [w]_q
-    for even p.  dqi is the Cyc 1/(q - q^-1)."""
+    for even p, with derive_K's c_p = Session.degree_drop_coeff(p).  dqi
+    is the Cyc 1/(q - q^-1)."""
     even = s.from_cyc(s.quantum_integer(w))
-    odd = (s.from_cyc((s.q_power(w) + s.q_power(-w)) * dqi)
-           if len(series) > 1 else None)
-    return [c * (odd if p % 2 else even) for p, c in enumerate(series)]
+    odd = s.from_cyc((s.q_power(w) + s.q_power(-w)) * dqi) if n > 1 else None
+    return [s.degree_drop_coeff(p) * (odd if p % 2 else even)
+            for p in range(n)]
 
 
 def verify_relations(mod):
@@ -391,9 +361,10 @@ def verify_relations(mod):
     - [E,F].  The right side (K - Kinv)/(q - q^-1) is, on block w,
       sum_p d_{w,p} N^p with d_{w,p} = c_p (q^w - (-1)^p q^-w)/(q - q^-1),
       which is [w]_q I when N = 0 there.  Row i of it is built from the
-      rows N^p[i], with the c_p read off K (`_series_coeffs`) and
-      d_{w,p} taken once per block (`_ef_coeffs`); plus row i of F*E, it
-      is compared with row i of E*F.
+      rows N^p[i], with c_p = Session.degree_drop_coeff(p), the
+      coefficients derive_K builds K and Kinv from, and d_{w,p} taken
+      once per block (`_ef_coeffs`); plus row i of F*E, it is compared
+      with row i of E*F.
     - K*Kinv = I, K*E = q^2 E*K, K*F = q^-2 F*K and H*K = K*H follow from
       the block check, [H,E] = 2E and [H,F] = -2F, and K, Kinv being
       derive_K's series.  [H,E] = 2E makes E graded (see E^r above), and
@@ -450,11 +421,9 @@ def _relation_witnesses(mod):
     chains = mod.nilpotent_chains()  # chains[i]: N[i], N^2[i], ...
     N = [chain[0] if chain else {} for chain in chains]
     flat = not any(chains)
-    series = _series_coeffs(mod) if mod.dim else []
     coeffs = [None] * mod.dim  # coeffs[i]: d_{w,0}, d_{w,1}, ... at w_i
     for w, idx in blocks.items():
-        n = 1 + max(len(chains[i]) for i in idx)
-        d = _ef_coeffs(s, series[:n], w, dqi)
+        d = _ef_coeffs(s, 1 + max(len(chains[i]) for i in idx), w, dqi)
         for i in idx:
             coeffs[i] = d
 

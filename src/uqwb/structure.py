@@ -726,6 +726,7 @@ def _transpose_dual(mod):
     E acts by F^T, F by E^T and H by H^T, through tau : E <-> F, H -> H.
     Its entries are mod's own, its own transpose dual has mod's E, F and
     H, and its labels are build_dual's: weight, m - degree, tag "(t)'".
+    It is built once and kept on mod, read-only, like mod's chains.
 
     Lemma: M' is isomorphic to D = build_dual(mod), which acts by
     -(K F)^T, -(E Kinv)^T and H^T.  On block w, N = H - w, K = q^w U(N)
@@ -741,13 +742,15 @@ def _transpose_dual(mod):
     accepts there (mod.K is derived first, for its refusal).  Each h_mu
     has a constant term +-q^k, so T is invertible.
     """
-    mod.K  # derive_K refuses the blocks where U(x) U(-x) != 1
-    m = mod.max_degree
-    labels = [WeightLabel(lab.weight, m - lab.degree, "(%s)'" % lab.tag)
-              for lab in mod.labels]
-    return ModuleRep(mod.session, labels, mod.matF.transpose(),
-                     mod.matE.transpose(), mod.matH.transpose(), m,
-                     name="dual(%s)" % (mod.name or "?"))
+    if mod._dual is None:
+        mod.K  # derive_K refuses the blocks where U(x) U(-x) != 1
+        m = mod.max_degree
+        labels = [WeightLabel(lab.weight, m - lab.degree, "(%s)'" % lab.tag)
+                  for lab in mod.labels]
+        mod._dual = ModuleRep(mod.session, labels, mod.matF.transpose(),
+                              mod.matE.transpose(), mod.matH.transpose(), m,
+                              name="dual(%s)" % (mod.name or "?"))
+    return mod._dual
 
 
 # ---------------------------------------------------------------------

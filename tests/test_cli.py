@@ -135,6 +135,36 @@ def test_pcover_and_certify(tmp_path, capsys):
     assert "identified as cover (i=1, m=1, twist=0)" in text
 
 
+def test_pcover_certify_builds_no_theta_dual(tmp_path, capsys,
+                                            monkeypatch):
+    """pcover-certify reads the cover's top on the transpose dual, the
+    dual the certification reads too, and never calls build_dual: with
+    build_dual made to raise, P(1,2) at ell 5 gives the same report, and
+    under paper-literal it still fails with derive_K's diagnostic."""
+    import uqwb.cli as cli
+
+    out = tmp_path / "p.json"
+    assert run(capsys, "--ell", "5", "pcover", "--i", "1", "--m", "2",
+               "--out", str(out))[0] == 0
+
+    def report():
+        code, text = run(capsys, "pcover-certify", str(out))
+        return code, text[:text.rindex("seconds:")]
+
+    want = report()
+
+    def refuse(mod):
+        raise AssertionError("build_dual called on %s" % mod.name)
+
+    monkeypatch.setattr(cli, "build_dual", refuse)
+    assert report() == want
+    assert want[0] == 0 and "identified as cover (i=1, m=2" in want[1]
+    code, text = run(capsys, "--mode", "paper-literal", "pcover-certify",
+                     str(out))
+    assert code == 1
+    assert "[FAIL] diagnostic: paper-literal coefficients" in text
+
+
 def test_filtration_and_verify_cert(tmp_path, capsys):
     vout = tmp_path / "v.json"
     run(capsys, "--ell", "5", "build", "verma", "--weight", "1",

@@ -208,6 +208,40 @@ def test_cover_index_validation(session):
         build_projective_cover(session, -1, 0)
 
 
+@pytest.mark.parametrize("case", ["index", "twist", "certify"])
+def test_cover_functions_refuse_bad_arguments(case, monkeypatch):
+    """A cover function given an index outside 0..r-2 or a twist off the
+    session's lattice raises RejectedInputError before any generation or
+    filtration work, instead of a DiagnosticError from deep inside: at
+    ell 5, i = 7 for verify_dominant_generation and for
+    certify_projcover_structure on P(1,1), and at weight denominator 1
+    twist 1, which puts t = 5/2 off the lattice."""
+    if case == "twist":
+        s = Session(5, 1)
+        p = build_projective_cover(s, 1, 1, 2)
+    else:
+        s = Session(5)
+        p = build_projective_cover(s, 1, 1)
+    work = []
+    for name in ("_word", "submodule_generated",
+                 "extract_standard_filtration",
+                 "extract_costandard_filtration"):
+        monkeypatch.setattr(projectives, name,
+                            lambda *args, name=name: work.append(name))
+    calls = {
+        "index": (lambda: verify_dominant_generation(s, p, 7, 1),
+                  "projective index 7 outside 0..3"),
+        "twist": (lambda: verify_dominant_generation(s, p, 1, 1, twist=1),
+                  "weight 5/2 not in"),
+        "certify": (lambda: certify_projcover_structure(s, 7, 1, module=p),
+                    "projective index 7 outside 0..3"),
+    }
+    call, match = calls[case]
+    with pytest.raises(RejectedInputError, match=match):
+        call()
+    assert not work
+
+
 def test_generator_recovers_module(session):
     i, m = 1, 1
     p = build_projective_cover(session, i, m)

@@ -29,6 +29,7 @@ from uqwb import (
 )
 from uqwb.linalg import SMat
 from uqwb.repmod import ModuleRep, Report, WeightLabel
+from uqwb.structure import _transpose_dual
 
 
 def assert_pass(mod):
@@ -1024,7 +1025,8 @@ def test_grading_checks_compare_block_numbers(session, monkeypatch):
 def test_built_module_is_read_only(s5):
     """Every write into a built module raises TypeError and changes
     nothing: the entries of E, F, H, K and Kinv, the rows themselves,
-    the labels, and every field but the display name."""
+    the labels, and every field but the display name, the cached
+    transpose dual included."""
     mod = build_projective_cover(s5, 1, 1)
     before = dump_module(mod)
     for g in ("E", "F", "H", "K", "Kinv"):
@@ -1035,6 +1037,7 @@ def test_built_module_is_read_only(s5):
     with pytest.raises(TypeError):
         mod.labels[0] = mod.labels[1]
     mod.graded_blocks()  # the lazy caches fill once, from None
+    _transpose_dual(mod)
     for field in ModuleRep.__slots__:
         if field == "name":
             continue

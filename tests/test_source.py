@@ -175,9 +175,14 @@ def _defined(name):
 
 
 def test_one_k_series():
-    """The coefficients of K = q^H are read only by repmod.derive_K, so
-    the library has one K series; every other K comes from it."""
-    assert _call_sites("degree_drop_coeff") == ["repmod.derive_K"]
+    """The coefficients of K = q^H are read by repmod.derive_K, the one
+    builder of K and Kinv, and by the [E,F] right side of
+    verify_relations (repmod._ef_coeffs), which takes them as derive_K
+    does instead of solving them back off K; _series_coeffs is gone."""
+    assert sorted(_call_sites("degree_drop_coeff")) == [
+        "repmod._ef_coeffs", "repmod.derive_K"]
+    assert not _call_sites("_series_coeffs")
+    assert not _defined("_series_coeffs")
 
 
 def test_one_nilpotent_walk():

@@ -824,6 +824,27 @@ def test_filtrations_verify_once(s5, monkeypatch):
     assert got["verify_relations"] == 2 + 3
 
 
+def test_certification_builds_one_dual(s5, monkeypatch):
+    """Certifying P(1,2) at ell 5 builds exactly one dual(...) module:
+    the transpose dual, kept on the cover and read by the costandard
+    search, its certificate check, self-duality and the top."""
+    p = build_projective_cover(s5, 1, 2)
+    names = []
+    init = ModuleRep.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        names.append(self.name)
+
+    monkeypatch.setattr(ModuleRep, "__init__", counted)
+    rep = certify_projcover_structure(s5, 1, 2, module=p)
+    assert rep["status"] == "pass"
+    # the other names are subquotients, such as dual(P(1,2))/sub
+    assert [n for n in names if re.fullmatch(r"dual\(.*\)", n)] == [
+        "dual(P(1,2))"]
+    assert structure._transpose_dual(p) is p._dual
+
+
 def _transport(s5):
     """The unverified standard chain of P(1,1), P(1,1) x C(2) and the
     shift 2*ell/2."""

@@ -31,7 +31,8 @@ The independent construction splits the cover off a projective tensor
 as the Casimir's generalized eigenspace: one kernel of (Omega - chi)^n
 per weight block of size n.
 
-Every basis vector of the cover is a fixed word in its generator, so an
+Every basis vector of the cover is a fixed word in E, F and N = H - w
+(structure._word, structure._n_walk) at its generator, so an
 isomorphism out of the cover (onto its dual, or onto the summand) is
 built from the image of the generator alone (structure._verma_map) and
 checked exactly; the Hom solve of iso_test is only the fallback.  The
@@ -43,6 +44,7 @@ extract_costandard_filtration, the costandard filtration.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from .errors import ConstructionError, DiagnosticError, RejectedInputError
 from .linalg import SMat, _axpy
@@ -60,10 +62,11 @@ from .repmod import (
 from .structure import (
     _block_pairs,
     _blocks_full_rank,
+    _degree,
     _intertwiner_ok,
     _kernel,
+    _n_walk,
     _same_field,
-    _shifted,
     _solve,
     _transpose_dual,
     _verma_map,
@@ -77,7 +80,6 @@ from .structure import (
     submodule_generated,
     submodule_to_module,
     typicality,
-    vec_degree,
 )
 
 
@@ -170,47 +172,39 @@ def build_projective_cover(session, i, m, twist=0):
     return mod
 
 
-def _graded_dominant_defect(mod, vec, w, m):
-    """(H-w)^m (FE)^2 v for a sparse v, as a sparse vector: empty iff v
-    is dominant to leading degree.
-
-    At m = 0 this is the classical dominance condition (FE)^2 v = 0.
-    For m >= 1 the commutator forces (FE)^2 v into degrees < m, so the
-    leading-degree part is what can and must vanish.  Each factor is
-    applied to the vector in turn, E before F.
-    """
-    x = _word(mod, vec, "EFEF")
-    shift = mod.session.from_rational(w)
-    for _ in range(m):
-        x = _shifted(mod, x, shift)
-    return x
-
-
 def verify_dominant_generation(session, p, i, m, twist=0):
     """Check that the cover is generated by its single leading vector.
 
     Works for the plain and the twisted cover alike, which share their
-    basis indices.  Returns a report in the verify_relations shape;
-    RejectedInputError for a bad (i, m, twist) (`_cover_weights`) or a p
-    over another field than the session.
+    basis indices.  Returns a report in the verify_relations shape, which
+    fails, without raising, on a p not laid out as this cover (a generator
+    index outside p fails "generator weight" alone).  RejectedInputError
+    for a bad (i, m, twist) (`_cover_weights`) or a p over another field.
     """
     w, _ = _cover_weights(session, i, m, twist)
     _same_field(session, p.session)
     rep = Report()
-    z = session.zero
     gi = generator_index(session, i, m)
-    gen = [z] * p.dim
+    if gi >= p.dim:
+        rep.add("generator weight", False,
+                "generator index %d outside dimension %d" % (gi, p.dim))
+        return rep.as_dict()
+    g = {gi: session.one}
+    # (H - w)^m (FE)^2 g: at m = 0 the classical dominance; for m >= 1 the
+    # commutator forces (FE)^2 g into degrees < m, so only degree m must vanish
+    lead = next(islice(_n_walk(p, _word(p, g, "EFEF"), w), m, None))
+    rep.add("(FE)^2 kills the generator to leading degree", not lead)
+    weight = p.labels[gi].weight
+    rep.add("generator weight", weight == w,
+            "label weight %s, expected %s" % (weight, w))
+    rep.add("generator degree", weight == w and _degree(p, g, w) == m)
+    gen = [session.zero] * p.dim
     gen[gi] = session.one
-    rep.add("(FE)^2 kills the generator to leading degree",
-            not _graded_dominant_defect(p, {gi: session.one}, w, m))
-    rep.add("generator weight", p.labels[gi].weight == w,
-            "label weight %s, expected %s" % (p.labels[gi].weight, w))
-    rep.add("generator degree", vec_degree(p, gen, w) == m)
     sub = submodule_generated(p, [gen])
     rep.add("single-vector generation", sub.dim == p.dim,
             "generated dimension %d of %d" % (sub.dim, p.dim))
     li = proj_index(session, i, m, "L", 0, m)
-    got = _word(p, {gi: session.one}, "F" * (i + 1))
+    got = _word(p, g, "F" * (i + 1))
     rep.add("F^{i+1} generator starts the L chain",
             got == {li: session.one})
     rep.add("F^r kills the generator",
@@ -246,14 +240,10 @@ def _cover_maps(p, i, m, twist):
     if (p.dim != 2 * r * n or p.labels[gi].weight != w
             or p.labels[top].weight != hi):
         return None
-    nhi = s.from_rational(hi)
 
     def raised(q, v):
         """E^{j+1} v and N^a of it, for a = 0..m."""
-        out = [_word(q, v, "E" * (j + 1))]
-        for _ in range(m):
-            out.append(_shifted(q, out[-1], nhi))
-        return out
+        return list(islice(_n_walk(q, _word(q, v, "E" * (j + 1)), hi), n))
 
     powers = raised(p, {gi: s.one})
     support = sorted({k for x in powers for k in x} | {top})

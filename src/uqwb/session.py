@@ -234,12 +234,11 @@ class Session:
         return "%s / %s" % (num, self._format_poly(x.den))
 
     def parse_scalar(self, text: str) -> Scalar:
-        num_s, den_s = _split_top(text, "/")
+        num_s, *den_s = _split_top(text, "/")
+        if len(den_s) > 1:
+            raise RejectedInputError("more than one '/' in scalar %r" % text)
         num = self._parse_poly(num_s)
-        if den_s is None:
-            den = (self.cyc_one,)
-        else:
-            den = self._parse_poly(den_s)
+        den = self._parse_poly(den_s[0]) if den_s else (self.cyc_one,)
         try:
             return Scalar._make(num, den)
         except ZeroDivisionError:
@@ -247,8 +246,10 @@ class Session:
 
     def _parse_poly(self, text):
         poly = {}
-        for term in _split_terms(text):
+        for term in _split_top(text, "+"):
             term = term.strip()
+            if not term:
+                continue
             m = re.fullmatch(r"(\(.*\))\s*(?:\*\s*t\^(\d+))?", term)
             if not m:
                 raise RejectedInputError("cannot parse scalar term %r" % term)
@@ -300,35 +301,20 @@ class Session:
 
 
 def _split_top(text, sep):
-    """Split at the first top-level (outside parens) occurrence of sep."""
+    """The parts of text between its top-level (outside parens) sep."""
     depth = 0
+    parts = []
+    start = 0
     for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
         elif ch == sep and depth == 0:
-            return text[:i], text[i + 1:]
-    return text, None
-
-
-def _split_terms(text):
-    """Split a poly string on top-level '+'."""
-    depth = 0
-    parts = []
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p for p in parts if p.strip()]
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
 
 
 def _parse_digits(digits, default, term):

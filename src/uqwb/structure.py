@@ -12,7 +12,8 @@ wide, instead of full-dimension ones.
 Vectors are sparse {index: Scalar} dicts without zeros, applied through
 the cached columns of E, F and H (`ModuleRep.columns`) with linalg's
 sparse row arithmetic (`_apply`, `_axpy`); a word in E and F is
-applied one letter at a time by `_word`.  Submodules are
+applied one letter at a time by `_word`, and the powers of N = H - w to
+a vector are the terms of one lazy walk, `_n_walk`.  Submodules are
 SubmoduleBasis objects: sparse reduced echelon bases of homogeneous
 vectors, so reducing a vector touches only the rows of its own weight.
 That echelon is the library's one elimination: every kernel (`_kernel`)
@@ -49,6 +50,7 @@ import bisect
 import random
 from collections import namedtuple
 from fractions import Fraction
+from itertools import islice
 
 from .errors import DiagnosticError, RejectedInputError
 from .linalg import SMat, _apply, _axpy
@@ -162,17 +164,22 @@ def _dense(mod, vec):
     return out
 
 
-def _shifted(mod, vec, shift):
-    """(H - shift) vec for a sparse vec and a Scalar shift."""
-    return _axpy(_apply(mod.columns("H"), vec), -shift, vec)
-
-
 def _word(mod, vec, word):
     """A word in the letters E and F applied to a sparse vec, first letter
     first: _word(mod, v, "FE") is E F v."""
     for g in word:
         vec = _apply(mod.columns(g), vec)
     return vec
+
+
+def _n_walk(mod, vec, w):
+    """vec, N vec, N^2 vec, ... for a sparse vec and N = H - w, lazily and
+    without end: a caller takes the terms it needs."""
+    hcols = mod.columns("H")
+    shift = -mod.session.from_rational(w)
+    while True:
+        yield vec
+        vec = _axpy(_apply(hcols, vec), shift, vec)
 
 
 def _split(mod, vec):
@@ -191,20 +198,13 @@ def weight_split(mod, vec):
 
 
 def _degree(mod, vec, w):
-    """vec_degree of a sparse vector."""
-    shift = mod.session.from_rational(w)
-    deg = -1
-    while vec:
-        deg += 1
-        if deg > mod.dim:
+    """The least s with (H - w)^{s+1} vec = 0 for a sparse vec (-1 for
+    vec = 0); DiagnosticError if (H - w)^{dim+1} vec is not 0."""
+    for k, x in enumerate(_n_walk(mod, vec, w)):
+        if not x:
+            return k - 1
+        if k > mod.dim:
             raise DiagnosticError("H - %s not nilpotent on vector" % (w,))
-        vec = _shifted(mod, vec, shift)
-    return deg
-
-
-def vec_degree(mod, vec, w):
-    """Minimal s with (H - w)^{s+1} v = 0 for a weight-w vector."""
-    return _degree(mod, _sparse(vec), w)
 
 
 # ---------------------------------------------------------------------
@@ -289,6 +289,8 @@ class SubmoduleBasis:
         return out
 
     def is_closed(self):
+        if self.dim == self.parent.dim:
+            return True
         for g in ("E", "F", "H"):
             cols = self.parent.columns(g)
             for row in self._rows.values():
@@ -668,10 +670,7 @@ def _verma_map(mod, u, w, deg):
     s = mod.session
     r = s.r
     n = deg + 1
-    shift = s.from_rational(w)
-    cur = [u] * n
-    for k in range(deg, 0, -1):
-        cur[k - 1] = _shifted(mod, cur[k], shift)
+    cur = list(islice(_n_walk(mod, u, w), n))[::-1]
     fcols = mod.columns("F")
     g = SMat(s, mod.dim, r * n)
     for t in range(r):

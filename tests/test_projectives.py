@@ -250,6 +250,38 @@ def test_generator_recovers_module(session):
         [x for x in rep["items"] if not x["ok"]]
 
 
+@pytest.mark.parametrize("args", [(2, 1), (1, 2), (0, 1), (3, 1), (1, 25)],
+                         ids="i{0[0]}-m{0[1]}".format)
+def test_generation_fails_on_another_covers_arguments(s5, args):
+    """At ell 5, P(1,1) checked as the cover of another valid (i, m) fails
+    and raises nothing: a generator whose label weight is not w fails
+    "generator weight" and "generator degree" instead of raising from the
+    degree walk, and at (1, 25), whose generator index 25 lies beyond
+    P(1,1)'s 20 basis vectors, "generator weight" fails alone."""
+    p = build_projective_cover(s5, 1, 1)
+    rep = verify_dominant_generation(s5, p, *args)
+    assert rep["status"] == "fail"
+    failed = [x["check"] for x in rep["items"] if not x["ok"]]
+    assert "generator weight" in failed
+    if args == (1, 25):
+        assert rep["items"] == [{
+            "check": "generator weight", "ok": False,
+            "witness": "generator index 25 outside dimension 20"}]
+    else:
+        assert "generator degree" in failed
+
+
+def test_leading_degree_negative_control(s5):
+    """L(1) (x) P(0,1) at ell 5, checked as (i, m) = (1, 1): its generator
+    has weight 1 and degree 1, but (H - 1) (FE)^2 g is not 0, so the
+    leading-degree item fails; one more step of the walk would kill it."""
+    t = build_tensor(build_simple(s5, 1), build_projective_cover(s5, 0, 1))
+    rep = verify_dominant_generation(s5, t, 1, 1)
+    ok = {x["check"]: x["ok"] for x in rep["items"]}
+    assert not ok["(FE)^2 kills the generator to leading degree"]
+    assert ok["generator weight"] and ok["generator degree"]
+
+
 def test_degree_zero_boundary_vanishing(session):
     """At m = 0 the classical boundary relation E w^S_{i,0} = 0 holds."""
     i = 1

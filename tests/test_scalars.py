@@ -501,6 +501,15 @@ def test_parse_rejects_garbage(s5):
             s5.parse_scalar(bad)
 
 
+def test_parse_refuses_two_top_level_slashes(s5):
+    """A scalar is one numerator over at most one denominator: a second
+    "/" outside the parentheses is refused by name, while the "/" of a
+    rational coefficient inside them parses."""
+    assert s5.parse_scalar("(1/2) / (3)") == s5.from_rational(Fraction(1, 6))
+    with pytest.raises(RejectedInputError, match="more than one '/'"):
+        s5.parse_scalar("(1) / (2) / (3)")
+
+
 def test_session_validation():
     with pytest.raises(RejectedInputError):
         Session(1)

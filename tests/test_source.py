@@ -262,6 +262,21 @@ def test_one_word_walk():
     assert not found, found
 
 
+def test_one_n_walk():
+    """The powers of N = H - w applied to a vector are the terms of
+    structure._n_walk, read by the degree of a vector, the chains of a
+    Verma map, the cover's raised chain and its leading-degree dominance;
+    _shifted, _graded_dominant_defect and vec_degree are gone."""
+    assert [site.split(":")[0] for site in _defined("_n_walk")] == [
+        "structure.py"]
+    assert sorted(_call_sites("_n_walk")) == [
+        "projectives.raised", "projectives.verify_dominant_generation",
+        "structure._degree", "structure._verma_map"]
+    for name in ("_shifted", "_graded_dominant_defect", "vec_degree"):
+        assert not _defined(name), name
+        assert not _call_sites(name), name
+
+
 def test_one_zeta_walk():
     """zeta * v on int coefficients is written once, as
     cyclotomic._times_zeta, and called only where the session walks its

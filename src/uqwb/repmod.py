@@ -9,17 +9,20 @@ computed once, read-only, and cannot go stale.  N is formed in one
 place, `_nilpotent_chains`, which checks that H keeps the label weight
 blocks and is w plus a nilpotent on each; K, the relation check, the
 label degrees of a subquotient and the socle read the module's cached
-chains.  K and Kinv are never serialized.
+chains.  K and Kinv are derived when first read, and never serialized.
 
 derive_K is the only K = q^H series.  The [E,F] side of verify_relations
 takes the same coefficients, Session.degree_drop_coeff, and builds no K
-of its own.  The generalized Verma constructor needs K on its
+of its own; the relation check reads K only to row-check K*E and K*F,
+when the [H,E] or [H,F] premise fails, so a passing module leaves it
+underived.  The generalized Verma constructor needs K on its
 highest-weight chain too: it wraps the chain's block of H in a ModuleRep
-and takes K from derive_K, so the coefficient modes, and the
-paper-literal refusal on blocks of nilpotency index above two, live in
-one place.  Built Vermas, and the PBW normal forms of E*F^t they are
-read from, are kept on the session (see `Session`), so a V(lam, m)
-asked for again is not rebuilt.
+and takes K from derive_K, so the coefficient modes live in one place.
+The paper-literal refusal on blocks of nilpotency index above two has
+one home, `_literal_refusal`, which derive_K and the relation check
+call.  Built Vermas, and the PBW normal forms of E*F^t they are read
+from, are kept on the session (see `Session`), so a V(lam, m) asked for
+again is not rebuilt.
 """
 
 from __future__ import annotations
@@ -142,17 +145,18 @@ class ModuleRep:
         blockwise routines of `structure` rely on this.  The check is one
         pass over the nonzero entries, on block numbers: the label
         weights are numbered once (`_block_numbers`), the block that g
-        should map each block to is found once per block, and each entry
-        compares two ints.  The result is cached, read-only, as a mapping
-        of index tuples; an offending entry raises ModuleInvalidError
-        naming it.
+        should map each block to is found once per block, from its int
+        key (`_shift_key`), and each entry compares two ints.  The
+        result is cached, read-only, as a mapping of index tuples; an
+        offending entry raises ModuleInvalidError naming it.
         """
         if self._graded is None:
             weights = [lab.weight for lab in self.labels]
             block, blocks, number = _block_numbers(weights)
             for g, shift in (("E", 2), ("F", -2), ("H", 0)):
-                target = [number.get(_weight_key(w + shift))
-                          for w, _ in blocks]
+                # number lists the keys in block order
+                target = [number.get(_shift_key(key, shift))
+                          for key in number]
                 for i, row in enumerate(self.generator_matrix(g).rows):
                     bi = block[i]
                     for j in row:
@@ -176,6 +180,14 @@ class ModuleRep:
 
 def _weight_key(w):
     return w.numerator, w.denominator
+
+
+def _shift_key(key, shift):
+    """The _weight_key of w + shift, for key the _weight_key of w and an
+    integer shift: with w = n/d in lowest terms, (n + shift*d)/d is in
+    lowest terms too, so no Fraction is built."""
+    n, d = key
+    return n + shift * d, d
 
 
 def _block_numbers(weights):
@@ -203,6 +215,15 @@ def _block_numbers(weights):
 def _weight_blocks(weights):
     """Map weight -> sorted list of the indices with that weight."""
     return dict(_block_numbers(weights)[1])
+
+
+def _shifted_rows(blocks, step):
+    """The sorted indices of the blocks, a mapping weight -> indices,
+    whose weight is w + step for some weight w of them, found on int
+    keys (`_shift_key`)."""
+    keys = [(_weight_key(w), idx) for w, idx in blocks.items()]
+    targets = {_shift_key(key, step) for key, _ in keys}
+    return sorted(i for key, idx in keys if key in targets for i in idx)
 
 
 def _nilpotent_chains(session, weights, matH):
@@ -239,6 +260,17 @@ def _nilpotent_chains(session, weights, matH):
     return tuple(chains)
 
 
+def _literal_refusal(s, n, w):
+    """ModeUnsupportedError on a weight-w block of nilpotency index n > 2
+    in the paper-literal mode, whose coefficients give K*Kinv != I there;
+    derive_K and the relation check both refuse through it."""
+    if s.mode == MODE_PAPER_LITERAL and n > 2:
+        raise ModeUnsupportedError(
+            "paper-literal coefficients give K*Kinv != I on a block "
+            "with nilpotency index %d > 2 (weight %s); use the "
+            "exponential mode" % (n, w))
+
+
 def derive_K(mod):
     """(K, Kinv): row i of weight w is q^w sum_p c_p N^p[i] in K and
     q^-w sum_p (-1)^p c_p N^p[i] in Kinv, read off the cached chains."""
@@ -247,11 +279,7 @@ def derive_K(mod):
     K, Kinv = [None] * mod.dim, [None] * mod.dim
     for w, idx in mod.weight_blocks().items():
         n = 1 + max(len(chains[i]) for i in idx)
-        if s.mode == MODE_PAPER_LITERAL and n > 2:
-            raise ModeUnsupportedError(
-                "paper-literal coefficients give K*Kinv != I on a block "
-                "with nilpotency index %d > 2 (weight %s); use the "
-                "exponential mode" % (n, w))
+        _literal_refusal(s, n, w)
         qw = s.from_cyc(s.q_power(w))
         qwi = s.from_cyc(s.q_power(-w))
         cs = [s.degree_drop_coeff(p) for p in range(n)]
@@ -327,16 +355,18 @@ def verify_relations(mod):
 
     Returns {"status": "pass"|"fail", "items": [...]} where each item is
     {"check": name, "ok": bool, "witness": str or None}.  The H weight
-    blocks are checked first: the item passes when mod.K is derived,
-    since derive_K raises on an H that connects two weight blocks or is
-    not w plus a nilpotent on one.  A relation LHS = RHS is then either
-    decided from checked premises, or checked one row at a time: row i
-    of each side is built from the sparse rows (row i of K*E is K's row
-    i times the rows of E, row i of E^r is r-1 such steps), and the two
-    rows are compared as dicts.  The witness of a failing relation is
-    the first nonzero entry (i, j) of LHS - RHS in row-major order; a
-    premise decides only a passing verdict, so every witness is the row
-    check's.
+    blocks are checked first: the item passes when the chains of N
+    walk (`ModuleRep.nilpotent_chains`), which raises on an H that
+    connects two weight blocks or is not w plus a nilpotent on one.  In
+    the paper-literal mode a block of nilpotency index above two raises
+    derive_K's ModeUnsupportedError (`_literal_refusal`).  A relation
+    LHS = RHS is then either decided from checked premises, or checked
+    one row at a time: row i of each side is built from the sparse rows
+    (row i of K*E is K's row i times the rows of E, row i of E^r is r-1
+    such steps), and the two rows are compared as dicts.  The witness of
+    a failing relation is the first nonzero entry (i, j) of LHS - RHS in
+    row-major order; a premise decides only a passing verdict, so every
+    witness is the row check's.
 
     Let w_i be the label weight of basis vector i and N = H - diag(w_i).
     The block check makes N nilpotent on each weight block, and K and
@@ -374,9 +404,9 @@ def verify_relations(mod):
       since K is a polynomial in H on each block.  K*Kinv = I is
       exp(tau N) exp(-tau N) = 1 in the exponential mode; in the
       paper-literal mode it is (1 + tau N)(1 - tau N) = 1, since derive_K
-      refuses a block with N^2 != 0 there.  So K*Kinv = I and H*K = K*H
-      pass with no row built, and if [H,E] or [H,F] fails, K*E and K*F
-      are row-checked.
+      and this check refuse a block with N^2 != 0 there.  So K*Kinv = I
+      and H*K = K*H pass with no row built, and if [H,E] or [H,F] fails,
+      K*E and K*F are row-checked; only then is K derived.
 
     A built module never changes, so its witnesses are computed at the
     first call and kept on the module, and every call builds a new
@@ -402,15 +432,13 @@ def _relation_witnesses(mod):
     passes, as a tuple; only the first if the H weight blocks fail."""
     s = mod.session
     try:
-        K = mod.K.rows
+        chains = mod.nilpotent_chains()  # chains[i]: N[i], N^2[i], ...
     except ModuleInvalidError as e:
         return (str(e),)
 
     E, F, H = mod.matE.rows, mod.matF.rows, mod.matH.rows
     one = s.one
     two = s.from_rational(2)
-    q2 = s.from_cyc(s.q_power(2))
-    qm2 = s.from_cyc(s.q_power(-2))
     dqi = (s.q_power(1) - s.q_power(-1)).inv()
     try:
         blocks = mod.graded_blocks()
@@ -418,12 +446,13 @@ def _relation_witnesses(mod):
     except ModuleInvalidError:
         blocks = mod.weight_blocks()
         graded = False
-    chains = mod.nilpotent_chains()  # chains[i]: N[i], N^2[i], ...
     N = [chain[0] if chain else {} for chain in chains]
     flat = not any(chains)
     coeffs = [None] * mod.dim  # coeffs[i]: d_{w,0}, d_{w,1}, ... at w_i
     for w, idx in blocks.items():
-        d = _ef_coeffs(s, 1 + max(len(chains[i]) for i in idx), w, dqi)
+        n = 1 + max(len(chains[i]) for i in idx)
+        _literal_refusal(s, n, w)
+        d = _ef_coeffs(s, n, w, dqi)
         for i in idx:
             coeffs[i] = d
 
@@ -458,11 +487,7 @@ def _relation_witnesses(mod):
     def power_witness(X, decided, step):
         # rows of X^r that the grading leaves possibly nonzero, once the
         # [H,X] premise holds; otherwise every row
-        rows = None
-        if decided is None:
-            targets = {w + step for w in blocks}
-            rows = sorted(i for w, idx in blocks.items() if w in targets
-                          for i in idx)
+        rows = None if decided is not None else _shifted_rows(blocks, step)
         return witness(lambda i: power(X, i), lambda i: {}, rows)
 
     he = None if graded and commutes(E) else witness(
@@ -473,16 +498,20 @@ def _relation_witnesses(mod):
         lambda i: _apply(H, F[i]))
     premised = he is None and hf is None
 
-    def k_item(lhs, rhs):
-        return None if premised else witness(lhs, rhs)
+    def k_item(X, q):
+        # K*X = q X*K, row by row, unless the premises decide it; K is
+        # derived only here
+        if premised:
+            return None
+        K = mod.K.rows
+        return witness(lambda i: _apply(X, K[i]),
+                       lambda i: _axpy({}, q, _apply(K, X[i])))
 
     return (
         None,  # the H weight blocks
         None,  # K*Kinv = I
-        k_item(lambda i: _apply(E, K[i]),  # K*E = q^2 E*K
-               lambda i: _axpy({}, q2, _apply(K, E[i]))),
-        k_item(lambda i: _apply(F, K[i]),  # K*F = q^-2 F*K
-               lambda i: _axpy({}, qm2, _apply(K, F[i]))),
+        k_item(E, s.from_cyc(s.q_power(2))),  # K*E = q^2 E*K
+        k_item(F, s.from_cyc(s.q_power(-2))),  # K*F = q^-2 F*K
         witness(lambda i: _apply(F, E[i]), ef_rhs),  # [E,F]
         None,  # H*K = K*H
         he,  # [H,E] = 2E

@@ -246,10 +246,7 @@ class Session:
 
     def _parse_poly(self, text):
         poly = {}
-        for term in _split_top(text, "+"):
-            term = term.strip()
-            if not term:
-                continue
+        for term in _terms(_split_top(text, "+"), text):
             m = re.fullmatch(r"(\(.*\))\s*(?:\*\s*t\^(\d+))?", term)
             if not m:
                 raise RejectedInputError("cannot parse scalar term %r" % term)
@@ -269,10 +266,8 @@ class Session:
             raise RejectedInputError("cyclotomic coefficient must be "
                                      "parenthesized: %r" % text)
         acc = self.cyc_zero
-        for term in inner[1:-1].split("+"):
-            term = term.strip().replace("−", "-")
-            if not term:
-                continue
+        for term in _terms(inner[1:-1].split("+"), text):
+            term = term.replace("−", "-")
             m = re.fullmatch(
                 r"(-?\d+(?:/\d+)?)?\s*\*?\s*(z(?:\^(\d+))?)?", term
             )
@@ -315,6 +310,16 @@ def _split_top(text, sep):
             start = i + 1
     parts.append(text[start:])
     return parts
+
+
+def _terms(parts, text):
+    """The stripped parts of text, split at its "+"; RejectedInputError
+    on a blank one, so text with no term, a dangling "+" or empty
+    parentheses is refused rather than read as 0."""
+    terms = [part.strip() for part in parts]
+    if "" in terms:
+        raise RejectedInputError("blank term in scalar text %r" % (text,))
+    return terms
 
 
 def _parse_digits(digits, default, term):

@@ -992,15 +992,17 @@ def annihilator_basis(mod, dual_rows):
 
 
 def _twisted_chain(cert, tmod, shift):
-    """A standard certificate of tmod, the twist of cert.parent by the
-    weight shift, unverified.
+    """A standard certificate of tmod, a twist of cert.parent that moves
+    every weight by shift, unverified.
 
     tmod has cert.parent's basis indices, and on them E acts as a
     nonzero multiple of cert.parent's E, F as its F and H as its H +
-    shift (build_projective_cover glues it so).  tmod therefore has
-    exactly the submodules of cert.parent, and a chain with quotients
-    V(w, deg) is one of tmod with quotients V(w + shift, deg): the same
-    rows, rebased onto tmod, and every claim weight shifted.
+    shift.  build_projective_cover glues any two twists of one (i, m)
+    so, either of them untwisted or neither, with E equal up to sign.
+    tmod therefore has exactly the submodules of cert.parent, and a chain
+    with quotients V(w, deg) is one of tmod with quotients
+    V(w + shift, deg): the same rows, rebased onto tmod, and every
+    claim weight shifted.
     """
     chain = []
     for sub in cert.chain:
@@ -1206,16 +1208,19 @@ def bgg_table(session, m, weights, seed=0):
     filtration multiplicities come from certificates, composition
     multiplicities from the independent jordan_holder computation.
 
-    Each untwisted P_i^m is built and searched once per call; a twist
-    gets the search's chain by transport (_twisted_chain) onto its own
-    cover, which build_projective_cover glues and relation-checks.
-    Every returned certificate is verified once.  The table makes no
-    random choice, so seed is never read.
+    One cover is built, and relation-checked by
+    build_projective_cover, per atypical weight of the window; an
+    untwisted P_i^m the window does not ask for is never built.  Index
+    i's chain is searched once, on the first of its covers in the
+    window, and every other cover of i gets it by transport
+    (_twisted_chain), shifted by the difference of the two weights.
+    Every returned certificate is verified once, on its own cover.  The
+    table makes no random choice, so seed is never read.
     """
     from .projectives import build_projective_cover
 
     weights = [session.check_weight(w) for w in weights]
-    chains = {}  # i -> the standard chain of P_i^m, unverified
+    chains = {}  # i -> (first weight of i, its standard chain, unverified)
     filt = {}
     for lam in weights:
         if typicality(session, lam).typical:
@@ -1223,13 +1228,12 @@ def bgg_table(session, m, weights, seed=0):
                 build_generalized_verma(session, lam, m), m)
         else:
             i, k = atypical_decompose(session, lam)
+            cover = build_projective_cover(session, i, m, k)
             if i not in chains:
-                chains[i] = _standard_chain(
-                    build_projective_cover(session, i, m), m)
-            cert = chains[i]
-            if cert is not None and k:
-                cert = _twisted_chain(
-                    cert, build_projective_cover(session, i, m, k), lam - i)
+                chains[i] = lam, _standard_chain(cover, m)
+            first, cert = chains[i]
+            if cert is not None and cert.parent is not cover:
+                cert = _twisted_chain(cert, cover, lam - first)
             cert = _verified(cert, "filtration of the cover at %s" % (lam,))
         if cert is None:
             raise DiagnosticError(

@@ -286,6 +286,23 @@ def test_criterion_10_paper_literal_diagnosed():
         derive_K(reloaded)
 
 
+def test_criterion_10_paper_literal_refused_by_the_relation_check():
+    """verify_relations derives no K on a passing module, yet it refuses
+    a loaded V(1, 2) under paper-literal with derive_K's own text, and
+    derives no K on the way."""
+    from uqwb import dump_module, load_module
+    data = dump_module(build_generalized_verma(Session(5), Fraction(1), 2))
+    data["session"]["mode"] = "paper-literal"
+    with pytest.raises(ModeUnsupportedError) as refused:
+        derive_K(load_module(data))
+    reloaded = load_module(data)
+    with pytest.raises(ModeUnsupportedError) as gated:
+        verify_relations(reloaded)
+    assert str(gated.value) == str(refused.value)
+    assert "nilpotency index 3 > 2 (weight 1)" in str(gated.value)
+    assert reloaded._K is None
+
+
 def test_criterion_10_cli_reports_diagnostic(capsys):
     from uqwb.cli import main
     code = main(["--ell", "5", "--mode", "paper-literal", "build",

@@ -969,6 +969,74 @@ def test_verified_module_keeps_its_report(session, monkeypatch):
     assert verify_relations(cover) == again
 
 
+def test_passing_check_derives_no_k(session):
+    """verify_relations reads K only to row-check K*E and K*F, so on
+    V(1, 2), P(1, 2) and P(1, 1) x C(1), which pass, K and Kinv stay
+    underived: through build_projective_cover's own check and through a
+    second call."""
+    mods = [_fresh(build_generalized_verma(session, Fraction(1), 2)),
+            build_projective_cover(session, 1, 2),
+            build_projective_cover(session, 1, 1, 1)]
+    for mod in mods:
+        assert verify_relations(mod)["status"] == "pass", mod.name
+        assert (mod._K, mod._Kinv) == (None, None), mod.name
+
+
+# K*E and K*F witnesses of P(1,1) x C(1) with E[last, last] = 2 (the
+# [H,E] premise fails) or F[0, last] = 1 (the [H,F] premise fails), as
+# the row check gave them when every verify_relations derived K
+FAILED_PREMISE_K_WITNESSES = {
+    (5, "E"): ("entry (18,19) = (2*z^6)*t^1", None),
+    (5, "F"): (None, "entry (0,19) = (-1 + z^2 + -2*z^4 + z^6)*t^0"),
+    (8, "E"): ("entry (14,15) = (2*z^12)*t^1", None),
+    (8, "F"): (None, "entry (0,15) = (-2*z^4)*t^0"),
+}
+
+
+@pytest.mark.parametrize("g", ["E", "F"])
+def test_failed_premise_row_checks_k(session, g):
+    """A module whose [H,E] or [H,F] premise fails has K derived and
+    K*E and K*F row-checked, with the pinned witnesses."""
+    cover = build_projective_cover(session, 1, 1, 1)
+    last = cover.dim - 1
+    i, j, v = ((last, last, session.from_rational(2)) if g == "E"
+               else (0, last, session.one))
+    bad = _with_entry(cover, g, i, j, v)
+    got = {it["check"]: it["witness"] for it in verify_relations(bad)["items"]}
+    assert got["[H,E] = 2E" if g == "E" else "[H,F] = -2F"] is not None
+    assert (got["K*E = q^2 E*K"], got["K*F = q^-2 F*K"]) \
+        == FAILED_PREMISE_K_WITNESSES[session.ell, g]
+    assert bad._K is not None
+
+
+def test_block_keys_match_the_fraction_route(s8):
+    """graded_blocks and the rows of E^r and F^r that the grading leaves
+    possibly nonzero are found on int keys (n, d); on V(1/2, 2) (x) L_1
+    at ell 8, whose weights are all half-integers, they are what
+    Fraction arithmetic on the weights gives."""
+    import uqwb.repmod as repmod
+
+    mod = build_tensor(build_generalized_verma(s8, Fraction(1, 2), 2),
+                       build_simple(s8, 1))
+    weights = [lab.weight for lab in mod.labels]
+    assert {w.denominator for w in weights} == {2}
+    for g, shift in (("E", 2), ("F", -2), ("H", 0)):
+        for i, row in enumerate(mod.generator_matrix(g).rows):
+            assert all(weights[i] == weights[j] + shift for j in row)
+    want = {}
+    for i, w in enumerate(weights):
+        want.setdefault(w, []).append(i)
+    blocks = mod.graded_blocks()
+    assert list(blocks.items()) == [(w, tuple(idx))
+                                    for w, idx in want.items()]
+    for step in (2 * s8.r, -2 * s8.r):
+        rows = sorted(i for w, idx in want.items() if w - step in want
+                      for i in idx)
+        assert rows
+        assert repmod._shifted_rows(blocks, step) == rows
+    assert verify_relations(mod)["status"] == "pass"
+
+
 # ---------------------------------------------------------------------
 # built modules are read-only
 # ---------------------------------------------------------------------

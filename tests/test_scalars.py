@@ -501,6 +501,16 @@ def test_parse_rejects_garbage(s5):
             s5.parse_scalar(bad)
 
 
+@pytest.mark.parametrize("text", [
+    "", " ", "+", "()", "(+)", "/(1)", "(1)*t^0 + ", "(1) + ", "( + 1)"])
+def test_parse_refuses_blank_terms(s5, text):
+    """A polynomial with no term, a blank top-level "+" term and a blank
+    term inside a coefficient's parentheses are refused: a blanked or
+    truncated entry does not load as 0 or as its surviving terms."""
+    with pytest.raises(RejectedInputError, match="blank term"):
+        s5.parse_scalar(text)
+
+
 def test_parse_refuses_two_top_level_slashes(s5):
     """A scalar is one numerator over at most one denominator: a second
     "/" outside the parentheses is refused by name, while the "/" of a

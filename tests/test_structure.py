@@ -1272,6 +1272,31 @@ BGG_SHA256 = {
 }
 
 
+@pytest.mark.parametrize("ell", [5, 8])
+def test_bgg_table_builds_one_cover_per_atypical_weight(s5, s8, ell,
+                                                        monkeypatch):
+    """In the default window moved by 2r every atypical weight is a
+    nonzero twist, and several share an index i: bgg_table builds
+    exactly one cover per atypical weight, its own twist, and no
+    untwisted P_i^m."""
+    s = s5 if ell == 5 else s8
+    weights = [w + 2 * s.r for w in default_bgg_weights(s)]
+    want = sorted((*atypical_decompose(s, w), 0) for w in weights
+                  if not typicality(s, w).typical)
+    assert all(k for _, k, _ in want)
+    assert len({i for i, _, _ in want}) < len(want)
+    built = []
+    real = projectives.build_projective_cover
+
+    def counting(session, i, m, twist=0):
+        built.append((i, twist, m))
+        return real(session, i, m, twist)
+
+    monkeypatch.setattr(projectives, "build_projective_cover", counting)
+    assert all(c[3] for c in bgg_table(s, 0, weights))
+    assert sorted(built) == want
+
+
 @pytest.mark.parametrize("shift", [0, 2, -2])
 @pytest.mark.parametrize("ell,m", [(5, 0), (5, 1), (8, 0)])
 def test_bgg_cells_unchanged(s5, s8, ell, m, shift):

@@ -91,10 +91,11 @@ def write_artifact(rep, noun, path, data):
 def typical_weights(s):
     """Two typical weights: 1/2 and 5/2 at even ell; at odd ell, where
     lam is typical when 2(lam + 1) is a multiple of r, (r - 2)/2 and
-    r - 1."""
-    if s.ell % 2 == 0:
-        return [Fraction(1, 2), Fraction(5, 2)]
-    return [Fraction(s.r - 2, 2), Fraction(s.r - 1)]
+    r - 1.  Those off (1/N)Z give way to 2r - 1, 3r - 1 (typical)."""
+    ws = ([Fraction(1, 2), Fraction(5, 2)] if s.ell % 2 == 0
+          else [Fraction(s.r - 2, 2), Fraction(s.r - 1)])
+    ws = [w for w in ws if s.N % w.denominator == 0]
+    return (ws + [Fraction(k * s.r - 1) for k in (2, 3)])[:2]
 
 
 def default_bgg_weights(s):
@@ -348,7 +349,8 @@ def cmd_suite(args, rep):
     # relation suites on the constructors
     mods = []
     for k in (0, 1):
-        mods.append(build_one_dim(s, k))
+        if s.N * k * s.ell % 2 == 0:  # k*ell/2 on the lattice
+            mods.append(build_one_dim(s, k))
     for i in range(0, max_i + 1):
         mods.append(build_simple(s, i))
     verma_weights = [Fraction(w) for w in range(-1, 3)]

@@ -151,15 +151,16 @@ def build_projective_cover(session, i, m, twist=0):
         for k in range(n):
             matE.set(off + (t + j) * n + k, t * n + k, unit)
 
-    # tags keep the untwisted weight; a twist adds the tensor's "|c"
+    # weights are the Vermas' own, tags keep the untwisted weight, and a
+    # twist adds the tensor's "|c"
     suffix = "|c" if twist else ""
     labels = []
-    for top, cut, fams in ((i, i, "TL"), (j + r, j, "RS")):
+    for v, top, cut, fams in ((quo, i, i, "TL"), (sub, j + r, j, "RS")):
         for t in range(r):
-            w = Fraction(top - 2 * t)
             fam = fams[t > cut]
-            labels += [WeightLabel(w + shift, s, "%s[%s,%d]%s"
-                                   % (fam, w, s, suffix)) for s in range(n)]
+            labels += [WeightLabel(v.labels[t * n].weight, s, "%s[%d,%d]%s"
+                                   % (fam, top - 2 * t, s, suffix))
+                       for s in range(n)]
 
     name = "P(%d,%d)" % (i, m) + (" x C(%d)" % twist if twist else "")
     mod = ModuleRep(session, labels, matE, _block_sum(quo.matF, sub.matF),
@@ -285,8 +286,8 @@ def _cover_iso(p, q, i, m, twist):
     if phi is None or pairs is None:
         return None
     s = p.session
-    w = p.labels[generator_index(s, i, m)].weight
-    for c in reversed(q.graded_blocks()[w]):
+    k = p.weight_keys()[generator_index(s, i, m)]
+    for c in reversed(q.graded_blocks()[k]):
         g = phi(q, {c: s.one})
         if _blocks_full_rank(g, pairs) and _intertwiner_ok(g, p, q):
             return g

@@ -106,7 +106,8 @@ class ModuleRep:
         (N[i], N^2[i], ...), see `_nilpotent_chains`."""
         if self._chains is None:
             self._chains = _nilpotent_chains(
-                self.session, [lab.weight for lab in self.labels], self.matH)
+                self.session, self.weight_keys(),
+                [lab.weight for lab in self.labels], self.matH)
         return self._chains
 
     def generator_matrix(self, g):
@@ -126,7 +127,7 @@ class ModuleRep:
         """The E, F or H columns, cached: rows of the frozen transpose.
 
         A sparse vector is applied by walking only the columns in its
-        support.
+        support.  The same cache keeps the weight keys under "keys".
         """
         cols = self._cols.get(g)
         if cols is None:
@@ -134,40 +135,51 @@ class ModuleRep:
             self._cols[g] = cols
         return cols
 
+    def weight_keys(self):
+        """The key N*w of each label weight w (`Session.weight_key`), a
+        tuple of ints kept in the columns' cache."""
+        if "keys" not in self._cols:
+            self._cols["keys"] = tuple(self.session.weight_key(lab.weight)
+                                       for lab in self.labels)
+        return self._cols["keys"]
+
     def weight_blocks(self):
         """Map weight -> sorted list of basis indices with that weight."""
-        return _weight_blocks([lab.weight for lab in self.labels])
+        return {self.labels[idx[0]].weight: idx
+                for _, idx in _block_numbers(self.weight_keys())[1]}
 
     def graded_blocks(self):
-        """weight_blocks(), once E, F and H are checked to respect them.
+        """Map the key k = N*w of each weight w to the sorted tuple of
+        basis indices of weight w, once E, F and H are checked to respect
+        the blocks.
 
         E must map weight w to w+2, F map w to w-2 and H preserve w; the
         blockwise routines of `structure` rely on this.  The check is one
-        pass over the nonzero entries, on block numbers: the label
-        weights are numbered once (`_block_numbers`), the block that g
-        should map each block to is found once per block, from its int
-        key (`_shift_key`), and each entry compares two ints.  The
-        result is cached, read-only, as a mapping of index tuples; an
-        offending entry raises ModuleInvalidError naming it.
+        pass over the nonzero entries, on block numbers: the keys are
+        numbered once (`_block_numbers`), the block that g should map
+        block k to is block k + shift*N, found once per block, and each
+        entry compares two ints.  The result is cached, read-only; an
+        offending entry raises ModuleInvalidError naming it.  A block's
+        Fraction weight is the weight of any of its labels.
         """
         if self._graded is None:
-            weights = [lab.weight for lab in self.labels]
-            block, blocks, number = _block_numbers(weights)
+            N = self.session.N
+            block, blocks, number = _block_numbers(self.weight_keys())
             for g, shift in (("E", 2), ("F", -2), ("H", 0)):
                 # number lists the keys in block order
-                target = [number.get(_shift_key(key, shift))
-                          for key in number]
+                target = [number.get(k + shift * N) for k in number]
                 for i, row in enumerate(self.generator_matrix(g).rows):
                     bi = block[i]
                     for j in row:
                         if bi != target[block[j]]:
+                            w = self.labels[j].weight
                             raise ModuleInvalidError(
                                 "%s entry (%d,%d) of %s maps weight %s to "
                                 "weight %s, not %s"
-                                % (g, i, j, self.name or "?", weights[j],
-                                   weights[i], weights[j] + shift))
+                                % (g, i, j, self.name or "?", w,
+                                   self.labels[i].weight, w + shift))
             self._graded = MappingProxyType(
-                {w: tuple(idx) for w, idx in blocks})
+                {k: tuple(idx) for k, idx in blocks})
         return self._graded
 
     def __repr__(self):
@@ -178,64 +190,45 @@ class ModuleRep:
 # K = q^H, blockwise
 # ---------------------------------------------------------------------
 
-def _weight_key(w):
-    return w.numerator, w.denominator
-
-
-def _shift_key(key, shift):
-    """The _weight_key of w + shift, for key the _weight_key of w and an
-    integer shift: with w = n/d in lowest terms, (n + shift*d)/d is in
-    lowest terms too, so no Fraction is built."""
-    n, d = key
-    return n + shift * d, d
-
-
-def _block_numbers(weights):
+def _block_numbers(keys):
     """(block, blocks, number): blocks lists the weight blocks as
-    (weight, sorted indices) in order of first occurrence, block[i] is
-    the position of index i's block there, and number maps the
-    `_weight_key` of each weight to that position.
+    (key, sorted indices) in order of first occurrence, block[i] is the
+    position of index i's block there, and number maps each key to that
+    position.
 
-    Each weight is hashed once, as a pair of ints, so the checks that
-    compare block numbers run no Fraction arithmetic or comparison per
-    entry.  The numbering lives only as long as its caller.
+    The keys are the ints N*w of `ModuleRep.weight_keys`, so the checks
+    that compare block numbers run no Fraction arithmetic or comparison.
+    The numbering lives only as long as its caller.
     """
     number, block, blocks = {}, [], []
-    for i, w in enumerate(weights):
-        key = _weight_key(w)
-        b = number.get(key)
+    for i, k in enumerate(keys):
+        b = number.get(k)
         if b is None:
-            b = number[key] = len(blocks)
-            blocks.append((w, []))
+            b = number[k] = len(blocks)
+            blocks.append((k, []))
         blocks[b][1].append(i)
         block.append(b)
     return block, blocks, number
 
 
-def _weight_blocks(weights):
-    """Map weight -> sorted list of the indices with that weight."""
-    return dict(_block_numbers(weights)[1])
-
-
 def _shifted_rows(blocks, step):
-    """The sorted indices of the blocks, a mapping weight -> indices,
-    whose weight is w + step for some weight w of them, found on int
-    keys (`_shift_key`)."""
-    keys = [(_weight_key(w), idx) for w, idx in blocks.items()]
-    targets = {_shift_key(key, step) for key, _ in keys}
-    return sorted(i for key, idx in keys if key in targets for i in idx)
+    """The sorted indices of the blocks, a mapping key -> indices, whose
+    key is k + step for some key k of them."""
+    return sorted(i for k, idx in blocks.items() if k - step in blocks
+                  for i in idx)
 
 
-def _nilpotent_chains(session, weights, matH):
+def _nilpotent_chains(session, keys, weights, matH):
     """chains[i] = (N[i], N^2[i], ...), the nonzero rows of the powers of
-    N = H - diag(weights), as read-only rows.
+    N = H - diag(weights), as read-only rows; keys are the weights' int
+    keys, and the weights are read only to name one in an error.
 
     Checks that matH never connects distinct weight blocks and that N is
     nilpotent on each block (N^n = 0 on a block of size n); both are
     required for K = q^H to make sense.
     """
     H = matH.rows
-    block, blocks, _ = _block_numbers(weights)
+    block, blocks, _ = _block_numbers(keys)
     for j, row in enumerate(H):
         bj = block[j]
         for i in row:
@@ -243,9 +236,9 @@ def _nilpotent_chains(session, weights, matH):
                 raise ModuleInvalidError(
                     "matH connects weight %s to weight %s (entry %d,%d)"
                     % (weights[j], weights[i], j, i))
-    N, chains = [None] * len(weights), [None] * len(weights)
-    for w, idx in blocks:
-        shift = -session.from_rational(w)
+    N, chains = [None] * len(keys), [None] * len(keys)
+    for k, idx in blocks:
+        shift = session.neg_weight(k)
         for i in idx:
             N[i] = FrozenRow(_axpy(H[i], shift, {i: session.one}))
         for i in idx:
@@ -253,8 +246,9 @@ def _nilpotent_chains(session, weights, matH):
             while row:
                 chain.append(row)
                 if len(chain) == len(idx):
-                    raise ModuleInvalidError("matH - %s*I is not nilpotent "
-                                             "on its weight block" % (w,))
+                    raise ModuleInvalidError(
+                        "matH - %s*I is not nilpotent on its weight block"
+                        % (weights[i],))
                 row = FrozenRow(_apply(N, row))
             chains[i] = tuple(chain)
     return tuple(chains)
@@ -444,12 +438,13 @@ def _relation_witnesses(mod):
         blocks = mod.graded_blocks()
         graded = True
     except ModuleInvalidError:
-        blocks = mod.weight_blocks()
+        blocks = dict(_block_numbers(mod.weight_keys())[1])
         graded = False
     N = [chain[0] if chain else {} for chain in chains]
     flat = not any(chains)
     coeffs = [None] * mod.dim  # coeffs[i]: d_{w,0}, d_{w,1}, ... at w_i
-    for w, idx in blocks.items():
+    for idx in blocks.values():
+        w = mod.labels[idx[0]].weight
         n = 1 + max(len(chains[i]) for i in idx)
         _literal_refusal(s, n, w)
         d = _ef_coeffs(s, n, w, dqi)
@@ -516,8 +511,8 @@ def _relation_witnesses(mod):
         None,  # H*K = K*H
         he,  # [H,E] = 2E
         hf,  # [H,F] = -2F
-        power_witness(E, he, 2 * s.r),  # E^r = 0
-        power_witness(F, hf, -2 * s.r),  # F^r = 0
+        power_witness(E, he, 2 * s.r * s.N),  # E^r = 0
+        power_witness(F, hf, -2 * s.r * s.N),  # F^r = 0
     )
 
 

@@ -76,12 +76,14 @@ class Session:
     Moebius inversion of x^M - 1 = prod_{d | M} Phi_d (see
     _cyclotomic_coeffs).
 
-    The session also holds the caches of its arithmetic: q_power results
-    keyed by weight (only weights on the (1/N)Z lattice are stored, so an
-    off-lattice weight raises RejectedInputError on every call), quantum
-    integers, the table of solved cyclotomic inverses, and the labels of
-    `structure.simple_label` keyed by checked weight (as for q_power, an
-    off-lattice weight is never stored and raises on every call).  Two caches
+    Inside the library a weight w in (1/N)Z is the int k = N*w
+    (`weight_key`, RejectedInputError off the lattice): weight blocks,
+    their shifts (w + 2 is k + 2N), q^w = zeta^(2k), and the caches of
+    [n] and of the scalar -w (`neg_weight`) key on it.  Labels, claims,
+    tables and texts keep Fractions.  The session also holds the solved
+    cyclotomic inverses and the labels of `structure.simple_label` keyed
+    by checked Fraction (an off-lattice weight is never stored and
+    raises on every call).  Two caches
     belong to `repmod.build_generalized_verma`: the built V(lam, m) keyed
     by (checked weight, degree), and the PBW normal forms of E*F^t keyed
     by t.  Neither key is stored before the weight and degree are checked,
@@ -115,8 +117,7 @@ class Session:
         # r = ord(q^2) and [n] = 0 exactly when r divides n (required by
         # the truncation E^r = F^r = 0), and q^{k*ell} = 1, which makes
         # the one-dimensional modules of weight k*ell/2 genuine modules
-        # for every integer k.
-        self._q_exp_unit = 2 * weight_denominator
+        # for every integer k.  So q^w = zeta^(2*N*w) (q_power).
 
         # zeta^k by _times_zeta; products reduce by zeta^phi..zeta^(2*phi-2)
         coeffs = _cyclotomic_coeffs(self.M)
@@ -137,7 +138,7 @@ class Session:
         self.tau = Scalar((self.cyc_zero, self.cyc_one), (self.cyc_one,))
         self._qint_cache = {}
         self._inv_cache = {}
-        self._q_power_cache = {}  # weight -> q^weight, lattice weights only
+        self._neg_weight = {}  # k -> the scalar -k/N, see neg_weight
         self._label_cache = {}  # checked weight -> structure.simple_label
         self._verma_cache = {}  # (weight, degree) -> V(weight, degree)
         self._ef_normal_forms = {}  # t -> PBW normal form of E*F^t
@@ -159,27 +160,25 @@ class Session:
     # -- the q-arithmetic the modules are built from ------------------
 
     def q_power(self, w) -> Cyc:
-        """q^w for w in (1/N)Z, with q = exp(2*pi*i/ell)."""
-        c = self._q_power_cache.get(w)
-        if c is None:
-            f = Fraction(w)
-            e = f * self._q_exp_unit
-            if e.denominator != 1:
-                raise RejectedInputError(
-                    "weight %s not in (1/%d)Z" % (f, self.N)
-                )
-            c = self._q_power_cache[w] = Cyc.zeta_power(self, int(e))
-        return c
+        """q^w = zeta^(2k) for w in (1/N)Z and k = N*w, with
+        q = exp(2*pi*i/ell)."""
+        return self._zeta_table[2 * self.weight_key(w) % self.M]
 
     def quantum_integer(self, n) -> Cyc:
-        """[n] = (q^n - q^-n)/(q - q^-1)."""
-        if n in self._qint_cache:
-            return self._qint_cache[n]
-        num = self.q_power(n) - self.q_power(-n)
-        den = self.q_power(1) - self.q_power(-1)
-        val = num / den
-        self._qint_cache[n] = val
-        return val
+        """[n] = (q^n - q^-n)/(q - q^-1), kept per key N*n."""
+        k = self.weight_key(n)
+        if k not in self._qint_cache:
+            z, M = self._zeta_table, self.M
+            self._qint_cache[k] = ((z[2 * k % M] - z[-2 * k % M])
+                                   / (self.q_power(1) - self.q_power(-1)))
+        return self._qint_cache[k]
+
+    def neg_weight(self, k) -> Scalar:
+        """The scalar -w of the weight w = k/N, kept per key k."""
+        x = self._neg_weight.get(k)
+        if x is None:
+            x = self._neg_weight[k] = self.from_rational(Fraction(-k, self.N))
+        return x
 
     def degree_drop_coeff(self, s) -> Scalar:
         """Coefficient of the one-step degree drop (H - w)^s in K = q^H.
@@ -197,10 +196,20 @@ class Session:
         return self.tau_power(s)
 
     def check_weight(self, w) -> Fraction:
-        w = Fraction(w)
-        if (w * self.N).denominator != 1:
+        """w as a Fraction in (1/N)Z, built only if w is not one."""
+        if type(w) is not Fraction:
+            w = Fraction(w)
+        if self.N % w.denominator:
             raise RejectedInputError("weight %s not in (1/%d)Z" % (w, self.N))
         return w
+
+    def weight_key(self, w) -> int:
+        """k = N*w, the int key of a weight w in (1/N)Z; an int or a
+        Fraction w builds no Fraction."""
+        if type(w) is int:
+            return w * self.N
+        w = self.check_weight(w)
+        return w.numerator * self.N // w.denominator
 
     # -- text grammar -------------------------------------------------
 

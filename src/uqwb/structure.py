@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import islice
 
@@ -176,25 +176,25 @@ def _n_walk(mod, vec, w):
     """vec, N vec, N^2 vec, ... for a sparse vec and N = H - w, lazily and
     without end: a caller takes the terms it needs."""
     hcols = mod.columns("H")
-    shift = -mod.session.from_rational(w)
+    shift = mod.session.neg_weight(mod.session.weight_key(w))
     while True:
         yield vec
         vec = _axpy(_apply(hcols, vec), shift, vec)
 
 
 def _split(mod, vec):
-    """Weight components of a sparse vector, via the weight labels."""
+    """Weight components of a sparse vector, by `ModuleRep.weight_keys`."""
     comps = {}
-    labels = mod.labels
+    keys = mod.weight_keys()
     for i, x in vec.items():
-        comps.setdefault(labels[i].weight, {})[i] = x
+        comps.setdefault(keys[i], {})[i] = x
     return comps
 
 
 def weight_split(mod, vec):
     """Weight components of vec, via the coordinate weight labels."""
-    return {w: _dense(mod, comp)
-            for w, comp in _split(mod, _sparse(vec)).items()}
+    return {mod.labels[next(iter(comp))].weight: _dense(mod, comp)
+            for comp in _split(mod, _sparse(vec)).values()}
 
 
 def _degree(mod, vec, w):
@@ -371,11 +371,12 @@ def _generated(mod, seeds):
 # sub- and quotient modules as ModuleReps
 # ---------------------------------------------------------------------
 
-def _make_module(session, weights, tags, matE, matF, matH, name):
+def _make_module(session, keys, weights, tags, matE, matF, matH, name):
     """A ModuleRep whose label degrees are read off the chains of
     N = H - w (the degree of basis vector j is the largest p with column j
-    of N^p nonzero), which fill its cache: N is walked once."""
-    chains = _nilpotent_chains(session, weights, matH)
+    of N^p nonzero), which fill its cache: N is walked once.  The int
+    keys of the weights fill its cache too."""
+    chains = _nilpotent_chains(session, keys, weights, matH)
     degs = [0] * len(weights)
     for chain in chains:
         for p, row in enumerate(chain, 1):
@@ -384,6 +385,7 @@ def _make_module(session, weights, tags, matE, matF, matH, name):
     mod = ModuleRep(session, list(map(WeightLabel, weights, degs, tags)),
                     matE, matF, matH, max(degs, default=0), name=name)
     mod._chains = chains
+    mod._cols["keys"] = keys
     return mod
 
 
@@ -438,7 +440,9 @@ def _subquotient(mod, lower, upper=None):
     base = mod.name or "?"
     name = ("%s/sub" % base if upper is None
             else "sub(%s)%s" % (base, "/sub" if lower.dim else ""))
-    q = _make_module(s, [mod.labels[j].weight for j in coords],
+    keys = mod.weight_keys()
+    q = _make_module(s, tuple(keys[j] for j in coords),
+                     [mod.labels[j].weight for j in coords],
                      [mod.labels[j].tag for j in coords], induced("E"),
                      induced("F"), induced("H"), name)
     return q, qmap
@@ -473,12 +477,14 @@ def submodule_to_module(sub):
 
 def _hw_block(mod, w):
     """ker E on the weight-w block, as the sparse echelon rows of a
-    SubmoduleBasis: the kernel of E's rows of block w + 2, which the
-    grading supports on block w."""
+    SubmoduleBasis: the kernel of E's rows of block w + 2 (key k + 2N),
+    which the grading supports on block w (key k)."""
+    s = mod.session
     blocks = mod.graded_blocks()
+    k = s.weight_key(w)
     ker = SubmoduleBasis(mod)
-    for v in _kernel((mod.matE.rows[i] for i in blocks.get(w + 2, [])),
-                     blocks.get(w, []), mod.session.one):
+    for v in _kernel((mod.matE.rows[i] for i in blocks.get(k + 2 * s.N, [])),
+                     blocks.get(k, []), s.one):
         ker._insert(v)
     return ker.sparse_rows()
 
@@ -486,7 +492,9 @@ def _hw_block(mod, w):
 def _hw_rows(mod):
     """Basis of ker(E) as (sparse row, weight, degree) triples, lazily:
     per weight, descending, the echelon rows of the kernel there."""
-    for w in sorted(mod.graded_blocks(), reverse=True):
+    blocks = mod.graded_blocks()
+    for k in sorted(blocks, reverse=True):
+        w = mod.labels[blocks[k][0]].weight
         for row in _hw_block(mod, w):
             yield row, w, _degree(mod, row, w)
 
@@ -582,8 +590,8 @@ def _hom_basis(a, b):
     blocks_a = a.graded_blocks()
     blocks_b = b.graded_blocks()
     var = {}  # (i, j) -> unknown number
-    for w, jdx in blocks_a.items():
-        for i in blocks_b.get(w, ()):
+    for key, jdx in blocks_a.items():
+        for i in blocks_b.get(key, ()):
             for j in jdx:
                 var[i, j] = len(var)
 
@@ -591,8 +599,8 @@ def _hom_basis(a, b):
         for g, shift in (("H", 0), ("F", -2), ("E", 2)):
             acols = a.columns(g)
             brows = b.generator_matrix(g).rows
-            for w, jdx in blocks_a.items():
-                for i in blocks_b.get(w + shift, []):
+            for key, jdx in blocks_a.items():
+                for i in blocks_b.get(key + shift * s.N, []):
                     for j in jdx:
                         yield _axpy(
                             {var[i, k]: x for k, x in acols[j].items()},
@@ -976,7 +984,8 @@ def annihilator_basis(mod, dual_rows):
     one = mod.session.one
     sub = SubmoduleBasis(mod)
     seen = {}  # functional number -> the weight it lives on
-    for w, idx in mod.graded_blocks().items():
+    for idx in mod.graded_blocks().values():
+        w = mod.labels[idx[0]].weight
         rows = []
         for k, row in enumerate(dual_rows):
             part = {i: row[i] for i in idx if not row[i].is_zero()}
@@ -1039,20 +1048,21 @@ def extract_costandard_filtration(mod, deg):
 # Jordan-Holder multiplicities via socle recursion
 # ---------------------------------------------------------------------
 
-def _socle_rows(mod, w, cw):
-    """The rows on the weight-w block whose common kernel is its socle
-    seeds, lazily: E's rows of block w + 2, the cached rows N[j] of block
-    w (N = H - w), then the rows of F^cw of block w - 2 cw.  The grading
-    supports each on block w, and F^cw is applied to the block's basis
-    only if the E and N rows leave a kernel."""
+def _socle_rows(mod, k, cw):
+    """The rows on the block of key k (weight w = k/N) whose common
+    kernel is its socle seeds, lazily: E's rows of block w + 2, the
+    cached rows N[j] of block w (N = H - w), then the rows of F^cw of
+    block w - 2 cw.  The grading supports each on block w, and F^cw is
+    applied to the block's basis only if the E and N rows leave a
+    kernel."""
     s = mod.session
     blocks = mod.graded_blocks()
-    idx = blocks[w]
+    idx = blocks[k]
     chains = mod.nilpotent_chains()
-    yield from (mod.matE.rows[i] for i in blocks.get(w + 2, []))
+    yield from (mod.matE.rows[i] for i in blocks.get(k + 2 * s.N, []))
     yield from (chains[j][0] for j in idx if chains[j])
     fpow = {j: _word(mod, {j: s.one}, "F" * cw) for j in idx}
-    for i in blocks.get(w - 2 * cw, []):
+    for i in blocks.get(k - 2 * cw * s.N, []):
         yield {j: z[i] for j, z in fpow.items() if i in z}
 
 
@@ -1067,9 +1077,10 @@ def _socle_seeds(mod):
     s = mod.session
     seeds = []
     counts = {}
-    for w, idx in sorted(mod.graded_blocks().items(), reverse=True):
+    for k, idx in sorted(mod.graded_blocks().items(), reverse=True):
+        w = mod.labels[idx[0]].weight
         cw = simple_dim(s, w)
-        ker = _kernel(_socle_rows(mod, w, cw), idx, s.one)
+        ker = _kernel(_socle_rows(mod, k, cw), idx, s.one)
         for vec in ker:
             if cw > 0 and not _word(mod, vec, "F" * (cw - 1)):
                 raise DiagnosticError(
@@ -1214,20 +1225,23 @@ def bgg_table(session, m, weights, seed=0):
     i's chain is searched once, on the first of its covers in the
     window, and every other cover of i gets it by transport
     (_twisted_chain), shifted by the difference of the two weights.
-    Every returned certificate is verified once, on its own cover.  The
-    table makes no random choice, so seed is never read.
+    Every returned certificate is verified once, on its own cover.
+    Multiplicities are kept by int weight keys; the cells carry
+    Fractions.  The table makes no random choice, so seed is never read.
     """
     from .projectives import build_projective_cover
 
     weights = [session.check_weight(w) for w in weights]
+    keys = [session.weight_key(w) for w in weights]
+    labels = [simple_label(session, w) for w in weights]
     chains = {}  # i -> (first weight of i, its standard chain, unverified)
-    filt = {}
-    for lam in weights:
-        if typicality(session, lam).typical:
+    filt = {}  # key of lam -> {key of mu: filtration multiplicity}
+    for lam, key, lab in zip(weights, keys, labels):
+        if lab[0] == "M":
             cert = extract_standard_filtration(
                 build_generalized_verma(session, lam, m), m)
         else:
-            i, k = atypical_decompose(session, lam)
+            _, i, k = lab
             cover = build_projective_cover(session, i, m, k)
             if i not in chains:
                 chains[i] = lam, _standard_chain(cover, m)
@@ -1238,18 +1252,13 @@ def bgg_table(session, m, weights, seed=0):
         if cert is None:
             raise DiagnosticError(
                 "no standard filtration found for the cover at %s" % (lam,))
-        counts = {}
-        for w in cert.quotient_weights():
-            counts[w] = counts.get(w, 0) + 1
-        filt[lam] = counts
-    jh = {}
-    for mu in weights:
-        jh[mu] = jordan_holder(build_generalized_verma(session, mu, 0))
+        filt[key] = Counter(map(session.weight_key, cert.quotient_weights()))
+    jh = {key: jordan_holder(build_generalized_verma(session, mu, 0))
+          for mu, key in zip(weights, keys)}
     cells = []
-    for lam in weights:
-        lab = simple_label(session, lam)
-        for mu in weights:
-            a = filt[lam].get(mu, 0)
-            b = jh[mu].get(lab, 0)
+    for lam, key, lab in zip(weights, keys, labels):
+        for mu, mkey in zip(weights, keys):
+            a = filt[key].get(mkey, 0)
+            b = jh[mkey].get(lab, 0)
             cells.append(((lam, mu), a, b, a == b))
     return cells

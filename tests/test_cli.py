@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -706,6 +707,27 @@ def test_typical_weights_are_typical(ell):
     assert len(set(weights)) == 2
     assert all(typicality(s, w).typical for w in weights)
     assert set(weights) <= set(default_bgg_weights(s))
+
+
+@pytest.mark.parametrize("ell", [5, 8])
+def test_default_windows_on_the_integer_lattice(capsys, ell):
+    """With --weight-denominator 1 and no --weights, bgg and suite pass:
+    the typical weights 1/2, 5/2 and (r - 2)/2 are off Z and give way to
+    2r - 1 and 3r - 1, and the suite builds no one-dimensional module
+    of weight ell/2 off Z.  At N = 2 the typical weights are kept."""
+    s = Session(ell, 1)
+    weights = typical_weights(s)
+    assert len(set(weights)) == 2
+    assert all(w.denominator == 1 and typicality(s, w).typical
+               for w in weights)
+    assert (typical_weights(Session(ell))
+            == ([Fraction(3, 2), Fraction(4)] if ell == 5
+                else [Fraction(1, 2), Fraction(5, 2)]))
+    for verb in ("bgg", "suite"):
+        code, text = run(capsys, "--ell", str(ell), "--weight-denominator",
+                         "1", verb)
+        assert code == 0, text
+        assert "status: pass" in text
 
 
 def test_suite_at_ell_3_passes(capsys):

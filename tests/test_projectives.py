@@ -498,7 +498,7 @@ def test_cover_iso_returns_checked_isomorphisms(session):
         p = build_projective_cover(session, i, m, twist)
         dual = build_dual(p)
         w = p.labels[generator_index(session, i, m)].weight
-        first = {dual.graded_blocks()[w][-1]: session.one}
+        first = {dual.graded_blocks()[session.N * w][-1]: session.one}
         h = projectives._cover_maps(p, i, m, twist)(dual, first)
         assert _intertwiner_ok(h, p, dual)
         assert invert_dense(h.to_dense(), session.zero, session.one) is None

@@ -1011,7 +1011,7 @@ def test_failed_premise_row_checks_k(session, g):
 
 def test_block_keys_match_the_fraction_route(s8):
     """graded_blocks and the rows of E^r and F^r that the grading leaves
-    possibly nonzero are found on int keys (n, d); on V(1/2, 2) (x) L_1
+    possibly nonzero are found on the int keys N*w; on V(1/2, 2) (x) L_1
     at ell 8, whose weights are all half-integers, they are what
     Fraction arithmetic on the weights gives."""
     import uqwb.repmod as repmod
@@ -1027,13 +1027,14 @@ def test_block_keys_match_the_fraction_route(s8):
     for i, w in enumerate(weights):
         want.setdefault(w, []).append(i)
     blocks = mod.graded_blocks()
-    assert list(blocks.items()) == [(w, tuple(idx))
+    assert all(type(k) is int for k in blocks)
+    assert list(blocks.items()) == [(s8.N * w, tuple(idx))
                                     for w, idx in want.items()]
     for step in (2 * s8.r, -2 * s8.r):
         rows = sorted(i for w, idx in want.items() if w - step in want
                       for i in idx)
         assert rows
-        assert repmod._shifted_rows(blocks, step) == rows
+        assert repmod._shifted_rows(blocks, step * s8.N) == rows
     assert verify_relations(mod)["status"] == "pass"
 
 

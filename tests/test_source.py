@@ -277,6 +277,30 @@ def test_one_n_walk():
         assert not _call_sites(name), name
 
 
+def test_weights_keyed_by_ints_on_hot_paths():
+    """Weights are the ints N*w inside the library's hot paths: the
+    pair keys _weight_key and _shift_key are gone, and the weight split
+    of a vector, the socle rows, the block pairing and the walk of
+    N = H - w build no Fraction and no rational scalar (the scalar -w
+    is Session.neg_weight's)."""
+    for name in ("_weight_key", "_shift_key"):
+        assert not _defined(name), name
+        assert not _call_sites(name), name
+    hot = {"_split", "_socle_rows", "_block_pairs", "_nilpotent_chains"}
+    seen = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name in hot:
+                seen.add(fn.name)
+                calls = {getattr(node.func, "id", None)
+                         or getattr(node.func, "attr", None)
+                         for node in ast.walk(fn)
+                         if isinstance(node, ast.Call)}
+                assert not calls & {"Fraction", "from_rational"}, fn.name
+    assert seen == hot
+
+
 def test_one_zeta_walk():
     """zeta * v on int coefficients is written once, as
     cyclotomic._times_zeta, and called only where the session walks its
